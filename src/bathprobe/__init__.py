@@ -20,17 +20,16 @@ from .oracle import (DiscreteBath, DiscreteFactors, compare_report,
                      discrete_factors, evolve_correlated, evolve_factorized,
                      magnus_unitary, prepare_correlated)
 from .quadrature import QuadratureError, QuadratureResult
-from .spectral import (BathState, DephasingFactors, GammaPoleError,
-                       SpectralDensity, c_shift, d_delta_dx, d_gamma_dx,
-                       d_phi_dx, delta_factor, gamma_th, gamma_un, gamma_vac,
-                       phi_factor, quadrature_factor, real_gamma,
-                       spectral_density)
+from .spectral import (BathState, DephasingFactors, SpectralDensity, c_shift,
+                       d_delta_dx, d_gamma_dx, d_phi_dx, delta_factor,
+                       gamma_th, gamma_un, gamma_vac, phi_factor,
+                       quadrature_factor, spectral_density)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpectralDensity", "BathState", "DephasingFactors", "GammaPoleError",
-    "real_gamma", "spectral_density", "gamma_vac", "gamma_th", "gamma_un",
+    "SpectralDensity", "BathState", "DephasingFactors", "spectral_density",
+    "gamma_vac", "gamma_th", "gamma_un",
     "delta_factor", "phi_factor", "c_shift", "d_gamma_dx", "d_delta_dx",
     "d_phi_dx", "quadrature_factor", "QuadratureError", "QuadratureResult",
     "CorrelationFactors", "corr_factors_two_qubit",

@@ -25,6 +25,7 @@ from . import fisher, oracle
 from .dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                        TWO_QUBIT_TRACED, ProbeConfig, dephasing_factors)
 from .fisher import Estimand
+from .quadrature import QuadratureError
 from .spectral import BathState, SpectralDensity
 
 __all__ = ["Scenario", "FigurePreset", "FIGURE_PRESETS", "main"]
@@ -231,14 +232,10 @@ class FigurePreset:
     note: str = ""
 
 
-def _preset_scenario(**kw):
-    return Scenario(**kw)
-
-
 FIGURE_PRESETS = {
     "fig1": FigurePreset(
         "fig1",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(0.01, 0.5, 1.0), bath=BathState(0.0),
             estimand=Estimand.CUTOFF_FREQUENCY,
             sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
@@ -247,7 +244,7 @@ FIGURE_PRESETS = {
         "optimized cutoff-frequency QFI, weak sub-Ohmic coupling"),
     "fig2": FigurePreset(
         "fig2",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(1.0, 0.5, 1.0), bath=BathState(0.0),
             estimand=Estimand.CUTOFF_FREQUENCY,
             sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
@@ -256,7 +253,7 @@ FIGURE_PRESETS = {
         "same sweep at strong coupling"),
     "fig3": FigurePreset(
         "fig3",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(1.0, 1.0, 1.0), bath=BathState(0.0),
             estimand=Estimand.CUTOFF_FREQUENCY,
             sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
@@ -265,7 +262,7 @@ FIGURE_PRESETS = {
         "Ohmic bath; the weak-coupling inset uses coupling 0.1"),
     "fig4": FigurePreset(
         "fig4",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(2.0, 2.0, 1.0), bath=BathState(0.0),
             estimand=Estimand.CUTOFF_FREQUENCY,
             sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
@@ -274,7 +271,7 @@ FIGURE_PRESETS = {
         "super-Ohmic bath; two-qubit information keeps accumulating"),
     "fig5": FigurePreset(
         "fig5",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(1.0, 0.1, 5.0), bath=BathState(0.0),
             estimand=Estimand.COUPLING_STRENGTH,
             sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
@@ -283,7 +280,7 @@ FIGURE_PRESETS = {
         "coupling-strength estimation, deep sub-Ohmic bath"),
     "fig6": FigurePreset(
         "fig6",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(1.0, 1.0, 5.0), bath=BathState(0.0),
             estimand=Estimand.COUPLING_STRENGTH,
             sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
@@ -292,7 +289,7 @@ FIGURE_PRESETS = {
         "coupling-strength estimation, Ohmic bath"),
     "fig7": FigurePreset(
         "fig7",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(1.0, 2.0, 5.0), bath=BathState(0.0),
             estimand=Estimand.COUPLING_STRENGTH,
             sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
@@ -301,7 +298,7 @@ FIGURE_PRESETS = {
         "coupling-strength estimation, super-Ohmic bath"),
     "fig8": FigurePreset(
         "fig8",
-        _preset_scenario(
+        Scenario(
             spectral=SpectralDensity(1.0, 2.0, 5.0), bath=BathState(1.0),
             estimand=Estimand.TEMPERATURE,
             sweep_variable="temperature", sweep_start=0.5, sweep_stop=2.0,
@@ -310,7 +307,7 @@ FIGURE_PRESETS = {
         "temperature estimation; run for Ohmicity 2, 1, 0.5"),
     "fig9": FigurePreset(
         "fig9",
-        _preset_scenario(
+        Scenario(
             probe=ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED),
             spectral=SpectralDensity(0.5, 1.0, 5.0), bath=BathState(0.0),
             estimand=Estimand.COUPLING_STRENGTH,
@@ -540,23 +537,26 @@ def build_parser():
                     "dynamics, Fisher information, and validation runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario config file")
+    def add_run_options(p):
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
+        p.add_argument("--threads", type=int)
+
+    def add_common(p):
+        p.add_argument("--config", required=True, help="scenario config file")
+        add_run_options(p)
         p.add_argument("--t-max", type=float, dest="t_max")
         p.add_argument("--grid", type=int)
         p.add_argument("--tol", type=float)
-        p.add_argument("--threads", type=int)
 
     add_common(sub.add_parser("factors", help="time-resolved dephasing factors"))
     add_common(sub.add_parser("qfi-sweep", help="optimized QFI across a sweep"))
     add_common(sub.add_parser("cfi", help="optimal-measurement CFI vs QFI"))
     add_common(sub.add_parser("optimize", help="single QFI time optimization"))
 
+    # a preset pins its scenario, so only the output and execution knobs apply
     fig = sub.add_parser("figure", help="run a pinned figure preset")
     fig.add_argument("figure_id", choices=sorted(FIGURE_PRESETS))
-    add_common(fig, needs_config=False)
+    add_run_options(fig)
 
     orc = sub.add_parser("oracle-validate", help="discrete-mode validation run")
     orc.add_argument("fixture", choices=sorted(oracle.FIXTURES))
@@ -597,6 +597,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:
+        print(f"quadrature error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

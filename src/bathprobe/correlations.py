@@ -38,17 +38,10 @@ SINGLE_QUBIT = "single-qubit"
 
 @dataclass(frozen=True)
 class CorrelationFactors:
-    """Correlation damping exponent and unwrapped level-shift phase.
+    """Correlation damping exponent and unwrapped level-shift phase."""
 
-    ``a`` and ``b`` are the raw in-phase/quadrature amplitudes of the
-    preparation sum; at T = 0 the rescaled (finite) limits are stored.
-    """
-
-    a: float
-    b: float
     gamma_corr: float
     chi: float
-    scheme: str
 
 
 def _scaled_parts(c_shift, phi, beta, omega_0, scheme):
@@ -91,8 +84,7 @@ def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
     e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
     if math.isinf(beta):
         # exact zero-temperature member: the phasor lies on the unit circle
-        return CorrelationFactors(a=math.cos(u), b=math.sin(u), gamma_corr=0.0,
-                                  chi=u, scheme=scheme)
+        return CorrelationFactors(gamma_corr=0.0, chi=u)
     A = math.cos(u) + e
     B = tau * math.sin(u)
     if B == 0.0 and math.cos(u) == 1.0:
@@ -106,26 +98,7 @@ def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
             chi = u + _wrap_pm_pi(wrapped - u)
         else:
             chi = wrapped  # beta = 0 edge: phasor never leaves the right half plane
-    if scheme == TWO_QUBIT:
-        log_amp = beta * c_shift + (abs(beta * omega_0) - math.log(2.0)
-                                    + math.log1p(math.exp(-2.0 * abs(beta * omega_0))))
-        if log_amp < 700.0:
-            amp = math.exp(beta * c_shift)
-            a = 1.0 + amp * math.cosh(beta * omega_0) * math.cos(u)
-            b = amp * math.sinh(beta * omega_0) * math.sin(u)
-        else:
-            # raw amplitudes overflow; the scaled phasor direction survives
-            a = math.inf * math.copysign(1.0, math.cos(u)) if math.cos(u) != 0.0 else 1.0
-            b = math.inf * math.copysign(1.0, math.sin(u)) if math.sin(u) != 0.0 else 0.0
-    else:
-        y = 0.5 * beta * omega_0
-        if y < 350.0:
-            a = math.cosh(y) * math.cos(u)
-            b = math.sinh(y) * math.sin(u)
-        else:
-            a = math.inf * math.copysign(1.0, math.cos(u)) if math.cos(u) != 0.0 else 0.0
-            b = math.inf * math.copysign(1.0, math.sin(u)) if math.sin(u) != 0.0 else 0.0
-    return CorrelationFactors(a=a, b=b, gamma_corr=gamma_corr, chi=chi, scheme=scheme)
+    return CorrelationFactors(gamma_corr=gamma_corr, chi=chi)
 
 
 def corr_factors_two_qubit(sd, bath, omega_0, t):
@@ -162,9 +135,12 @@ def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, omega_0, scheme):
     rescaled weight vanishes and the pair reduces to (0, du/dx) exactly.
     """
     e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
-    factor = 2.0 if scheme == TWO_QUBIT else 1.0
-    du = factor * d_phi
-    de = -beta * d_c_shift * e if (scheme == TWO_QUBIT and not math.isinf(beta)) else 0.0
+    du = (2.0 if scheme == TWO_QUBIT else 1.0) * d_phi
+    if math.isinf(beta):
+        # the phasor turns on the unit circle; the general form below
+        # leaves a rounding residue in d gamma_corr
+        return 0.0, du
+    de = -beta * d_c_shift * e if scheme == TWO_QUBIT else 0.0
     A = math.cos(u) + e
     B = tau * math.sin(u)
     dA = -math.sin(u) * du + de

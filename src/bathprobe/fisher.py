@@ -117,18 +117,27 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
                         d_gamma=d_gamma, d_delta=d_delta, d_chi=d_chi)
 
 
+def _information_terms(b):
+    """(n1, n2, d, w): the algebra shared by the QFI, CFI and optimal angle.
+
+    n1 and n2 are the envelope and phase numerators, w = e^{-2 Gamma}, and
+    d = (e^{2 Gamma} - cos^2 D) w = sin^2 D - cos^2 D expm1(-2 Gamma) is the
+    envelope denominator scaled into [0, 1], so it neither cancels at small
+    Gamma nor overflows at any decoherence depth.
+    """
+    sin_d = math.sin(b.delta)
+    cos_d = math.cos(b.delta)
+    n1 = sin_d * b.d_delta + cos_d * b.d_gamma
+    n2 = cos_d * b.d_chi
+    d = sin_d * sin_d - cos_d * cos_d * math.expm1(-2.0 * b.gamma)
+    return n1, n2, d, math.exp(-2.0 * b.gamma)
+
+
 def qfi_from_bundle(b):
     """Closed-form QFI of the reduced probe from a factor bundle."""
-    n1 = math.sin(b.delta) * b.d_delta + math.cos(b.delta) * b.d_gamma
-    if b.gamma < 300.0:
-        # e^{2 Gamma} - cos^2 Delta, written without cancellation
-        denom = math.expm1(2.0 * b.gamma) + math.sin(b.delta) ** 2
-        first = n1 * n1 / denom if denom > 0.0 else 0.0
-    else:
-        # deep-decoherence regime: the envelope term is exponentially small
-        first = n1 * n1 * math.exp(-2.0 * b.gamma)
-    second = (math.cos(b.delta) * b.d_chi) ** 2 * math.exp(-2.0 * b.gamma)
-    return first + second
+    n1, n2, d, w = _information_terms(b)
+    first = n1 * n1 / d if d > 0.0 else 0.0
+    return w * (first + n2 * n2)
 
 
 def qfi_closed(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
@@ -221,16 +230,12 @@ def cfi(cfg, sd, bath, estimand, t, varphi):
 
 def cfi_from_bundle(b, omega_0, t, varphi):
     theta = b.chi + omega_0 * t - varphi
-    n1 = math.sin(b.delta) * b.d_delta + math.cos(b.delta) * b.d_gamma
-    n2 = math.cos(b.delta) * b.d_chi
+    n1, n2, d, w = _information_terms(b)
     num = (n1 * math.cos(theta) + n2 * math.sin(theta)) ** 2
-    if b.gamma < 300.0:
-        denom = (math.expm1(2.0 * b.gamma) + math.sin(b.delta) ** 2
-                 + (math.cos(b.delta) * math.sin(theta)) ** 2)
-        if denom <= 0.0:
-            return 0.0
-        return num / denom
-    return num * math.exp(-2.0 * b.gamma)
+    denom = d + w * (math.cos(b.delta) * math.sin(theta)) ** 2
+    if denom <= 0.0:
+        return 0.0
+    return w * num / denom
 
 
 _PROB_FLOOR = 1e-14
@@ -277,12 +282,8 @@ def optimal_angle(cfg, sd, bath, estimand, t):
 
 
 def optimal_angle_from_bundle(b, omega_0, t):
-    n1 = math.sin(b.delta) * b.d_delta + math.cos(b.delta) * b.d_gamma
-    n2 = math.cos(b.delta) * b.d_chi
-    # (e^{2G} - cos^2 D) / e^{2G}, bounded in (0, 1], so no overflow at any
-    # decoherence depth
-    d_scaled = 1.0 - (math.cos(b.delta) ** 2) * math.exp(-2.0 * b.gamma)
-    num = n2 * d_scaled
+    n1, n2, d, _ = _information_terms(b)
+    num = n2 * d
     if n1 != 0.0:
         shift = math.atan(num / n1)
     elif num != 0.0:
@@ -299,8 +300,6 @@ class FisherCurve:
     estimand: Estimand
     times: np.ndarray
     qfi: np.ndarray
-    cfi: np.ndarray | None = None
-    angles: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)

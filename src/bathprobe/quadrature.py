@@ -30,8 +30,14 @@ class QuadratureError(RuntimeError):
 
     def __init__(self, message, value, achieved_error):
         super().__init__(f"{message} (value={value!r}, achieved error={achieved_error!r})")
+        self.message = message
         self.value = value
         self.achieved_error = achieved_error
+
+    def __reduce__(self):
+        # rebuilt from its parts, so it survives the trip back from a
+        # process-pool worker
+        return type(self), (self.message, self.value, self.achieved_error)
 
 
 class QuadratureResult(NamedTuple):

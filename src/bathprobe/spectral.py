@@ -24,8 +24,6 @@ __all__ = [
     "SpectralDensity",
     "BathState",
     "DephasingFactors",
-    "GammaPoleError",
-    "real_gamma",
     "spectral_density",
     "gamma_vac",
     "gamma_th",
@@ -52,10 +50,6 @@ QUAD_KINDS = ("gamma_vac", "gamma_th", "delta", "phi", "c_shift")
 GAMMA_TH_RTOL = 1e-10
 
 
-class GammaPoleError(ValueError):
-    """Gamma function evaluated at a non-positive integer."""
-
-
 @dataclass(frozen=True)
 class SpectralDensity:
     """Exponential-cutoff power-law bath spectrum (G, s, w_c)."""
@@ -72,29 +66,24 @@ class SpectralDensity:
         if self.cutoff <= 0.0:
             raise ValueError(f"cutoff must be > 0, got {self.cutoff}")
 
-    @property
-    def is_ohmic(self):
-        return self.ohmicity == 1.0
-
 
 @dataclass(frozen=True)
 class BathState:
-    """Bath temperature; T = 0 forces the analytic zero-temperature limit."""
+    """Bath temperature; T = 0 selects the analytic zero-temperature limit."""
 
     temperature: float = 0.0
-    zero_temperature: bool = False
 
     def __post_init__(self):
         if self.temperature < 0.0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if self.temperature == 0.0:
-            object.__setattr__(self, "zero_temperature", True)
-        elif self.zero_temperature:
-            raise ValueError("zero_temperature flag requires T = 0")
+
+    @property
+    def zero_temperature(self):
+        return self.temperature == 0.0
 
     @property
     def beta(self):
-        return math.inf if self.zero_temperature else 1.0 / self.temperature
+        return math.inf if self.temperature == 0.0 else 1.0 / self.temperature
 
 
 @dataclass(frozen=True)
@@ -118,22 +107,6 @@ class DephasingFactors:
         return self.gamma_vac + self.gamma_th + self.gamma_corr
 
 
-def real_gamma(z):
-    """Gamma function on the real line, continued to negative non-integers.
-
-    Negative arguments are lifted into the standard domain with the
-    recurrence gamma(z) = gamma(z + 1) / z; poles at 0, -1, -2, ... raise.
-    """
-    z = float(z)
-    if z <= 0.0 and z == math.floor(z):
-        raise GammaPoleError(f"gamma function pole at z={z}")
-    scale = 1.0
-    while z < 1.0:
-        scale *= z
-        z += 1.0
-    return math.gamma(z) / scale
-
-
 def spectral_density(sd, omega):
     """J(w); accepts scalars or arrays, domain error for w < 0."""
     omega = np.asarray(omega, dtype=float)
@@ -150,62 +123,96 @@ def spectral_density(sd, omega):
     return val
 
 
-def _pow_one_minus_ix(s, x):
-    """Re and Im of (1 - i*x)**(1-s) through modulus/argument, branch-fixed."""
-    r = (1.0 + x * x) ** (0.5 * (1.0 - s))
-    th = (s - 1.0) * math.atan(x)
-    return r * math.cos(th), r * math.sin(th)
+def _kernel(s, x):
+    """Re and Im of K = ((1 - i x)**(1-s) - 1) / (1 - s), continuous in s.
+
+    With log(1 - i x) = a - i b and z = (1-s)(a - i b) = u - i v, K is
+    (a - i b) expm1(z)/z.  Splitting expm1(z) into expm1(u) cos v
+    - 2 sin(v/2)**2 - i e^u sin v and dividing each piece by (1-s) through
+    a/u or b/v leaves no cancellation at any s.  At z = 0 (s = 1, or x so
+    small that a underflows) expm1(z)/z is 1 and K is log(1 - i x).
+    """
+    a = 0.5 * math.log1p(x * x)
+    b = math.atan(x)
+    u = (1.0 - s) * a
+    if u == 0.0:
+        return a, -b
+    h = 0.5 * (1.0 - s) * b
+    sin_h = math.sin(h)
+    sinc_h = sin_h / h
+    re = a * (math.expm1(u) / u) * (1.0 - 2.0 * sin_h * sin_h) - b * sin_h * sinc_h
+    im = -b * math.exp(u) * sinc_h * math.cos(h)
+    return re, im
 
 
 def gamma_vac(sd, t):
-    """Vacuum dephasing exponent; >= 0, zero at t = 0."""
+    """Vacuum dephasing exponent G Gamma(s) Re K; >= 0, zero at t = 0."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    if s == 1.0:
-        return 0.5 * G * math.log1p(x * x)
-    re, _ = _pow_one_minus_ix(s, x)
-    val = G * real_gamma(s - 1.0) * (1.0 - re)
-    # sub-Ohmic branch multiplies two negative factors; the product must
-    # stay a decoherence exponent
-    if val < -1e-12 * max(1.0, abs(G)):
+    val = G * math.gamma(s) * _kernel(s, x)[0]
+    # the defining integral has a positive integrand
+    if not val >= 0.0:
         raise AssertionError(f"vacuum exponent came out negative: {val}")
-    return max(val, 0.0)
+    return val
 
 
 def phi_factor(sd, t):
-    """Phase kernel feeding the initial-correlation level shift."""
+    """Phase kernel -G Gamma(s) Im K feeding the initial-correlation level shift."""
     if t < 0.0:
         raise ValueError("time must be >= 0")
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    if s == 1.0:
-        return G * math.atan(x)
-    _, im = _pow_one_minus_ix(s, x)
-    return G * real_gamma(s - 1.0) * im
+    return -G * math.gamma(s) * _kernel(s, x)[1]
 
 
 def delta_factor(sd, t):
-    """Bath-induced qubit-qubit phase; <= 0 and non-increasing in t."""
+    """Bath-induced qubit-qubit phase; <= 0 and non-increasing in t.
+
+    Delta = -G Gamma(s) (Im K + x).  Im K and x are O(x) but their sum is
+    O(x**3), so it is assembled from two parts that carry the cubic order
+    themselves: -(x - atan x), which is Im K + x at z = 0, and the kernel's
+    remainder -Im(K - log(1 - i x)) = b (expm1(u) sinc v + sinc v - 1).
+    """
     if t < 0.0:
         raise ValueError("time must be >= 0")
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
-    if t == 0.0 or G == 0.0:
+    x = wc * t
+    if x == 0.0 or G == 0.0:
         return 0.0
-    if s == 1.0:
-        return G * (math.atan(wc * t) - wc * t)
-    return phi_factor(sd, t) - G * real_gamma(s) * wc * t
+    # below the switch-over points (x, |v| <= 0.1) the Taylor series are
+    # truncated under 2e-17 relative
+    y = x * x
+    b = math.atan(x)
+    if x > 0.1:
+        val = b - x
+    else:
+        val = -x * y * (1 / 3 - y * (1 / 5 - y * (1 / 7 - y * (1 / 9 - y * (
+            1 / 11 - y * (1 / 13 - y * (1 / 15 - y / 17)))))))
+    u = (1.0 - s) * 0.5 * math.log1p(y)
+    if u != 0.0:  # at z = 0 the remainder vanishes
+        v = (1.0 - s) * b
+        w = v * v
+        if w > 0.01:
+            sinc_v = math.sin(v) / v
+            sinc_v_m1 = sinc_v - 1.0
+        else:
+            sinc_v_m1 = -w / 6 * (1 - w / 20 * (1 - w / 42 * (1 - w / 72 * (
+                1 - w / 110))))
+            sinc_v = 1.0 + sinc_v_m1
+        val += b * (math.expm1(u) * sinc_v + sinc_v_m1)
+    return G * math.gamma(s) * val
 
 
 def c_shift(sd):
     """Static bath reorganization constant, integral of J(w)/w."""
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
-    return G * wc * real_gamma(s)
+    return G * wc * math.gamma(s)
 
 
 def gamma_un(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
@@ -341,9 +348,7 @@ def d_gamma_vac_d_omega_c(sd, t):
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    if s == 1.0:
-        return G * wc * t * t / (1.0 + x * x)
-    return (G * real_gamma(s) * t * (1.0 + x * x) ** (-0.5 * s)
+    return (G * math.gamma(s) * t * (1.0 + x * x) ** (-0.5 * s)
             * math.sin(s * math.atan(x)))
 
 
@@ -352,23 +357,23 @@ def d_phi_d_omega_c(sd, t):
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    if s == 1.0:
-        return G * t / (1.0 + x * x)
-    return (G * real_gamma(s) * t * (1.0 + x * x) ** (-0.5 * s)
+    return (G * math.gamma(s) * t * (1.0 + x * x) ** (-0.5 * s)
             * math.cos(s * math.atan(x)))
 
 
 def d_delta_d_omega_c(sd, t):
     # the printed Ohmic form of this derivative carries the wrong sign; the
-    # quadrature route fixes it (negative: |delta| grows with the cutoff)
+    # quadrature route fixes it (negative: |delta| grows with the cutoff).
+    # Re (1 - i x)**(-s) - 1 is O(x**2): split as expm1(-s a) cos(s b)
+    # - 2 sin(s b / 2)**2 with a = log|1 - i x|, b = atan x, so nothing cancels
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    if s == 1.0:
-        return -G * wc ** 2 * t ** 3 / (1.0 + x * x)
-    return (G * real_gamma(s) * t
-            * ((1.0 + x * x) ** (-0.5 * s) * math.cos(s * math.atan(x)) - 1.0))
+    sb = s * math.atan(x)
+    return (G * math.gamma(s) * t
+            * (math.expm1(-0.5 * s * math.log1p(x * x)) * math.cos(sb)
+               - 2.0 * math.sin(0.5 * sb) ** 2))
 
 
 def _per_unit_coupling(sd):
@@ -438,9 +443,9 @@ def d_phi_dx(sd, t, x):
 def d_c_shift_dx(sd, x):
     """Derivative of the reorganization constant; zero for x = T."""
     if x == "omega_c":
-        return sd.coupling * real_gamma(sd.ohmicity)
+        return sd.coupling * math.gamma(sd.ohmicity)
     if x == "G":
-        return sd.cutoff * real_gamma(sd.ohmicity)
+        return sd.cutoff * math.gamma(sd.ohmicity)
     if x == "T":
         return 0.0
     raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")

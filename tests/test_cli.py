@@ -149,6 +149,26 @@ def test_main_oracle_exit_codes(tmp_path):
                  "--temperature", "1.0", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--tol", "1e-6")])
+def test_figure_rejects_scenario_flags(tmp_path, flag):
+    # a preset pins its scenario; a flag it would ignore is an argument error
+    with pytest.raises(SystemExit) as err:
+        main(["figure", "fig3", "--out", str(tmp_path), *flag])
+    assert err.value.code == 2
+
+
+def test_quadrature_failure_exit_code(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("[spectral]\ncoupling = 1\nohmicity = 0.5\ncutoff = 5\n"
+                      "[bath]\ntemperature = 1\n"
+                      "[time]\nt-max = 200\npoints = 3\n"
+                      "[run]\ntolerance = 1e-16\n")
+    assert main(["factors", "--config", str(config), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("quadrature error:") and "achieved error=" in err
+
+
 def test_main_factors_and_overrides(tmp_path):
     config = tmp_path / "scenario.cfg"
     config.write_text(QUICK.to_config_text())

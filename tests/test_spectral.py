@@ -1,18 +1,18 @@
 """Closed forms vs quadrature, derivatives vs finite differences."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
-from scipy.special import gamma as scipy_gamma
 
 from bathprobe.quadrature import QuadratureError, adaptive_quadrature, bath_integral
-from bathprobe.spectral import (BathState, GammaPoleError, SpectralDensity,
-                                c_shift, d_c_shift_dx, d_delta_dx, d_gamma_dx,
+from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
+                                d_c_shift_dx, d_delta_dx, d_gamma_dx,
                                 d_phi_dx, delta_factor, gamma_th, gamma_un,
                                 gamma_vac, phi_factor, quadrature_factor,
-                                real_gamma, spectral_density)
+                                spectral_density)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 
@@ -22,7 +22,7 @@ def rel_diff(a, b, floor=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# types and the gamma function
+# types
 # ---------------------------------------------------------------------------
 
 def test_spectral_density_validation():
@@ -41,28 +41,6 @@ def test_bath_state_flags():
     assert math.isinf(BathState(0.0).beta)
     with pytest.raises(ValueError):
         BathState(-1.0)
-    with pytest.raises(ValueError):
-        BathState(1.0, zero_temperature=True)
-
-
-def test_real_gamma_reference_values():
-    assert real_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert real_gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert real_gamma(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
-
-
-@pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -7.0])
-def test_real_gamma_poles(z):
-    with pytest.raises(GammaPoleError):
-        real_gamma(z)
-
-
-def test_real_gamma_matches_scipy():
-    rng = np.random.default_rng(3)
-    for z in rng.uniform(-3.9, 4.0, 50):
-        if abs(z - round(z)) < 1e-3 and z < 0.5:
-            continue
-        assert rel_diff(real_gamma(z), float(scipy_gamma(z))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +127,19 @@ def test_quadrature_factor_examples():
     assert quadrature_factor("delta", OHMIC, None, 0.0).value == 0.0
 
 
-@pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 2.0, 3.0])
+# near-Ohmic values and t = 1e-6 are where a split at s = 1 or a
+# difference of two O(t) terms loses digits
+@pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 2.0, 3.0,
+                               1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-9])
 @pytest.mark.parametrize("kind", ["gamma_vac", "delta", "phi", "c_shift"])
 def test_closed_forms_match_quadrature(kind, s):
     closed = {"gamma_vac": gamma_vac, "delta": delta_factor, "phi": phi_factor,
               "c_shift": lambda sd, t: c_shift(sd)}[kind]
-    for (G, wc, t) in [(1.0, 1.0, 0.7), (0.3, 5.0, 2.0), (2.0, 2.0, 9.0)]:
+    for (G, wc, t) in [(1.0, 1.0, 0.7), (0.3, 5.0, 2.0), (2.0, 2.0, 9.0),
+                       (1.0, 1.0, 1e-6)]:
         sd = SpectralDensity(G, s, wc)
         q = quadrature_factor(kind, sd, None, t, rel_tol=1e-10)
-        assert rel_diff(closed(sd, t), q.value) < 1e-8, (kind, s, G, wc, t)
+        assert rel_diff(closed(sd, t), q.value, floor=0.0) < 1e-8, (kind, s, G, wc, t)
 
 
 def test_quadrature_reports_achieved_error():
@@ -170,6 +152,13 @@ def test_quadrature_nonconvergence_carries_achieved_tolerance():
         bath_integral(0.0, lambda w: np.sin(50.0 * w) ** 2 * np.exp(-w), 50.0,
                       40.0, rel_tol=1e-12, max_cells=4)
     assert err.value.achieved_error > 0.0
+
+
+def test_quadrature_error_survives_pickling():
+    # process-pool sweeps return a worker's exception to the parent by pickle
+    err = pickle.loads(pickle.dumps(QuadratureError("no convergence", 1.5, 2e-3)))
+    assert (err.value, err.achieved_error) == (1.5, 2e-3)
+    assert str(err) == "no convergence (value=1.5, achieved error=0.002)"
 
 
 def test_adaptive_quadrature_basic():
