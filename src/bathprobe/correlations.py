@@ -29,6 +29,7 @@ __all__ = [
     "corr_factors_from_parts",
     "d_corr_dx",
     "d_corr_from_parts",
+    "d_corr_d_temperature",
     "element_phase_factor",
 ]
 
@@ -151,6 +152,34 @@ def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, omega_0, scheme):
     return d_gamma, d_chi
 
 
+def d_corr_d_temperature(c_shift, phi, temperature, omega_0, scheme):
+    """(d gamma_corr/dT, d chi/dT) from raw (C, phi) values.
+
+    Richardson-extrapolated central difference over the temperature (one
+    step forward near T = 0); exactly (0, 0) at T = 0.
+    """
+    if temperature == 0.0:
+        return 0.0, 0.0
+
+    def factors(temp):
+        f = corr_factors_from_parts(c_shift, phi, 1.0 / temp, omega_0, scheme)
+        return f.gamma_corr, f.chi
+
+    T = temperature
+    h = spectral.temperature_step(T)
+    if T - h <= 0.0:
+        g0, c0 = factors(T)
+        g1, c1 = factors(T + h)
+        return (g1 - g0) / h, (c1 - c0) / h
+    gp, cp = factors(T + h)
+    gm, cm = factors(T - h)
+    gp2, cp2 = factors(T + 0.5 * h)
+    gm2, cm2 = factors(T - 0.5 * h)
+    d_gamma = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
+    d_chi = (4.0 * (cp2 - cm2) / h - (cp - cm) / (2.0 * h)) / 3.0
+    return d_gamma, d_chi
+
+
 def d_corr_dx(sd, bath, omega_0, t, x, scheme):
     """(d gamma_corr/dx, d chi/dx) for x in {omega_c, G, T}.
 
@@ -158,35 +187,12 @@ def d_corr_dx(sd, bath, omega_0, t, x, scheme):
     finite difference over temperature for x = T.
     """
     _check_args(omega_0, t)
-    if x in ("omega_c", "G"):
-        return d_corr_from_parts(
-            spectral.c_shift(sd), spectral.phi_factor(sd, t),
-            spectral.d_c_shift_dx(sd, x), spectral.d_phi_dx(sd, t, x),
-            bath.beta, omega_0, scheme)
+    c, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
     if x == "T":
-        if bath.zero_temperature:
-            return 0.0, 0.0
-
-        def factors(temperature):
-            f = corr_factors_from_parts(
-                spectral.c_shift(sd), spectral.phi_factor(sd, t),
-                1.0 / temperature, omega_0, scheme)
-            return f.gamma_corr, f.chi
-
-        T = bath.temperature
-        h = spectral.temperature_step(T)
-        if T - h <= 0.0:
-            g0, c0 = factors(T)
-            g1, c1 = factors(T + h)
-            return (g1 - g0) / h, (c1 - c0) / h
-        gp, cp = factors(T + h)
-        gm, cm = factors(T - h)
-        gp2, cp2 = factors(T + 0.5 * h)
-        gm2, cm2 = factors(T - 0.5 * h)
-        d_gamma = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
-        d_chi = (4.0 * (cp2 - cm2) / h - (cp - cm) / (2.0 * h)) / 3.0
-        return d_gamma, d_chi
-    raise ValueError(f"unknown estimand key {x!r}")
+        return d_corr_d_temperature(c, phi, bath.temperature, omega_0, scheme)
+    return d_corr_from_parts(c, phi, spectral.d_c_shift_dx(sd, x),
+                             spectral.d_phi_dx(sd, t, x), bath.beta, omega_0,
+                             scheme)
 
 
 def element_phase_factor(m, c_shift, phi, beta, omega_0):

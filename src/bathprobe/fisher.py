@@ -50,18 +50,28 @@ class Estimand(str, Enum):
     COUPLING_STRENGTH = "coupling_strength"
     TEMPERATURE = "temperature"
 
-    @property
-    def derivative_key(self):
-        return {"cutoff_frequency": "omega_c",
-                "coupling_strength": "G",
-                "temperature": "T"}[self.value]
-
     def current_value(self, sd, bath):
         if self is Estimand.CUTOFF_FREQUENCY:
             return sd.cutoff
         if self is Estimand.COUPLING_STRENGTH:
             return sd.coupling
         return bath.temperature
+
+
+#: (member, spectral derivative key) of each estimand; a str-valued member
+#: hashes as its value, so both look up the same entry
+_RESOLVED = {e: (e, key) for e, key in (
+    (Estimand.CUTOFF_FREQUENCY, "omega_c"),
+    (Estimand.COUPLING_STRENGTH, "G"),
+    (Estimand.TEMPERATURE, "T"))}
+
+
+def _resolve(estimand):
+    """(Estimand, derivative key) of a member or of its value."""
+    try:
+        return _RESOLVED[estimand]
+    except KeyError:
+        raise ValueError(f"{estimand!r} is not a valid Estimand") from None
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,8 @@ def _validate_estimand(estimand, sd, bath):
 
 def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """Assemble (Gamma, Delta, chi) and their derivatives for one estimand."""
-    estimand = Estimand(estimand)
+    estimand, x = _resolve(estimand)
     _validate_estimand(estimand, sd, bath)
-    x = estimand.derivative_key
     two_qubit = cfg.scheme == TWO_QUBIT_TRACED
 
     gamma = spectral.gamma_vac(sd, t) + spectral.gamma_th(sd, bath, t,
@@ -106,10 +115,17 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     d_chi = 0.0
     if cfg.initial_state == CORRELATED:
         scheme = cfg.correlation_scheme
+        shift = spectral.c_shift(sd)
+        phi = spectral.phi_factor(sd, t)
         corr = correlations.corr_factors_from_parts(
-            spectral.c_shift(sd), spectral.phi_factor(sd, t),
-            bath.beta, cfg.omega_0, scheme)
-        dg_corr, d_chi = correlations.d_corr_dx(sd, bath, cfg.omega_0, t, x, scheme)
+            shift, phi, bath.beta, cfg.omega_0, scheme)
+        if x == "T":
+            dg_corr, d_chi = correlations.d_corr_d_temperature(
+                shift, phi, bath.temperature, cfg.omega_0, scheme)
+        else:
+            dg_corr, d_chi = correlations.d_corr_from_parts(
+                shift, phi, spectral.d_c_shift_dx(sd, x),
+                spectral.d_phi_dx(sd, t, x), bath.beta, cfg.omega_0, scheme)
         gamma += corr.gamma_corr
         d_gamma += dg_corr
         chi = corr.chi

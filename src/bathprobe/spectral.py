@@ -6,19 +6,21 @@ The bath is an exponentially cut off power-law spectral density
 
 with coupling strength G, Ohmicity s (s < 1 sub-Ohmic, s = 1 Ohmic,
 s > 1 super-Ohmic) and cutoff frequency w_c, all in units of the probe
-splitting.  Every closed form below has an independent quadrature route
-(``quadrature_factor``) evaluating the defining integral directly; the tests
-pin the two against each other.
+splitting.  Every factor below is a closed form, the thermal exponent a
+Bose series of vacuum-type terms; each has an independent quadrature route
+(``quadrature_factor``) evaluating the defining integral directly, and the
+tests pin the two against each other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureResult, bath_integral
+from .quadrature import QuadratureError, QuadratureResult, bath_integral
 
 __all__ = [
     "SpectralDensity",
@@ -45,8 +47,7 @@ DERIVATIVE_KEYS = ("omega_c", "G", "T")
 #: integral kinds exposed by the quadrature verification route
 QUAD_KINDS = ("gamma_vac", "gamma_th", "delta", "phi", "c_shift")
 
-# production tolerance for the thermal exponent; tighter than the default
-# 1e-8 so finite differences taken through gamma_th stay quiet
+#: default certified relative error of the thermal exponent's series
 GAMMA_TH_RTOL = 1e-10
 
 
@@ -147,9 +148,12 @@ def _kernel(s, x):
 
 def gamma_vac(sd, t):
     """Vacuum dephasing exponent G Gamma(s) Re K; >= 0, zero at t = 0."""
+    return _gamma_vac(sd.coupling, sd.ohmicity, sd.cutoff, t)
+
+
+def _gamma_vac(G, s, wc, t):
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
@@ -162,9 +166,12 @@ def gamma_vac(sd, t):
 
 def phi_factor(sd, t):
     """Phase kernel -G Gamma(s) Im K feeding the initial-correlation level shift."""
+    return _phi(sd.coupling, sd.ohmicity, sd.cutoff, t)
+
+
+def _phi(G, s, wc, t):
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
@@ -179,9 +186,12 @@ def delta_factor(sd, t):
     themselves: -(x - atan x), which is Im K + x at z = 0, and the kernel's
     remainder -Im(K - log(1 - i x)) = b (expm1(u) sinc v + sinc v - 1).
     """
+    return _delta(sd.coupling, sd.ohmicity, sd.cutoff, t)
+
+
+def _delta(G, s, wc, t):
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
@@ -273,12 +283,6 @@ def _kernel_spec(kind, sd, bath, t):
                 lambda w: _envelope(sd, w) * _one_minus_cos_over_w2(w, t)
                 * _thermal_kernel(w, beta),
                 t)
-    if kind == "gamma_th_d_omega_c":
-        beta = bath.beta
-        return (s - 1.0,
-                lambda w: _envelope(sd, w) * _one_minus_cos_over_w2(w, t)
-                * _thermal_kernel(w, beta) * _cutoff_log_derivative(sd, w),
-                t)
     if kind == "phi":
         return s - 1.0, lambda w: _envelope(sd, w) * _sin_over(w, t), t
     if kind == "delta":
@@ -288,29 +292,22 @@ def _kernel_spec(kind, sd, bath, t):
     raise ValueError(f"unknown quadrature kind {kind!r}")
 
 
-def _cutoff_log_derivative(sd, w):
-    """d ln J / d w_c, multiplying an integrand to differentiate it."""
-    s, wc = sd.ohmicity, sd.cutoff
-    return (1.0 - s) / wc + np.asarray(w, dtype=float) / wc ** 2
-
-
 def quadrature_factor(kind, sd, bath=None, t=0.0, rel_tol=1e-8):
     """Evaluate one dephasing factor by direct adaptive quadrature.
 
-    Independent verification route for the closed forms and the production
-    route for the thermal exponent.  Returns a QuadratureResult carrying the
-    value and the achieved error estimate; raises QuadratureError when the
-    tolerance is not met.
+    Independent verification route for the closed forms.  Returns a
+    QuadratureResult carrying the value and the achieved error estimate;
+    raises QuadratureError when the tolerance is not met.
     """
-    if kind not in QUAD_KINDS and kind != "gamma_th_d_omega_c":
+    if kind not in QUAD_KINDS:
         raise ValueError(f"unknown quadrature kind {kind!r}; expected one of {QUAD_KINDS}")
     if sd.coupling == 0.0:
         return QuadratureResult(0.0, 0.0)
     if kind != "c_shift" and t == 0.0:
         return QuadratureResult(0.0, 0.0)
-    if kind in ("gamma_th", "gamma_th_d_omega_c"):
+    if kind == "gamma_th":
         if bath is None:
-            raise ValueError("thermal kinds require a bath state")
+            raise ValueError("the thermal kind requires a bath state")
         if bath.zero_temperature:
             return QuadratureResult(0.0, 0.0)
     power, smooth, osc_t = _kernel_spec(kind, sd, bath, t)
@@ -318,13 +315,142 @@ def quadrature_factor(kind, sd, bath=None, t=0.0, rel_tol=1e-8):
     return bath_integral(power, smooth, osc_t, omega_max, rel_tol=rel_tol)
 
 
+# ---------------------------------------------------------------------------
+# thermal exponent: Bose series
+# ---------------------------------------------------------------------------
+#
+# coth(beta w / 2) - 1 = 2 sum_{n >= 1} exp(-n beta w) turns the thermal
+# integral into vacuum-type integrals at the shifted inverse cutoffs
+# a_n = 1/w_c + n beta:
+#
+#     gamma_th = 2 G Gamma(s) w_c**(1-s) sum_n h(a_n),
+#     h(a) = a**(1-s) Re K(s, t/a) = Re[(a - i t)**(1-s) - a**(1-s)] / (1-s).
+#
+# Each derivative h^(j) = (-s)(-s-1)...(-s-j+2) Re[(a - i t)**(1-s-j)
+# - a**(1-s-j)] is a Laplace transform with a single-signed integrand, so
+# the Euler-Maclaurin tail stopped before its B_8 correction errs by at most
+# that correction.  The series includes the correction and reports it,
+# relative to the sum, as the bound that rel_tol must meet.
+
+#: first Bose term left to the Euler-Maclaurin tail; those before it are
+#: summed one by one
+_SERIES_TERMS = 24
+
+#: B_2k / (2k)! for the tail corrections k = 1..4
+_EM_COEFFS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+
+
+def _re_pow_m1(p, a, b):
+    """Re (1 - i x)**p - 1 from a = log|1 - i x|, b = atan x.
+
+    Split as expm1(p a) cos(p b) - 2 sin(p b / 2)**2, so an O(x**2) value
+    is not the difference of two O(1) ones.
+    """
+    v = p * b
+    return math.expm1(p * a) * math.cos(v) - 2.0 * math.sin(0.5 * v) ** 2
+
+
+def _kernel_integral(s, x):
+    """Re[(1 - i x)**(2-s) - 1] / ((1-s)(2-s)), continuous in s.
+
+    The numerator is (1-s) Re[(1 - i x) K(s, x)], which divides out the
+    pole at s = 1 and leaves (Re K + x Im K) / (2-s); past s = 1.5 the same
+    numerator written as (2-s) Re K(s-1, x) divides out the pole at s = 2.
+    """
+    if s <= 1.5:
+        re, im = _kernel(s, x)
+        return (re + x * im) / (2.0 - s)
+    return _kernel(s - 1.0, x)[0] / (1.0 - s)
+
+
+def _em_tails(s, a, beta, t, n):
+    """Tails from m = n on of the sums of h, h' and m h' at a_m = a + (m-n) beta.
+
+    Returns the three tails and the last (B_8) correction of each.
+    """
+    x = t / a
+    alpha = 0.5 * math.log1p(x * x)
+    theta = math.atan(x)
+    power = a ** (1.0 - s)
+    d = [power * _kernel(s, x)[0]]          # h^(j)(a), j = 0..8
+    c = 1.0
+    for j in range(1, 9):
+        p = 1.0 - s - j
+        power /= a
+        d.append(c * power * _re_pow_m1(p, alpha, theta))
+        c *= p
+    f = a ** (2.0 - s) * _kernel_integral(s, x)   # -(integral of h from a on)
+    t0 = -f / beta + 0.5 * d[0]
+    t1 = -d[0] / beta + 0.5 * d[1]
+    tn = f / (beta * beta) + n * t1
+    for k, b in enumerate(_EM_COEFFS, 1):
+        c0 = b * beta ** (2 * k - 1) * d[2 * k - 1]
+        c1 = b * beta ** (2 * k - 1) * d[2 * k]
+        cn = n * c1 + (2 * k - 1) * c0 / beta
+        t0 -= c0
+        t1 -= c1
+        tn -= cn
+    return (t0, t1, tn), (c0, c1, cn)
+
+
+@lru_cache(maxsize=8)
+def _bose_sums(s, wc, beta, t):
+    """((sum h(a_n), sum h'(a_n), sum n h'(a_n)) over n >= 1, bound).
+
+    The bound is the largest B_8 correction relative to its sum.  Cached,
+    so the factor bundle's value and derivative share one series.
+    """
+    a0 = 1.0 / wc
+    n = _SERIES_TERMS
+    sums = [0.0, 0.0, 0.0]
+    for m in range(1, n):
+        a = a0 + m * beta
+        x = t / a
+        power = a ** (1.0 - s)
+        sums[0] += power * _kernel(s, x)[0]
+        dh = power / a * _re_pow_m1(-s, 0.5 * math.log1p(x * x), math.atan(x))
+        sums[1] += dh
+        sums[2] += m * dh
+    tails, last = _em_tails(s, a0 + n * beta, beta, t, n)
+    total = tuple(v + tail for v, tail in zip(sums, tails))
+    bound = max(abs(c) / abs(v) if v else (math.inf if c else 0.0)
+                for c, v in zip(last, total))
+    return total, bound
+
+
+def _certified_sums(sd, bath, t, rel_tol):
+    """The Bose sums at (s, w_c, T, t); QuadratureError past rel_tol."""
+    s, wc = sd.ohmicity, sd.cutoff
+    sums, bound = _bose_sums(s, wc, bath.beta, t)
+    if not bound <= rel_tol:
+        raise QuadratureError(
+            f"thermal series bound exceeds rel_tol={rel_tol!r} at s={s!r}, "
+            f"w_c={wc!r}, T={bath.temperature!r}, t={t!r}",
+            _prefactor(sd.coupling, s, wc) * sums[0], bound)
+    return sums
+
+
+def _prefactor(G, s, wc):
+    """2 G Gamma(s) w_c**(1-s), the factor in front of the Bose sums."""
+    return 2.0 * G * math.gamma(s) * wc ** (1.0 - s)
+
+
+def _gamma_th(G, sd, bath, t, rel_tol):
+    if bath.zero_temperature or t == 0.0 or G == 0.0:
+        return 0.0
+    return (_prefactor(G, sd.ohmicity, sd.cutoff)
+            * _certified_sums(sd, bath, t, rel_tol)[0])
+
+
 def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
-    """Thermal dephasing exponent; exactly 0 at zero temperature."""
+    """Thermal dephasing exponent; exactly 0 at zero temperature.
+
+    ``rel_tol`` bounds the series' relative truncation error; a point that
+    misses it raises QuadratureError.
+    """
     if t < 0.0:
         raise ValueError("time must be >= 0")
-    if bath.zero_temperature or t == 0.0 or sd.coupling == 0.0:
-        return 0.0
-    return quadrature_factor("gamma_th", sd, bath, t, rel_tol=rel_tol).value
+    return _gamma_th(sd.coupling, sd, bath, t, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +460,6 @@ def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
 def temperature_step(temperature):
     """Finite-difference step for temperature derivatives."""
     return max(1e-6, 1e-4 * temperature)
-
-
-def _richardson_central(f, x, h):
-    """Central difference with one Richardson extrapolation step."""
-    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
-    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 def d_gamma_vac_d_omega_c(sd, t):
@@ -363,59 +482,46 @@ def d_phi_d_omega_c(sd, t):
 
 def d_delta_d_omega_c(sd, t):
     # the printed Ohmic form of this derivative carries the wrong sign; the
-    # quadrature route fixes it (negative: |delta| grows with the cutoff).
-    # Re (1 - i x)**(-s) - 1 is O(x**2): split as expm1(-s a) cos(s b)
-    # - 2 sin(s b / 2)**2 with a = log|1 - i x|, b = atan x, so nothing cancels
+    # quadrature route fixes it (negative: |delta| grows with the cutoff)
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    sb = s * math.atan(x)
     return (G * math.gamma(s) * t
-            * (math.expm1(-0.5 * s * math.log1p(x * x)) * math.cos(sb)
-               - 2.0 * math.sin(0.5 * sb) ** 2))
-
-
-def _per_unit_coupling(sd):
-    return replace(sd, coupling=1.0)
+            * _re_pow_m1(-s, 0.5 * math.log1p(x * x), math.atan(x)))
 
 
 def d_gamma_dx(sd, bath, t, x, rel_tol=GAMMA_TH_RTOL):
     """Derivative of the uncorrelated exponent gamma_vac + gamma_th.
 
-    Closed form for the cutoff and coupling (thermal part by quadrature of
-    the differentiated integrand); adaptive finite difference for T.
+    Closed form for every estimand; the thermal part differentiates its Bose
+    series, through w_c**(1-s) and a_n for the cutoff.
     """
+    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     if x == "omega_c":
         d = d_gamma_vac_d_omega_c(sd, t)
-        if not bath.zero_temperature:
-            d += quadrature_factor("gamma_th_d_omega_c", sd, bath, t,
-                                   rel_tol=rel_tol).value
+        if not (bath.zero_temperature or t == 0.0 or G == 0.0):
+            s0, s1, _ = _certified_sums(sd, bath, t, rel_tol)
+            d += _prefactor(G, s, wc) / wc * ((1.0 - s) * s0 - s1 / wc)
         return d
     if x == "G":
-        unit = _per_unit_coupling(sd)
-        return gamma_vac(unit, t) + gamma_th(unit, bath, t, rel_tol=rel_tol)
+        return _gamma_vac(1.0, s, wc, t) + _gamma_th(1.0, sd, bath, t, rel_tol)
     if x == "T":
         return d_gamma_th_d_temperature(sd, bath, t, rel_tol=rel_tol)
     raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")
 
 
 def d_gamma_th_d_temperature(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
-    """Temperature derivative of the thermal exponent (always numerical)."""
-    if t == 0.0 or sd.coupling == 0.0:
+    """Temperature derivative of the thermal exponent, -beta**2 d/d beta.
+
+    Exactly 0 at T = 0, where gamma_th vanishes like T**(s+1).
+    """
+    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
+    if bath.zero_temperature or t == 0.0 or G == 0.0:
         return 0.0
-    T = bath.temperature
-
-    def f(temp):
-        return gamma_th(sd, BathState(temp), t, rel_tol=rel_tol)
-
-    h = temperature_step(T)
-    if bath.zero_temperature or T - h <= 0.0:
-        # one-sided at the T = 0 boundary; gamma_th(0) = 0 analytically
-        base = 0.0 if bath.zero_temperature else f(T)
-        ref = T if not bath.zero_temperature else 0.0
-        return (f(ref + h) - base) / h
-    return _richardson_central(f, T, h)
+    beta = bath.beta
+    sn = _certified_sums(sd, bath, t, rel_tol)[2]
+    return -_prefactor(G, s, wc) * beta * beta * sn
 
 
 def d_delta_dx(sd, t, x):
@@ -423,7 +529,7 @@ def d_delta_dx(sd, t, x):
     if x == "omega_c":
         return d_delta_d_omega_c(sd, t)
     if x == "G":
-        return delta_factor(_per_unit_coupling(sd), t)
+        return _delta(1.0, sd.ohmicity, sd.cutoff, t)
     if x == "T":
         return 0.0
     raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")
@@ -434,7 +540,7 @@ def d_phi_dx(sd, t, x):
     if x == "omega_c":
         return d_phi_d_omega_c(sd, t)
     if x == "G":
-        return phi_factor(_per_unit_coupling(sd), t)
+        return _phi(1.0, sd.ohmicity, sd.cutoff, t)
     if x == "T":
         return 0.0
     raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")

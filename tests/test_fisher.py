@@ -64,6 +64,16 @@ def test_temperature_estimand_requires_finite_temperature():
         qfi_closed(cfg, OHMIC, BathState(0.0), Estimand.TEMPERATURE, 1.0)
 
 
+def test_factor_bundle_takes_estimand_or_its_value():
+    cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED)
+    bath = BathState(0.7)
+    for est in Estimand:
+        assert (factor_bundle(cfg, OHMIC, bath, est.value, 1.3)
+                == factor_bundle(cfg, OHMIC, bath, est, 1.3))
+    with pytest.raises(ValueError):
+        factor_bundle(cfg, OHMIC, bath, "cutoff", 1.3)
+
+
 def test_qfi_closed_matches_spectral_definition():
     rng = np.random.default_rng(17)
     worst = 0.0

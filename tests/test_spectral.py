@@ -10,9 +10,9 @@ from scipy.integrate import quad as scipy_quad
 from bathprobe.quadrature import QuadratureError, adaptive_quadrature, bath_integral
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
                                 d_c_shift_dx, d_delta_dx, d_gamma_dx,
-                                d_phi_dx, delta_factor, gamma_th, gamma_un,
-                                gamma_vac, phi_factor, quadrature_factor,
-                                spectral_density)
+                                d_gamma_vac_d_omega_c, d_phi_dx, delta_factor,
+                                gamma_th, gamma_un, gamma_vac, phi_factor,
+                                quadrature_factor, spectral_density)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 
@@ -282,11 +282,65 @@ def test_temperature_derivative_matches_analytic_integrand():
     assert rel_diff(got, ref) < 1e-6
 
 
-def test_temperature_derivative_zero_t_one_sided():
+def test_temperature_derivative_exact_zero_at_zero_temperature():
+    # gamma_th vanishes like T**(s+1), so its slope at T = 0 is 0; just above
+    # it the series derivative matches a central difference of the series
     sd = SpectralDensity(1.0, 1.0, 2.0)
-    got = d_gamma_dx(sd, BathState(0.0), 1.0, "T")
-    oneside = gamma_th(sd, BathState(1e-6), 1.0) / 1e-6
-    assert got == pytest.approx(oneside, rel=1e-12)
+    assert d_gamma_dx(sd, BathState(0.0), 1.0, "T") == 0.0
+    T = 1e-3
+    fd = _central_fd(lambda temp: gamma_th(sd, BathState(temp), 1.0), T, h=1e-5)
+    assert rel_diff(d_gamma_dx(sd, BathState(T), 1.0, "T"), fd, floor=0.0) < 1e-6
+
+
+# s = 1 and s = 2 are the poles of the series' tail integral; t spans the
+# small-time O(t**2) regime to long times where the integrand oscillates
+SERIES_S = [0.1, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-9, 2.0 - 1e-9, 2.0,
+            2.0 + 1e-9, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("s", SERIES_S)
+def test_gamma_th_series_matches_quadrature(s):
+    for wc in (0.5, 5.0):
+        sd = SpectralDensity(1.0, s, wc)
+        for T in (0.2, 1.0, 3.0):
+            bath = BathState(T)
+            for t in (1e-6, 1e-3, 1.0, 40.0, 500.0):
+                q = quadrature_factor("gamma_th", sd, bath, t, rel_tol=1e-10)
+                assert rel_diff(gamma_th(sd, bath, t), q.value, floor=0.0) < 1e-8, (
+                    s, wc, T, t)
+
+
+@pytest.mark.parametrize("s", SERIES_S)
+def test_thermal_derivatives_match_quadrature_differences(s):
+    def quad(wc, T, t):
+        return quadrature_factor("gamma_th", SpectralDensity(1.0, s, wc),
+                                 BathState(T), t, rel_tol=1e-11).value
+
+    for wc in (0.5, 5.0):
+        sd = SpectralDensity(1.0, s, wc)
+        for T in (0.2, 3.0):
+            bath = BathState(T)
+            for t in (1e-6, 1.0, 500.0):
+                fd = _central_fd(lambda temp: quad(wc, temp, t), T, h=1e-3 * T)
+                got = d_gamma_dx(sd, bath, t, "T")
+                assert rel_diff(got, fd, floor=0.0) < 1e-6, ("T", s, wc, T, t)
+                fd = _central_fd(lambda w: quad(w, T, t), wc, h=1e-3 * wc)
+                got = d_gamma_dx(sd, bath, t, "omega_c") - d_gamma_vac_d_omega_c(sd, t)
+                assert rel_diff(got, fd, floor=0.0) < 1e-6, ("omega_c", s, wc, T, t)
+
+
+def test_series_bound_past_tolerance_raises_with_point():
+    sd = SpectralDensity(0.7, 0.5, 5.0)
+    bath = BathState(1.0)
+    value = gamma_th(sd, bath, 200.0)
+    for call in (lambda: gamma_th(sd, bath, 200.0, rel_tol=1e-16),
+                 lambda: d_gamma_dx(sd, bath, 200.0, "T", rel_tol=1e-16),
+                 lambda: d_gamma_dx(sd, bath, 200.0, "omega_c", rel_tol=1e-16)):
+        with pytest.raises(QuadratureError) as err:
+            call()
+        assert err.value.value == value
+        assert 1e-16 < err.value.achieved_error <= 1e-10
+        assert "s=0.5, w_c=5.0, T=1.0, t=200.0" in str(err.value)
 
 
 def test_gamma_un_combines_parts():
