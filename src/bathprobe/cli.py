@@ -195,9 +195,13 @@ class _SectionReader:
         if raw is None:
             return default
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: expected a finite number, "
+                              f"got {raw!r}")
+        return value
 
     def integer(self, section, key, default):
         raw = self._raw(section, key, default)
@@ -482,6 +486,10 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0,
     if fixture_id not in oracle.FIXTURES:
         raise ConfigError(f"unknown fixture {fixture_id!r}; "
                           f"known: {sorted(oracle.FIXTURES)}")
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ConfigError(f"temperature must be finite and >= 0, got {temperature!r}")
+    if n_max is not None and n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
     db = oracle.FIXTURES[fixture_id]
     if n_max is not None:
         db = db.with_n_max(n_max)

@@ -297,17 +297,33 @@ def _thermal_mode_matrix(omega, n, beta):
     return np.diag(occ / occ.sum())
 
 
-def _sector_trace_table(db, bath, t, n_qubits, env_mats, log_weights):
-    """Matrix elements Tr[U_sector' rho_env U_sector^+] for all sector pairs.
+def _block_eigs(db, n_qubits):
+    """Eigenpairs (E, V) of every (sector charge, mode) block of ``n_qubits``.
+
+    Each block is real symmetric, so U_c(t) = V e^{-iEt} V^T: one
+    diagonalization serves every time and every preparation.
+    """
+    _, charges = _sectors(n_qubits)
+    return {c: [np.linalg.eigh(mode_hamiltonian(w, g, c, db.n_max))
+                for (w, g) in db.modes]
+            for c in sorted(set(charges))}
+
+
+def _trace_tables(times, env_mats, log_weights, eigs):
+    """Tr[U_b(t) rho_env U_k(t)^+] for every pair (b, k) of the charges of
+    ``eigs`` and every time.
 
     ``env_mats`` maps a preparation sector charge to its per-mode (positive)
-    matrices, ``log_weights`` to the log of its scalar prefactor.  Products
-    run per mode, so nothing larger than n_max x n_max is ever formed.
+    matrices, ``log_weights`` to the log of its scalar prefactor.  Per mode
+    the trace is e_b(t)^T W e_k(t)^*, with phase vectors e_c(t) = e^{-iE_c t}
+    and the real, time-independent W = (V_b^T m V_k) o (V_b^T V_k); each W
+    meets the phases of all times in one product and is then dropped.  The
+    (k, b) entry is the conjugate of the (b, k) one, since m is Hermitian.
+    Returns {(c_bra, c_ket): complex array over ``times``}.
     """
-    labels, charges = _sectors(n_qubits)
-    n = db.n_max
-    unitaries = {c: [_mode_unitary_dense(w, g, c, n, t) for (w, g) in db.modes]
-                 for c in sorted(set(charges))}
+    times = np.asarray(times, dtype=float)
+    phases = {c: [np.exp(-1j * np.outer(times, evals)) for (evals, _) in blocks]
+              for c, blocks in eigs.items()}
     prep_charges = sorted(env_mats.keys())
     log_norms = []
     for pc in prep_charges:
@@ -316,22 +332,25 @@ def _sector_trace_table(db, bath, t, n_qubits, env_mats, log_weights):
             log_norm += math.log(float(np.real(np.trace(m))))
         log_norms.append(log_norm)
     log_norms = np.asarray(log_norms)
-    log_total = _logsumexp(log_norms)
-    probs = np.exp(log_norms - log_total)
+    probs = np.exp(log_norms - _logsumexp(log_norms))
 
+    distinct = sorted(eigs)
     table = {}
-    for (lab_bra, c_bra) in zip(labels, charges):
-        for (lab_ket, c_ket) in zip(labels, charges):
-            acc = 0.0 + 0.0j
+    for i, c_bra in enumerate(distinct):
+        for c_ket in distinct[i:]:
+            acc = np.zeros(times.size, dtype=complex)
             for pc, prob in zip(prep_charges, probs):
-                ratio = 1.0 + 0.0j
-                for r in range(len(db.modes)):
-                    m = env_mats[pc][r]
-                    num = np.trace(unitaries[c_bra][r] @ m @ unitaries[c_ket][r].conj().T)
+                ratio = np.ones(times.size, dtype=complex)
+                for r, m in enumerate(env_mats[pc]):
+                    v_bra, v_ket = eigs[c_bra][r][1], eigs[c_ket][r][1]
+                    w = (v_bra.T @ m @ v_ket) * (v_bra.T @ v_ket)
+                    num = np.sum((phases[c_bra][r] @ w) * phases[c_ket][r].conj(),
+                                 axis=1)
                     ratio *= num / np.trace(m)
                 acc += prob * ratio
-            table[(lab_bra, lab_ket)] = acc
-    return table, log_total
+            table[(c_ket, c_bra)] = acc.conj()
+            table[(c_bra, c_ket)] = acc
+    return table
 
 
 def _logsumexp(values):
@@ -340,16 +359,21 @@ def _logsumexp(values):
     return float(peak + math.log(np.sum(np.exp(values - peak))))
 
 
-def _assemble_from_table(db, omega_0, t, n_qubits, table):
+def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs):
+    """Exact states at every t of ``times`` from one bath preparation."""
     labels, charges = _sectors(n_qubits)
+    table = _trace_tables(times, env_mats, log_weights, eigs)
     dim = len(labels)
     weight = 1.0 / dim  # |+...+> has flat overlaps with every spin basis state
-    rho = np.empty((dim, dim), dtype=complex)
-    for i, (lab_bra, c_bra) in enumerate(zip(labels, charges)):
-        for j, (lab_ket, c_ket) in enumerate(zip(labels, charges)):
-            phase = np.exp(-0.5j * omega_0 * (c_bra - c_ket) * t)
-            rho[i, j] = weight * phase * table[(lab_bra, lab_ket)]
-    return rho
+    states = []
+    for k, t in enumerate(times):
+        rho = np.empty((dim, dim), dtype=complex)
+        for i, c_bra in enumerate(charges):
+            for j, c_ket in enumerate(charges):
+                phase = np.exp(-0.5j * omega_0 * (c_bra - c_ket) * t)
+                rho[i, j] = weight * phase * table[(c_bra, c_ket)][k]
+        states.append(EvolvedState(reduced=_reduce(rho, n_qubits), full=rho))
+    return states
 
 
 def _reduce(rho, n_qubits):
@@ -372,14 +396,17 @@ class EvolvedState:
         return TwoQubitState(matrix=self.full)
 
 
+def _factorized_preparation(db, bath):
+    """|+...+> x thermal bath: one preparation charge with unit weight."""
+    thermal = [_thermal_mode_matrix(w, db.n_max, bath.beta) for (w, g) in db.modes]
+    return {0: thermal}, {0: 0.0}
+
+
 def evolve_factorized(db, omega_0, bath, t, n_qubits=2):
     """Exact evolution from |+...+> x thermal bath; reduced and joint states."""
-    thermal = [_thermal_mode_matrix(w, db.n_max, bath.beta) for (w, g) in db.modes]
-    env_mats = {0: thermal}
-    log_weights = {0: 0.0}
-    table, _ = _sector_trace_table(db, bath, t, n_qubits, env_mats, log_weights)
-    rho = _assemble_from_table(db, omega_0, t, n_qubits, table)
-    return EvolvedState(reduced=_reduce(rho, n_qubits), full=rho)
+    env_mats, log_weights = _factorized_preparation(db, bath)
+    return _evolve(omega_0, [t], n_qubits, env_mats, log_weights,
+                   _block_eigs(db, n_qubits))[0]
 
 
 @dataclass(frozen=True)
@@ -415,13 +442,17 @@ def prepare_correlated(db, omega_0, bath, n_qubits=2):
     exponents so large beta cannot overflow.  Zero temperature: the exact
     ground-state projection (the most negative sector's displaced vacuum).
     """
+    return _prepare_correlated(db, omega_0, bath, n_qubits,
+                               _block_eigs(db, n_qubits))
+
+
+def _prepare_correlated(db, omega_0, bath, n_qubits, eigs):
     mult = _preparation_charges(n_qubits)
     n = db.n_max
     if bath.zero_temperature:
         c_min = min(mult)  # w0 c/2 - c^2 C/4 is minimized by the bottom sector
         ground = []
-        for (w, g) in db.modes:
-            _, vecs = np.linalg.eigh(mode_hamiltonian(w, g, c_min, n))
+        for (_, vecs) in eigs[c_min]:
             gs = vecs[:, 0]
             ground.append(np.outer(gs, gs.conj()))
         env_mats = {c_min: ground}
@@ -435,8 +466,7 @@ def prepare_correlated(db, omega_0, bath, n_qubits=2):
     for c, m in mult.items():
         mats = []
         log_w = math.log(m) - 0.5 * beta * omega_0 * c
-        for (w, g) in db.modes:
-            evals, vecs = np.linalg.eigh(mode_hamiltonian(w, g, c, n))
+        for (evals, vecs) in eigs[c]:
             shifted = (vecs * np.exp(-beta * (evals - evals[0]))) @ vecs.conj().T
             shifted = 0.5 * (shifted + shifted.conj().T)
             mats.append(shifted)
@@ -463,12 +493,10 @@ def prepare_correlated(db, omega_0, bath, n_qubits=2):
 
 def evolve_correlated(db, omega_0, bath, t, n_qubits=2, preparation=None):
     """Exact evolution from the projectively prepared correlated state."""
-    prep = preparation if preparation is not None else prepare_correlated(
-        db, omega_0, bath, n_qubits)
-    table, _ = _sector_trace_table(db, bath, t, n_qubits, prep.env_mats,
-                                   prep.log_weights)
-    rho = _assemble_from_table(db, omega_0, t, n_qubits, table)
-    return EvolvedState(reduced=_reduce(rho, n_qubits), full=rho)
+    eigs = _block_eigs(db, n_qubits)
+    prep = preparation if preparation is not None else _prepare_correlated(
+        db, omega_0, bath, n_qubits, eigs)
+    return _evolve(omega_0, [t], n_qubits, prep.env_mats, prep.log_weights, eigs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +533,19 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id="custom"):
     trunc = truncation_info(db, bath)
     records = []
     overall = True
+    preps = {}
     for n_qubits, scheme in ((2, "two-qubit-traced"), (1, "single-qubit")):
-        prep = prepare_correlated(db, omega_0, bath, n_qubits)
+        eigs = _block_eigs(db, n_qubits)
+        prep = preps[n_qubits] = _prepare_correlated(db, omega_0, bath, n_qubits,
+                                                     eigs)
         for initial, correlated in (("factorized", False), ("correlated", True)):
             tol = _REPORT_TOL[(initial, bath.zero_temperature)]
-            for t in t_grid:
-                if correlated:
-                    state = evolve_correlated(db, omega_0, bath, t, n_qubits, prep)
-                else:
-                    state = evolve_factorized(db, omega_0, bath, t, n_qubits)
+            if correlated:
+                env_mats, log_weights = prep.env_mats, prep.log_weights
+            else:
+                env_mats, log_weights = _factorized_preparation(db, bath)
+            states = _evolve(omega_0, t_grid, n_qubits, env_mats, log_weights, eigs)
+            for t, state in zip(t_grid, states):
                 exact = state.reduced.rho01
                 closed = closed_form_coherence(db, omega_0, bath, t, n_qubits,
                                                correlated)
@@ -531,8 +563,7 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id="custom"):
                 })
     z_check = None
     if not bath.zero_temperature:
-        prep2 = prepare_correlated(db, omega_0, bath, 2)
-        z_err = abs(prep2.z_ratio - 1.0)
+        z_err = abs(preps[2].z_ratio - 1.0)
         z_pass = bool(z_err <= 1e-8 and trunc.ok)
         z_check = {"relative_error": float(z_err), "tolerance": 1e-8, "pass": z_pass}
         overall = overall and z_pass

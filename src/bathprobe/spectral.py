@@ -124,17 +124,17 @@ def spectral_density(sd, omega):
     return val
 
 
-def _kernel(s, x):
+def _kernel(s, a, b):
     """Re and Im of K = ((1 - i x)**(1-s) - 1) / (1 - s), continuous in s.
 
-    With log(1 - i x) = a - i b and z = (1-s)(a - i b) = u - i v, K is
+    Takes a = log|1 - i x| = log1p(x**2)/2 and b = atan x, so a caller that
+    needs them for other terms computes them once.  With
+    log(1 - i x) = a - i b and z = (1-s)(a - i b) = u - i v, K is
     (a - i b) expm1(z)/z.  Splitting expm1(z) into expm1(u) cos v
     - 2 sin(v/2)**2 - i e^u sin v and dividing each piece by (1-s) through
     a/u or b/v leaves no cancellation at any s.  At z = 0 (s = 1, or x so
     small that a underflows) expm1(z)/z is 1 and K is log(1 - i x).
     """
-    a = 0.5 * math.log1p(x * x)
-    b = math.atan(x)
     u = (1.0 - s) * a
     if u == 0.0:
         return a, -b
@@ -157,7 +157,7 @@ def _gamma_vac(G, s, wc, t):
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    val = G * math.gamma(s) * _kernel(s, x)[0]
+    val = G * math.gamma(s) * _kernel(s, 0.5 * math.log1p(x * x), math.atan(x))[0]
     # the defining integral has a positive integrand
     if not val >= 0.0:
         raise AssertionError(f"vacuum exponent came out negative: {val}")
@@ -175,7 +175,7 @@ def _phi(G, s, wc, t):
     x = wc * t
     if x == 0.0 or G == 0.0:
         return 0.0
-    return -G * math.gamma(s) * _kernel(s, x)[1]
+    return -G * math.gamma(s) * _kernel(s, 0.5 * math.log1p(x * x), math.atan(x))[1]
 
 
 def delta_factor(sd, t):
@@ -350,17 +350,18 @@ def _re_pow_m1(p, a, b):
     return math.expm1(p * a) * math.cos(v) - 2.0 * math.sin(0.5 * v) ** 2
 
 
-def _kernel_integral(s, x):
+def _kernel_integral(s, x, a, b):
     """Re[(1 - i x)**(2-s) - 1] / ((1-s)(2-s)), continuous in s.
 
-    The numerator is (1-s) Re[(1 - i x) K(s, x)], which divides out the
-    pole at s = 1 and leaves (Re K + x Im K) / (2-s); past s = 1.5 the same
-    numerator written as (2-s) Re K(s-1, x) divides out the pole at s = 2.
+    a = log|1 - i x| and b = atan x as for _kernel.  The numerator is
+    (1-s) Re[(1 - i x) K(s, x)], which divides out the pole at s = 1 and
+    leaves (Re K + x Im K) / (2-s); past s = 1.5 the same numerator written
+    as (2-s) Re K(s-1, x) divides out the pole at s = 2.
     """
     if s <= 1.5:
-        re, im = _kernel(s, x)
+        re, im = _kernel(s, a, b)
         return (re + x * im) / (2.0 - s)
-    return _kernel(s - 1.0, x)[0] / (1.0 - s)
+    return _kernel(s - 1.0, a, b)[0] / (1.0 - s)
 
 
 def _em_tails(s, a, beta, t, n):
@@ -372,14 +373,15 @@ def _em_tails(s, a, beta, t, n):
     alpha = 0.5 * math.log1p(x * x)
     theta = math.atan(x)
     power = a ** (1.0 - s)
-    d = [power * _kernel(s, x)[0]]          # h^(j)(a), j = 0..8
+    d = [power * _kernel(s, alpha, theta)[0]]   # h^(j)(a), j = 0..8
     c = 1.0
     for j in range(1, 9):
         p = 1.0 - s - j
         power /= a
         d.append(c * power * _re_pow_m1(p, alpha, theta))
         c *= p
-    f = a ** (2.0 - s) * _kernel_integral(s, x)   # -(integral of h from a on)
+    # -(integral of h from a on)
+    f = a ** (2.0 - s) * _kernel_integral(s, x, alpha, theta)
     t0 = -f / beta + 0.5 * d[0]
     t1 = -d[0] / beta + 0.5 * d[1]
     tn = f / (beta * beta) + n * t1
@@ -407,8 +409,10 @@ def _bose_sums(s, wc, beta, t):
         a = a0 + m * beta
         x = t / a
         power = a ** (1.0 - s)
-        sums[0] += power * _kernel(s, x)[0]
-        dh = power / a * _re_pow_m1(-s, 0.5 * math.log1p(x * x), math.atan(x))
+        alpha = 0.5 * math.log1p(x * x)
+        theta = math.atan(x)
+        sums[0] += power * _kernel(s, alpha, theta)[0]
+        dh = power / a * _re_pow_m1(-s, alpha, theta)
         sums[1] += dh
         sums[2] += m * dh
     tails, last = _em_tails(s, a0 + n * beta, beta, t, n)

@@ -149,6 +149,30 @@ def test_main_oracle_exit_codes(tmp_path):
                  "--temperature", "1.0", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("flags", [("--temperature", "nan"), ("--temperature", "inf"),
+                                   ("--temperature", "-1"), ("--n-max", "0")])
+def test_oracle_validate_rejects_bad_inputs(tmp_path, capsys, flags):
+    assert main(["oracle-validate", "one-mode", *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("section,key,raw", [("spectral", "coupling", "nan"),
+                                             ("bath", "temperature", "inf"),
+                                             ("sweep", "stop", "-inf"),
+                                             ("run", "tolerance", "NaN")])
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, raw):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_config_file(config)
+    assert f"[{section}] {key}" in str(err.value)
+    assert main(["optimize", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
 @pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--tol", "1e-6")])
 def test_figure_rejects_scenario_flags(tmp_path, flag):
     # a preset pins its scenario; a flag it would ignore is an argument error

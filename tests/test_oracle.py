@@ -225,6 +225,75 @@ def test_evolved_states_are_physical():
             assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
 
 
+def _reference_trace_table(db, n_qubits, t, env_mats, log_weights):
+    """Literal per-t traces Tr[U_b m U_k^+] from dense per-mode unitaries."""
+    _, charges = oracle._sectors(n_qubits)
+    unitaries = {c: [oracle._mode_unitary_dense(w, g, c, db.n_max, t)
+                     for (w, g) in db.modes] for c in set(charges)}
+    log_norms = {pc: log_weights[pc] + sum(math.log(np.trace(m).real) for m in mats)
+                 for pc, mats in env_mats.items()}
+    peak = max(log_norms.values())
+    weights = {pc: math.exp(v - peak) for pc, v in log_norms.items()}
+    total = sum(weights.values())
+    table = {}
+    for c_bra in set(charges):
+        for c_ket in set(charges):
+            acc = 0j
+            for pc, mats in env_mats.items():
+                ratio = 1.0 + 0j
+                for u_bra, u_ket, m in zip(unitaries[c_bra], unitaries[c_ket], mats):
+                    ratio *= np.trace(u_bra @ m @ u_ket.conj().T) / np.trace(m)
+                acc += weights[pc] / total * ratio
+            table[(c_bra, c_ket)] = acc
+    return table
+
+
+def _preparation(db, bath, n_qubits, correlated):
+    if correlated:
+        prep = prepare_correlated(db, 1.0, bath, n_qubits)
+        return prep.env_mats, prep.log_weights
+    return oracle._factorized_preparation(db, bath)
+
+
+@pytest.mark.parametrize("fixture", ["one-mode", "g-zero", "three-mode"])
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+@pytest.mark.parametrize("correlated", [False, True])
+def test_eigenbasis_traces_match_dense_unitaries(fixture, n_qubits, temperature,
+                                                 correlated):
+    db = oracle.FIXTURES[fixture].with_n_max(10)
+    bath = BathState(temperature)
+    env_mats, log_weights = _preparation(db, bath, n_qubits, correlated)
+    times = [0.0, 0.5, 4.0]
+    table = oracle._trace_tables(times, env_mats, log_weights,
+                                 oracle._block_eigs(db, n_qubits))
+    for k, t in enumerate(times):
+        ref = _reference_trace_table(db, n_qubits, t, env_mats, log_weights)
+        assert set(table) == set(ref)
+        for pair, value in ref.items():
+            assert abs(table[pair][k] - value) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_batched_evolution_equals_single_time_calls(n_qubits):
+    # same arithmetic; only the BLAS kernel for one row or several may round
+    # differently
+    db = THREE_MODE.with_n_max(12)
+    bath = BathState(0.5)
+    times = [0.0, 0.5, 1.0, 4.0]
+    eigs = oracle._block_eigs(db, n_qubits)
+    for correlated in (False, True):
+        env_mats, log_weights = _preparation(db, bath, n_qubits, correlated)
+        batched = oracle._evolve(1.0, times, n_qubits, env_mats, log_weights,
+                                 eigs)
+        for t, state in zip(times, batched):
+            evolve = evolve_correlated if correlated else evolve_factorized
+            single = evolve(db, 1.0, bath, t, n_qubits)
+            assert np.max(np.abs(state.full - single.full)) < 1e-15
+            assert state.reduced.rho01 == pytest.approx(single.reduced.rho01,
+                                                        abs=1e-15)
+
+
 def test_truncation_certification():
     info = truncation_info(ONE_MODE, ZERO)
     assert info.ok and info.displacement_ok and info.thermal_ok
