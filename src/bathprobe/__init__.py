@@ -20,10 +20,10 @@ from .oracle import (DiscreteBath, DiscreteFactors, compare_report,
                      discrete_factors, evolve_correlated, evolve_factorized,
                      magnus_unitary, prepare_correlated)
 from .quadrature import QuadratureError, QuadratureResult
-from .spectral import (BathState, DephasingFactors, SpectralDensity, c_shift,
-                       d_delta_dx, d_gamma_dx, d_phi_dx, delta_factor,
-                       gamma_th, gamma_un, gamma_vac, phi_factor,
-                       quadrature_factor, spectral_density)
+from .spectral import (BathState, DephasingFactors, NumericalError,
+                       SpectralDensity, c_shift, d_delta_dx, d_gamma_dx,
+                       d_phi_dx, delta_factor, gamma_th, gamma_un, gamma_vac,
+                       phi_factor, quadrature_factor, spectral_density)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,7 @@ __all__ = [
     "gamma_vac", "gamma_th", "gamma_un",
     "delta_factor", "phi_factor", "c_shift", "d_gamma_dx", "d_delta_dx",
     "d_phi_dx", "quadrature_factor", "QuadratureError", "QuadratureResult",
+    "NumericalError",
     "CorrelationFactors", "corr_factors_two_qubit",
     "corr_factors_single_qubit", "d_corr_dx",
     "ProbeConfig", "QubitState", "TwoQubitState", "TWO_QUBIT_TRACED",

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                        TWO_QUBIT_TRACED, ProbeConfig, dephasing_factors)
 from .fisher import Estimand
 from .quadrature import QuadratureError
-from .spectral import BathState, SpectralDensity
+from .spectral import BathState, NumericalError, SpectralDensity
 
 __all__ = ["Scenario", "FigurePreset", "FIGURE_PRESETS", "main"]
 
@@ -57,7 +56,6 @@ class Scenario:
     time_points: int = 100
     time_spacing: str = "linear"
     tolerance: float = 1e-8
-    threads: int = 1
 
     def __post_init__(self):
         if self.sweep_start <= 0.0 or self.sweep_stop <= 0.0:
@@ -70,6 +68,12 @@ class Scenario:
             raise ValueError(f"unknown spacing {self.sweep_spacing!r}")
         if self.time_spacing not in ("linear", "log"):
             raise ValueError(f"unknown spacing {self.time_spacing!r}")
+        if not self.t_max > 0.0:
+            raise ValueError(f"t-max must be > 0, got {self.t_max}")
+        if self.time_points < 1:
+            raise ValueError(f"time grid needs at least 1 point, got {self.time_points}")
+        if not self.tolerance > 0.0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
     # -- config round trip ---------------------------------------------------
 
@@ -102,10 +106,7 @@ class Scenario:
             "points": str(self.time_points),
             "spacing": self.time_spacing,
         }
-        cp["run"] = {
-            "tolerance": repr(self.tolerance),
-            "threads": str(self.threads),
-        }
+        cp["run"] = {"tolerance": repr(self.tolerance)}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -117,7 +118,19 @@ class Scenario:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(str(exc)) from None
+        if cp.has_option("run", "threads"):
+            raise ConfigError("[run] threads: the key was removed; runs are serial")
         get = _SectionReader(cp)
+        try:
+            return cls._from_reader(get)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            # a value the scenario's own checks reject, such as coupling = -1
+            raise ConfigError(str(exc)) from None
+
+    @classmethod
+    def _from_reader(cls, get):
         probe = ProbeConfig(
             omega_0=get.number("probe", "omega0", 1.0),
             scheme=get.choice("probe", "scheme", TWO_QUBIT_TRACED,
@@ -147,7 +160,6 @@ class Scenario:
             time_points=get.integer("time", "points", 100),
             time_spacing=get.choice("time", "spacing", "linear", ("linear", "log")),
             tolerance=get.number("run", "tolerance", 1e-8),
-            threads=get.integer("run", "threads", 1),
         )
 
     @classmethod
@@ -341,8 +353,6 @@ FIG8_OHMICITIES = (2.0, 1.0, 0.5)
 def _header_block(scenario, extra=()):
     lines = ["# bathprobe output", "#"]
     for raw in scenario.to_config_text().strip().splitlines():
-        if raw.startswith("threads"):
-            continue  # execution knob, not part of the scientific record
         lines.append(f"# {raw}" if raw else "#")
     for item in extra:
         lines.append(f"# {item}")
@@ -380,11 +390,12 @@ def _apply_overrides(scenario, args):
         changes["opt_grid"] = args.grid
     if getattr(args, "tol", None) is not None:
         changes["tolerance"] = args.tol
-    if getattr(args, "threads", None) is not None:
-        changes["threads"] = args.threads
     if not changes:
         return scenario
-    return replace(scenario, **changes)
+    try:
+        return replace(scenario, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +404,13 @@ def _apply_overrides(scenario, args):
 
 def run_factors(scenario, out_path):
     """Time-resolved dephasing factors and coherence envelope."""
-    rows = []
-    cfg = scenario.probe
-    for t in scenario.time_grid():
-        fac = dephasing_factors(cfg, scenario.spectral, scenario.bath, float(t),
-                                rel_tol=scenario.tolerance)
-        envelope = math.cos(fac.delta) * math.exp(-fac.gamma_total)
-        rows.append((float(t), fac.gamma_vac, fac.gamma_th, fac.gamma_corr,
-                     fac.delta, fac.phi, fac.chi, envelope))
+    t = scenario.time_grid()
+    fac = dephasing_factors(scenario.probe, scenario.spectral, scenario.bath, t,
+                            rel_tol=scenario.tolerance)
+    envelope = np.cos(fac.delta) * np.exp(-fac.gamma_total)
+    rows = list(zip(*(col.tolist() for col in (
+        t, fac.gamma_vac, fac.gamma_th, fac.gamma_corr, fac.delta, fac.phi,
+        fac.chi, envelope))))
     write_csv(out_path, scenario,
               ("t", "gamma_vac", "gamma_th", "gamma_corr", "delta", "phi",
                "chi", "coherence"),
@@ -408,27 +418,18 @@ def run_factors(scenario, out_path):
     return rows
 
 
-def _sweep_point(task):
-    """One (sweep value, variant) optimization; top level for process pools."""
-    scenario, value, scheme, initial = task
-    sd, bath = scenario.at_sweep_value(value)
-    cfg = ProbeConfig(scenario.probe.omega_0, scheme, initial)
-    opt = fisher.optimize_qfi_over_time(cfg, sd, bath, scenario.estimand,
-                                        scenario.t_max, scenario.opt_grid,
-                                        rel_tol=scenario.tolerance)
-    return (value, scheme, initial, opt.t_star, opt.f_star, opt.boundary_hit)
-
-
 def run_qfi_sweep(scenario, out_path):
     """Optimized QFI across the sweep for all scheme/preparation variants."""
-    tasks = [(scenario, float(v), scheme, initial)
-             for v in scenario.sweep_values()
-             for (scheme, initial) in VARIANTS]
-    if scenario.threads > 1:
-        with ProcessPoolExecutor(max_workers=scenario.threads) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    rows = []
+    for value in scenario.sweep_values().tolist():
+        sd, bath = scenario.at_sweep_value(value)
+        for (scheme, initial) in VARIANTS:
+            cfg = ProbeConfig(scenario.probe.omega_0, scheme, initial)
+            opt = fisher.optimize_qfi_over_time(cfg, sd, bath, scenario.estimand,
+                                                scenario.t_max, scenario.opt_grid,
+                                                rel_tol=scenario.tolerance)
+            rows.append((value, scheme, initial, opt.t_star, opt.f_star,
+                         opt.boundary_hit))
     write_csv(out_path, scenario,
               ("sweep_value", "scheme", "initial_state", "t_star", "f_star",
                "boundary_hit"),
@@ -439,25 +440,22 @@ def run_qfi_sweep(scenario, out_path):
 
 def run_cfi(scenario, out_path):
     """Optimal-angle CFI against the QFI over the time grid."""
-    rows = []
     cfg = scenario.probe
     notes = []
     if cfg.initial_state == CORRELATED and not scenario.bath.zero_temperature:
         notes.append("finite-temperature level-shift derivatives are "
                      "chain-rule/finite-difference values")
-    for t in scenario.time_grid():
-        t = float(t)
-        bundle = fisher.factor_bundle(cfg, scenario.spectral, scenario.bath,
-                                      scenario.estimand, t,
-                                      rel_tol=scenario.tolerance)
-        if cfg.initial_state == FACTORIZED:
-            angle = cfg.omega_0 * t
-        else:
-            angle = fisher.optimal_angle_from_bundle(bundle, cfg.omega_0, t)
-        qfi_val = fisher.qfi_from_bundle(bundle)
-        cfi_val = fisher.cfi_from_bundle(bundle, cfg.omega_0, t, angle)
-        gap = abs(cfi_val - qfi_val) / max(qfi_val, 1e-300)
-        rows.append((t, angle, cfi_val, qfi_val, gap))
+    t = scenario.time_grid()
+    bundle = fisher.factor_bundle(cfg, scenario.spectral, scenario.bath,
+                                  scenario.estimand, t, rel_tol=scenario.tolerance)
+    if cfg.initial_state == FACTORIZED:
+        angle = cfg.omega_0 * t
+    else:
+        angle = fisher.optimal_angle_from_bundle(bundle, cfg.omega_0, t)
+    qfi_val = fisher.qfi_from_bundle(bundle)
+    cfi_val = fisher.cfi_from_bundle(bundle, cfg.omega_0, t, angle)
+    gap = np.abs(cfi_val - qfi_val) / np.maximum(qfi_val, 1e-300)
+    rows = list(zip(*(col.tolist() for col in (t, angle, cfi_val, qfi_val, gap))))
     write_csv(out_path, scenario,
               ("t", "optimal_angle", "cfi", "qfi", "relative_gap"),
               rows, extra_header=tuple(notes))
@@ -488,19 +486,27 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0,
                           f"known: {sorted(oracle.FIXTURES)}")
     if not (math.isfinite(temperature) and temperature >= 0.0):
         raise ConfigError(f"temperature must be finite and >= 0, got {temperature!r}")
-    if n_max is not None and n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    if n_max is not None and not 1 <= n_max <= oracle.MAX_N_MAX:
+        raise ConfigError(f"n_max must be in [1, {oracle.MAX_N_MAX}], got {n_max}")
     db = oracle.FIXTURES[fixture_id]
+    bath = BathState(temperature=temperature)
+    try:
+        need = oracle.required_n_max(db, bath)
+    except OverflowError:  # the thermal rule passes every float
+        need = math.inf
+    if need > oracle.MAX_N_MAX:
+        raise ConfigError(f"temperature {temperature!r} needs more than "
+                          f"{oracle.MAX_N_MAX} Fock levels per mode, the largest "
+                          f"truncation the oracle runs")
     if n_max is not None:
         db = db.with_n_max(n_max)
-    bath = BathState(temperature=temperature)
     t_grid = [0.5, 1.0, 2.0, 4.0]
     report = oracle.compare_report(db, bath, omega_0, t_grid, fixture_id)
     Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
-def run_figure(figure_id, out_dir, threads=None):
+def run_figure(figure_id, out_dir):
     """Run one figure preset end to end; returns emitted file paths."""
     if figure_id not in FIGURE_PRESETS:
         raise ConfigError(f"unknown figure {figure_id!r}; known: "
@@ -513,8 +519,6 @@ def run_figure(figure_id, out_dir, threads=None):
                                spectral=SpectralDensity(
                                    preset.scenario.spectral.coupling, s,
                                    preset.scenario.spectral.cutoff))
-            if threads:
-                scenario = replace(scenario, threads=threads)
             path = out_dir / f"{figure_id}_s{s:g}_qfi_sweep.csv"
             run_qfi_sweep(scenario, path)
             paths.append(path)
@@ -526,8 +530,6 @@ def run_figure(figure_id, out_dir, threads=None):
             paths.append(path)
     else:
         scenario = preset.scenario
-        if threads:
-            scenario = replace(scenario, threads=threads)
         path = out_dir / f"{figure_id}_qfi_sweep.csv"
         run_qfi_sweep(scenario, path)
         paths.append(path)
@@ -545,13 +547,12 @@ def build_parser():
                     "dynamics, Fisher information, and validation runs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_options(p):
+    def add_out(p):
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
-        p.add_argument("--threads", type=int)
 
     def add_common(p):
         p.add_argument("--config", required=True, help="scenario config file")
-        add_run_options(p)
+        add_out(p)
         p.add_argument("--t-max", type=float, dest="t_max")
         p.add_argument("--grid", type=int)
         p.add_argument("--tol", type=float)
@@ -561,10 +562,10 @@ def build_parser():
     add_common(sub.add_parser("cfi", help="optimal-measurement CFI vs QFI"))
     add_common(sub.add_parser("optimize", help="single QFI time optimization"))
 
-    # a preset pins its scenario, so only the output and execution knobs apply
+    # a preset pins its scenario, so only the output directory applies
     fig = sub.add_parser("figure", help="run a pinned figure preset")
     fig.add_argument("figure_id", choices=sorted(FIGURE_PRESETS))
-    add_run_options(fig)
+    add_out(fig)
 
     orc = sub.add_parser("oracle-validate", help="discrete-mode validation run")
     orc.add_argument("fixture", choices=sorted(oracle.FIXTURES))
@@ -591,7 +592,7 @@ def main(argv=None):
                       f"{report['truncation']['suggested_n_max']}")
             return 0 if report["pass"] else 1
         if args.command == "figure":
-            paths = run_figure(args.figure_id, out_dir, threads=args.threads)
+            paths = run_figure(args.figure_id, out_dir)
             for p in paths:
                 print(f"wrote {p}")
             return 0
@@ -607,6 +608,9 @@ def main(argv=None):
         return 2
     except QuadratureError as exc:
         print(f"quadrature error: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 
 

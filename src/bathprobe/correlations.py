@@ -18,7 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import spectral
+from .spectral import _unpack
 
 __all__ = [
     "TWO_QUBIT",
@@ -39,7 +42,10 @@ SINGLE_QUBIT = "single-qubit"
 
 @dataclass(frozen=True)
 class CorrelationFactors:
-    """Correlation damping exponent and unwrapped level-shift phase."""
+    """Correlation damping exponent and unwrapped level-shift phase.
+
+    Floats for a scalar phase kernel, arrays for an array over time.
+    """
 
     gamma_corr: float
     chi: float
@@ -51,7 +57,8 @@ def _scaled_parts(c_shift, phi, beta, omega_0, scheme):
     e is the preparation sum's subdominant weight relative to the leading
     exp(beta*C)*cosh(beta*w0) term (two-qubit; identically 0 for one qubit),
     tau the sinh/cosh contrast, u the winding phase.  beta = inf is the
-    exact zero-temperature member: e = 0, tau = 1.
+    exact zero-temperature member: e = 0, tau = 1.  e and tau are floats,
+    u follows phi (a float or an array over time).
     """
     if scheme == TWO_QUBIT:
         u = 2.0 * phi
@@ -74,37 +81,48 @@ def _wrap_pm_pi(x):
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _as_array(phi):
+    """(phi as a 1-D float array, whether it was a scalar)."""
+    arr = np.asarray(phi, dtype=float)
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
+
+
 def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
     """Correlation factors from raw (C, phi) values.
 
-    Shared by the continuum route and the discrete-mode oracle.  chi is
+    Shared by the continuum route and the discrete-mode oracle; ``phi`` is
+    a float or an array over time, and the factors follow it.  chi is
     unwrapped against the winding phase u: the preparation phasor
     (cos u + e, tau sin u) encircles the origin in step with u whenever
     e < 1, so chi = u + wrap(atan2 - u) is the exact continuous branch.
     """
+    phi, scalar = _as_array(phi)
     e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
     if math.isinf(beta):
         # exact zero-temperature member: the phasor lies on the unit circle
-        return CorrelationFactors(gamma_corr=0.0, chi=u)
-    A = math.cos(u) + e
-    B = tau * math.sin(u)
-    if B == 0.0 and math.cos(u) == 1.0:
-        # phasor sits on the leading weight (t = 0, G = 0, full rephasings)
-        gamma_corr = 0.0
-        chi = u
+        gamma_corr, chi = np.zeros(u.shape), u
     else:
-        gamma_corr = math.log1p(e) - 0.5 * math.log(A * A + B * B)
-        wrapped = math.atan2(B, A)
+        cos_u = np.cos(u)
+        A = cos_u + e
+        B = tau * np.sin(u)
+        gamma_corr = math.log1p(e) - 0.5 * np.log(A * A + B * B)
+        wrapped = np.arctan2(B, A)
         if e < 1.0:
             chi = u + _wrap_pm_pi(wrapped - u)
         else:
             chi = wrapped  # beta = 0 edge: phasor never leaves the right half plane
-    return CorrelationFactors(gamma_corr=gamma_corr, chi=chi)
+        # phasor sits on the leading weight (t = 0, G = 0, full rephasings)
+        leading = (B == 0.0) & (cos_u == 1.0)
+        if leading.any():
+            gamma_corr[leading] = 0.0
+            chi[leading] = u[leading]
+    return CorrelationFactors(gamma_corr=_unpack(gamma_corr, scalar),
+                              chi=_unpack(chi, scalar))
 
 
 def corr_factors_two_qubit(sd, bath, omega_0, t):
     """Correlation factors for the traced two-qubit probe."""
-    _check_args(omega_0, t)
+    _check_splitting(omega_0)
     return corr_factors_from_parts(spectral.c_shift(sd), spectral.phi_factor(sd, t),
                                    bath.beta, omega_0, TWO_QUBIT)
 
@@ -117,49 +135,56 @@ def corr_factors_single_qubit(sd, bath, omega_0, t):
     between numerator and denominator) and validated against the
     discrete-mode oracle.
     """
-    _check_args(omega_0, t)
+    _check_splitting(omega_0)
     return corr_factors_from_parts(spectral.c_shift(sd), spectral.phi_factor(sd, t),
                                    bath.beta, omega_0, SINGLE_QUBIT)
 
 
-def _check_args(omega_0, t):
+def _check_splitting(omega_0):
+    # the time is checked by the phase kernel
     if omega_0 <= 0.0:
         raise ValueError("probe splitting must be > 0")
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
 
 
 def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, omega_0, scheme):
     """(d gamma_corr/dx, d chi/dx) by the chain rule through (C, phi).
 
-    Valid for any estimand that leaves beta fixed.  At beta = inf the
-    rescaled weight vanishes and the pair reduces to (0, du/dx) exactly.
+    Valid for any estimand that leaves beta fixed; ``phi`` and ``d_phi``
+    are floats or arrays over time.  At beta = inf the rescaled weight
+    vanishes and the pair reduces to (0, du/dx) exactly.
     """
+    phi, scalar = _as_array(phi)
     e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
-    du = (2.0 if scheme == TWO_QUBIT else 1.0) * d_phi
+    du = (2.0 if scheme == TWO_QUBIT else 1.0) * np.asarray(d_phi, dtype=float)
     if math.isinf(beta):
         # the phasor turns on the unit circle; the general form below
         # leaves a rounding residue in d gamma_corr
-        return 0.0, du
+        zero = np.zeros(u.shape)
+        return _unpack(zero, scalar), _unpack(du + zero, scalar)
     de = -beta * d_c_shift * e if scheme == TWO_QUBIT else 0.0
-    A = math.cos(u) + e
-    B = tau * math.sin(u)
-    dA = -math.sin(u) * du + de
-    dB = tau * math.cos(u) * du
+    cos_u = np.cos(u)
+    sin_u = np.sin(u)
+    A = cos_u + e
+    B = tau * sin_u
+    dA = -sin_u * du + de
+    dB = tau * cos_u * du
     norm = A * A + B * B
     d_chi = (A * dB - B * dA) / norm
     d_gamma = de / (1.0 + e) - (A * dA + B * dB) / norm
-    return d_gamma, d_chi
+    return _unpack(d_gamma, scalar), _unpack(d_chi, scalar)
 
 
 def d_corr_d_temperature(c_shift, phi, temperature, omega_0, scheme):
     """(d gamma_corr/dT, d chi/dT) from raw (C, phi) values.
 
     Richardson-extrapolated central difference over the temperature (one
-    step forward near T = 0); exactly (0, 0) at T = 0.
+    step forward near T = 0); exactly (0, 0) at T = 0.  ``phi`` is a float
+    or an array over time.
     """
+    phi, scalar = _as_array(phi)
     if temperature == 0.0:
-        return 0.0, 0.0
+        zero = _unpack(np.zeros(phi.shape), scalar)
+        return zero, zero
 
     def factors(temp):
         f = corr_factors_from_parts(c_shift, phi, 1.0 / temp, omega_0, scheme)
@@ -170,14 +195,14 @@ def d_corr_d_temperature(c_shift, phi, temperature, omega_0, scheme):
     if T - h <= 0.0:
         g0, c0 = factors(T)
         g1, c1 = factors(T + h)
-        return (g1 - g0) / h, (c1 - c0) / h
+        return _unpack((g1 - g0) / h, scalar), _unpack((c1 - c0) / h, scalar)
     gp, cp = factors(T + h)
     gm, cm = factors(T - h)
     gp2, cp2 = factors(T + 0.5 * h)
     gm2, cm2 = factors(T - 0.5 * h)
     d_gamma = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
     d_chi = (4.0 * (cp2 - cm2) / h - (cp - cm) / (2.0 * h)) / 3.0
-    return d_gamma, d_chi
+    return _unpack(d_gamma, scalar), _unpack(d_chi, scalar)
 
 
 def d_corr_dx(sd, bath, omega_0, t, x, scheme):
@@ -186,7 +211,7 @@ def d_corr_dx(sd, bath, omega_0, t, x, scheme):
     Chain rule through (C, phi) for the spectral estimands, adaptive
     finite difference over temperature for x = T.
     """
-    _check_args(omega_0, t)
+    _check_splitting(omega_0)
     c, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
     if x == "T":
         return d_corr_d_temperature(c, phi, bath.temperature, omega_0, scheme)

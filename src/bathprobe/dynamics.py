@@ -17,7 +17,7 @@ import numpy as np
 
 from . import correlations, spectral
 from .correlations import SINGLE_QUBIT, TWO_QUBIT
-from .spectral import DephasingFactors
+from .spectral import DephasingFactors, _check_finite, _times
 
 __all__ = [
     "TWO_QUBIT_TRACED",
@@ -101,20 +101,31 @@ class TwoQubitState:
 
 
 def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
-    """All dephasing exponents/phases of the probe at time t, bundled."""
-    g_vac = spectral.gamma_vac(sd, t)
-    g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
-    phi = spectral.phi_factor(sd, t)
-    delta = spectral.delta_factor(sd, t) if cfg.scheme == TWO_QUBIT_TRACED else 0.0
-    shift = spectral.c_shift(sd)
-    if cfg.initial_state == CORRELATED:
-        corr = correlations.corr_factors_from_parts(
-            shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
-        g_corr, chi = corr.gamma_corr, corr.chi
-    else:
-        g_corr, chi = 0.0, 0.0
-    return DephasingFactors(gamma_vac=g_vac, gamma_th=g_th, gamma_corr=g_corr,
-                            delta=delta, phi=phi, chi=chi, c_shift=shift)
+    """All dephasing exponents/phases of the probe at time t, bundled.
+
+    ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
+    A non-finite factor raises NumericalError naming its (s, w_c, T, t).
+    """
+    t, scalar = _times(t)
+    zero = np.zeros(t.shape)
+    with np.errstate(all="ignore"):
+        g_vac = spectral.gamma_vac(sd, t)
+        g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
+        phi = spectral.phi_factor(sd, t)
+        two_qubit = cfg.scheme == TWO_QUBIT_TRACED
+        delta = spectral.delta_factor(sd, t) if two_qubit else zero
+        shift = spectral.c_shift(sd)
+        if cfg.initial_state == CORRELATED:
+            corr = correlations.corr_factors_from_parts(
+                shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
+            g_corr, chi = corr.gamma_corr, corr.chi
+        else:
+            g_corr, chi = zero, zero
+    fields = (g_vac, g_th, g_corr, delta, phi, chi)
+    _check_finite(fields, sd, bath, t)
+    if scalar:
+        fields = (float(v[0]) for v in fields)
+    return DephasingFactors(*fields, c_shift=shift)
 
 
 def assemble_two_qubit_matrix(omega_0, t, gamma_un, delta, x_factors=None):

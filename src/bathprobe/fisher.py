@@ -19,7 +19,7 @@ import numpy as np
 
 from . import correlations, dynamics, spectral
 from .dynamics import CORRELATED, TWO_QUBIT_TRACED, reduced_qubit_state
-from .spectral import BathState
+from .spectral import BathState, _check_finite, _ratio, _times, _unpack
 
 __all__ = [
     "Estimand",
@@ -76,7 +76,10 @@ def _resolve(estimand):
 
 @dataclass(frozen=True)
 class FactorBundle:
-    """Factors entering the Fisher formulas plus their estimand derivatives."""
+    """Factors entering the Fisher formulas plus their estimand derivatives.
+
+    Floats for a scalar time, arrays for a time grid.
+    """
 
     gamma: float
     delta: float
@@ -97,40 +100,46 @@ def _validate_estimand(estimand, sd, bath):
 
 
 def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
-    """Assemble (Gamma, Delta, chi) and their derivatives for one estimand."""
+    """Assemble (Gamma, Delta, chi) and their derivatives for one estimand.
+
+    ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
+    A non-finite factor raises NumericalError naming its (s, w_c, T, t).
+    """
     estimand, x = _resolve(estimand)
     _validate_estimand(estimand, sd, bath)
-    two_qubit = cfg.scheme == TWO_QUBIT_TRACED
-
-    gamma = spectral.gamma_vac(sd, t) + spectral.gamma_th(sd, bath, t,
-                                                          rel_tol=rel_tol)
-    d_gamma = spectral.d_gamma_dx(sd, bath, t, x, rel_tol=rel_tol)
-    if two_qubit:
-        delta = spectral.delta_factor(sd, t)
-        d_delta = spectral.d_delta_dx(sd, t, x)
-    else:
-        delta = 0.0
-        d_delta = 0.0
-    chi = 0.0
-    d_chi = 0.0
-    if cfg.initial_state == CORRELATED:
-        scheme = cfg.correlation_scheme
-        shift = spectral.c_shift(sd)
-        phi = spectral.phi_factor(sd, t)
-        corr = correlations.corr_factors_from_parts(
-            shift, phi, bath.beta, cfg.omega_0, scheme)
-        if x == "T":
-            dg_corr, d_chi = correlations.d_corr_d_temperature(
-                shift, phi, bath.temperature, cfg.omega_0, scheme)
+    t, scalar = _times(t)
+    zero = np.zeros(t.shape)
+    with np.errstate(all="ignore"):
+        gamma = spectral.gamma_vac(sd, t) + spectral.gamma_th(sd, bath, t,
+                                                              rel_tol=rel_tol)
+        d_gamma = spectral.d_gamma_dx(sd, bath, t, x, rel_tol=rel_tol)
+        if cfg.scheme == TWO_QUBIT_TRACED:
+            delta = spectral.delta_factor(sd, t)
+            d_delta = spectral.d_delta_dx(sd, t, x)
         else:
-            dg_corr, d_chi = correlations.d_corr_from_parts(
-                shift, phi, spectral.d_c_shift_dx(sd, x),
-                spectral.d_phi_dx(sd, t, x), bath.beta, cfg.omega_0, scheme)
-        gamma += corr.gamma_corr
-        d_gamma += dg_corr
-        chi = corr.chi
-    return FactorBundle(gamma=gamma, delta=delta, chi=chi,
-                        d_gamma=d_gamma, d_delta=d_delta, d_chi=d_chi)
+            delta = d_delta = zero
+        chi = d_chi = zero
+        if cfg.initial_state == CORRELATED:
+            scheme = cfg.correlation_scheme
+            shift = spectral.c_shift(sd)
+            phi = spectral.phi_factor(sd, t)
+            corr = correlations.corr_factors_from_parts(
+                shift, phi, bath.beta, cfg.omega_0, scheme)
+            if x == "T":
+                dg_corr, d_chi = correlations.d_corr_d_temperature(
+                    shift, phi, bath.temperature, cfg.omega_0, scheme)
+            else:
+                dg_corr, d_chi = correlations.d_corr_from_parts(
+                    shift, phi, spectral.d_c_shift_dx(sd, x),
+                    spectral.d_phi_dx(sd, t, x), bath.beta, cfg.omega_0, scheme)
+            gamma = gamma + corr.gamma_corr
+            d_gamma = d_gamma + dg_corr
+            chi = corr.chi
+    fields = (gamma, delta, chi, d_gamma, d_delta, d_chi)
+    _check_finite(fields, sd, bath, t)
+    if scalar:
+        fields = (float(v[0]) for v in fields)
+    return FactorBundle(*fields)
 
 
 def _information_terms(b):
@@ -141,28 +150,40 @@ def _information_terms(b):
     envelope denominator scaled into [0, 1], so it neither cancels at small
     Gamma nor overflows at any decoherence depth.
     """
-    sin_d = math.sin(b.delta)
-    cos_d = math.cos(b.delta)
+    sin_d = np.sin(b.delta)
+    cos_d = np.cos(b.delta)
     n1 = sin_d * b.d_delta + cos_d * b.d_gamma
     n2 = cos_d * b.d_chi
-    d = sin_d * sin_d - cos_d * cos_d * math.expm1(-2.0 * b.gamma)
-    return n1, n2, d, math.exp(-2.0 * b.gamma)
+    d = sin_d * sin_d - cos_d * cos_d * np.expm1(-2.0 * b.gamma)
+    return n1, n2, d, np.exp(-2.0 * b.gamma)
+
+
+def _positive_ratio(num, den):
+    """num / den where den > 0, else 0."""
+    den = np.asarray(den, dtype=float)
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+
+
+def _value(x):
+    """A float for a 0-d result, the array otherwise."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def qfi_from_bundle(b):
     """Closed-form QFI of the reduced probe from a factor bundle."""
     n1, n2, d, w = _information_terms(b)
-    first = n1 * n1 / d if d > 0.0 else 0.0
-    return w * (first + n2 * n2)
+    return _value(w * (_positive_ratio(n1 * n1, d) + n2 * n2))
 
 
 def qfi_closed(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """Closed-form QFI; 0 at t = 0 where the state carries no information."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    if t == 0.0:
-        return 0.0
-    return qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, t, rel_tol))
+    t, scalar = _times(t)
+    val = np.zeros(t.shape)
+    live = t > 0.0
+    if live.any():
+        val[live] = qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand,
+                                                  t[live], rel_tol))
+    return _unpack(val, scalar)
 
 
 class SpectralQFI(NamedTuple):
@@ -236,22 +257,22 @@ def state_derivative(cfg, sd, bath, estimand, t, step=None):
 
 def cfi(cfg, sd, bath, estimand, t, varphi):
     """Classical Fisher information of the equatorial projective pair."""
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    if t == 0.0:
-        return 0.0
-    b = factor_bundle(cfg, sd, bath, estimand, t)
-    return cfi_from_bundle(b, cfg.omega_0, t, varphi)
+    t, scalar = _times(t)
+    val = np.zeros(t.shape)
+    live = t > 0.0
+    if live.any():
+        b = factor_bundle(cfg, sd, bath, estimand, t[live])
+        val[live] = cfi_from_bundle(b, cfg.omega_0, t[live],
+                                    np.broadcast_to(varphi, t.shape)[live])
+    return _unpack(val, scalar)
 
 
 def cfi_from_bundle(b, omega_0, t, varphi):
     theta = b.chi + omega_0 * t - varphi
     n1, n2, d, w = _information_terms(b)
-    num = (n1 * math.cos(theta) + n2 * math.sin(theta)) ** 2
-    denom = d + w * (math.cos(b.delta) * math.sin(theta)) ** 2
-    if denom <= 0.0:
-        return 0.0
-    return w * num / denom
+    num = (n1 * np.cos(theta) + n2 * np.sin(theta)) ** 2
+    denom = d + w * (np.cos(b.delta) * np.sin(theta)) ** 2
+    return _value(_positive_ratio(w * num, denom))
 
 
 _PROB_FLOOR = 1e-14
@@ -291,7 +312,7 @@ def cfi_born(cfg, sd, bath, estimand, t, varphi, step=None):
 
 def optimal_angle(cfg, sd, bath, estimand, t):
     """Measurement azimuth at which the CFI reaches the QFI."""
-    if t <= 0.0:
+    if not (_times(t)[0] > 0.0).all():
         raise ValueError("optimal angle requires t > 0")
     b = factor_bundle(cfg, sd, bath, estimand, t)
     return optimal_angle_from_bundle(b, cfg.omega_0, t)
@@ -300,13 +321,10 @@ def optimal_angle(cfg, sd, bath, estimand, t):
 def optimal_angle_from_bundle(b, omega_0, t):
     n1, n2, d, _ = _information_terms(b)
     num = n2 * d
-    if n1 != 0.0:
-        shift = math.atan(num / n1)
-    elif num != 0.0:
-        shift = 0.5 * math.pi * math.copysign(1.0, num)
-    else:
-        shift = 0.0
-    return omega_0 * t + b.chi - shift
+    # n1 = 0 leaves the shift at +-pi/2 by the sign of num, or 0
+    shift = np.where(n1 != 0.0, np.arctan(_ratio(num, n1)),
+                     0.5 * math.pi * np.sign(num))
+    return _value(omega_0 * t + b.chi - shift)
 
 
 @dataclass(frozen=True)
@@ -335,8 +353,87 @@ class FisherOptimum:
 
 def qfi_curve(cfg, sd, bath, estimand, times):
     times = np.asarray(times, dtype=float)
-    vals = np.array([qfi_closed(cfg, sd, bath, estimand, t) for t in times])
+    vals = qfi_closed(cfg, sd, bath, estimand, times)
     return FisherCurve(estimand=Estimand(estimand), times=times, qfi=vals)
+
+
+#: 1/phi, the golden-section shrink factor
+_INV_GR = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: golden-section steps evaluated per array call: every point that the next
+#: _TREE_DEPTH steps may need, over all their decision paths, goes into one
+#: factor bundle
+_TREE_DEPTH = 5
+
+
+def _golden_step(a, b, c, d, left):
+    """One golden-section step, left when f(c) > f(d); returns the bracket
+    and the one new point it needs."""
+    if left:
+        b, d = d, c
+        c = b - _INV_GR * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + _INV_GR * (b - a)
+    return a, b, c, d, d
+
+
+def _tree_points(a, b, c, d, first, depth, tol):
+    """Every point the next ``depth`` steps from (a, b, c, d) may evaluate.
+
+    ``first`` is the outcome of the first comparison when it is known (the
+    values at c and d are), or None; every later step follows both
+    outcomes.  A path that meets the tolerance adds its final midpoint.
+    Paths that reach the same bracket are followed once.
+    """
+    points = []
+    level = [(a, b, c, d)]
+    for k in range(depth + 1):
+        outcomes = (True, False) if k or first is None else (first,)
+        nxt = []
+        for a, b, c, d in level:
+            if not (b - a) > tol * b:
+                points.append(0.5 * (a + b))
+            elif k < depth:
+                for left in outcomes:
+                    step = _golden_step(a, b, c, d, left)
+                    points.append(step[4])
+                    nxt.append(step[:4])
+        level = dict.fromkeys(nxt)
+    return points
+
+
+def _golden_section(f, lo, hi, tol):
+    """Golden-section maximization of f on [lo, hi], a decision tree at a time.
+
+    Takes the same steps as the one-point-at-a-time loop: from the state
+    (a, b, c, d, fc, fd), each of the next _TREE_DEPTH steps places its
+    point by the earlier fc > fd outcomes alone, so all candidate points
+    are known up front.  One array call of ``f`` evaluates them (paths
+    often share points), and the real path is then walked with the same
+    comparisons.  Returns (t_star, f_star, c, fc, d, fd).
+    """
+    a, b = lo, hi
+    c = b - _INV_GR * (b - a)
+    d = a + _INV_GR * (b - a)
+    fc = fd = None
+    while True:
+        first = None if fc is None else fc > fd
+        points = (([c, d] if fc is None else [])
+                  + _tree_points(a, b, c, d, first, _TREE_DEPTH, tol))
+        points = list(dict.fromkeys(points))
+        known = dict(zip(points, f(np.array(points)).tolist()))
+        if fc is None:
+            fc, fd = known[c], known[d]
+        for _ in range(_TREE_DEPTH):
+            if not (b - a) > tol * b:
+                break
+            left = fc > fd
+            a, b, c, d, p = _golden_step(a, b, c, d, left)
+            fc, fd = (known[p], fc) if left else (fd, known[p])
+        if not (b - a) > tol * b:
+            t_star = 0.5 * (a + b)
+            return t_star, known[t_star], c, fc, d, fd
 
 
 def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
@@ -344,9 +441,10 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
     """Maximize the QFI over t in [1e-3 / w_c, t_max].
 
     Coarse log-spaced scan followed by golden-section refinement inside the
-    best bracketing interval.  ``boundary_hit`` marks a maximizer at t_max
-    (typical in regimes where the information keeps accumulating);
-    ``flat`` marks an information-free curve (such as G = 0).
+    best bracketing interval; both evaluate whole time arrays per factor
+    bundle.  ``boundary_hit`` marks a maximizer at t_max (typical in
+    regimes where the information keeps accumulating); ``flat`` marks an
+    information-free curve (such as G = 0).
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be > 0")
@@ -355,9 +453,9 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
     ts = np.geomspace(t_lo, t_max, grid_size)
 
     def f(t):
-        return qfi_closed(cfg, sd, bath, estimand, t, rel_tol=rel_tol)
+        return qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, t, rel_tol))
 
-    vals = np.array([f(t) for t in ts])
+    vals = f(ts)
     i = int(np.argmax(vals))
     if not np.any(vals > 0.0):
         return FisherOptimum(t_star=float(ts[0]), f_star=0.0,
@@ -366,23 +464,8 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
         return FisherOptimum(t_star=float(ts[-1]), f_star=float(vals[-1]),
                              boundary_hit=True)
     lo = ts[i - 1] if i > 0 else ts[0]
-    hi = ts[i + 1]
-    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_gr * (b - a)
-    d = a + inv_gr * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_time_tol * b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_gr * (b - a)
-            fd = f(d)
-    t_star = 0.5 * (a + b)
-    f_star = f(t_star)
+    t_star, f_star, c, fc, d, fd = _golden_section(f, float(lo), float(ts[i + 1]),
+                                                   rel_time_tol)
     best = max((f_star, t_star), (fc, c), (fd, d), (vals[i], ts[i]))
     return FisherOptimum(t_star=float(best[1]), f_star=float(best[0]),
                          boundary_hit=False)

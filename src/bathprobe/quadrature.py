@@ -34,11 +34,6 @@ class QuadratureError(RuntimeError):
         self.value = value
         self.achieved_error = achieved_error
 
-    def __reduce__(self):
-        # rebuilt from its parts, so it survives the trip back from a
-        # process-pool worker
-        return type(self), (self.message, self.value, self.achieved_error)
-
 
 class QuadratureResult(NamedTuple):
     value: float

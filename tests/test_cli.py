@@ -94,15 +94,6 @@ def test_qfi_sweep_covers_all_variants(tmp_path):
         assert isinstance(boundary, bool)
 
 
-def test_qfi_sweep_deterministic_and_thread_invariant(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_qfi_sweep(QUICK, a)
-    run_qfi_sweep(replace(QUICK, threads=2), b)
-    # the threads knob must not change emitted bytes (ordering is pinned)
-    assert a.read_text() == b.read_text()
-
-
 def test_cfi_run_factorized_angles(tmp_path):
     scenario = replace(QUICK, probe=ProbeConfig(1.0, TWO_QUBIT_TRACED, FACTORIZED))
     rows = run_cfi(scenario, tmp_path / "cfi.csv")
@@ -171,6 +162,64 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, raw):
     assert main(["optimize", "--config", str(config), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("section,key,raw,command", [
+    ("spectral", "coupling", "-1", "optimize"),
+    ("spectral", "ohmicity", "500", "factors"),
+    ("sweep", "points", "1", "qfi-sweep"),
+    ("time", "t-max", "-5", "optimize"),
+    ("time", "points", "0", "factors"),
+    ("run", "tolerance", "0", "cfi")])
+def test_config_out_of_range_values_are_config_errors(tmp_path, capsys, section,
+                                                      key, raw, command):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError):
+        Scenario.from_config_file(config)
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("flag", [("--t-max", "-5"), ("--tol", "-1")])
+def test_out_of_range_overrides_are_config_errors(tmp_path, capsys, flag):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text())
+    assert main(["optimize", "--config", str(config), "--out", str(tmp_path), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+
+
+def test_threads_key_and_flag_are_gone(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text() + "threads = 2\n")
+    assert "threads" not in QUICK.to_config_text()
+    assert main(["qfi-sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "[run] threads" in capsys.readouterr().err
+    config.write_text(QUICK.to_config_text())
+    with pytest.raises(SystemExit) as err:
+        main(["qfi-sweep", "--config", str(config), "--threads", "2"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [("--temperature", "1e300"), ("--temperature", "1e308"),
+                                   ("--n-max", "5000")])
+def test_oracle_validate_refuses_infeasible_truncations(tmp_path, capsys, flags):
+    # the thermal occupation rule needs n_max ~ 27.6 T levels per mode
+    assert main(["oracle-validate", "one-mode", *flags, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "1000" in err and not list(tmp_path.iterdir())
+
+
+def test_non_finite_factor_exit_code(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("[spectral]\ncoupling = 1e308\n[time]\nt-max = 1e4\npoints = 3\n")
+    assert main(["factors", "--config", str(config), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical error:") and "t=3333.3333333333335" in err
 
 
 @pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--tol", "1e-6")])

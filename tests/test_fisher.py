@@ -1,18 +1,23 @@
 """Fisher information: closed form vs spectral definition, optimal measurement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
-                                reduced_qubit_state)
-from bathprobe.fisher import (Estimand, FisherCurve, MeasurementUnderflowError,
-                              cfi, cfi_born, factor_bundle, optimal_angle,
-                              optimize_qfi_over_time, qfi_closed, qfi_curve,
-                              qfi_from_bundle, qfi_spectral, state_derivative)
-from bathprobe.spectral import BathState, SpectralDensity
+                                dephasing_factors, reduced_qubit_state)
+from bathprobe.cli import FIG8_OHMICITIES, FIGURE_PRESETS, VARIANTS
+from bathprobe.fisher import (Estimand, FisherCurve, FisherOptimum,
+                              MeasurementUnderflowError, cfi, cfi_born,
+                              cfi_from_bundle, factor_bundle, optimal_angle,
+                              optimal_angle_from_bundle, optimize_qfi_over_time,
+                              qfi_closed, qfi_curve, qfi_from_bundle,
+                              qfi_spectral, state_derivative)
+from bathprobe.spectral import (BathState, NumericalError, SpectralDensity,
+                                d_gamma_dx)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)
@@ -260,3 +265,151 @@ def test_fisher_curve_validation():
     curve = qfi_curve(ProbeConfig(), OHMIC, BathState(0.0),
                       Estimand.CUTOFF_FREQUENCY, np.linspace(0.1, 2.0, 8))
     assert np.all(curve.qfi >= 0.0)
+
+
+def same_within(got, want, scale=0.0):
+    return abs(got - want) <= 1e-14 * max(abs(got), abs(want), scale)
+
+
+DERIVATIVE_KEY = {Estimand.CUTOFF_FREQUENCY: "omega_c",
+                  Estimand.COUPLING_STRENGTH: "G", Estimand.TEMPERATURE: "T"}
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_grid_bundles_equal_their_scalar_calls(s, temperature):
+    rng = np.random.default_rng([29, int(1e9 * s) % 1000, int(10 * temperature)])
+    sd, bath = SpectralDensity(0.6, s, 1.7), BathState(temperature)
+    ts = np.concatenate([[0.0], np.exp(rng.uniform(math.log(1e-4), math.log(60.0), 24))])
+    for scheme in SCHEMES:
+        for initial in INITIALS:
+            cfg = ProbeConfig(1.3, scheme, initial)
+            fac = dephasing_factors(cfg, sd, bath, ts)
+            for k, t in enumerate(ts.tolist()):
+                one = dephasing_factors(cfg, sd, bath, t)
+                for name in ("gamma_vac", "gamma_th", "gamma_corr", "delta", "phi",
+                             "chi"):
+                    assert same_within(getattr(fac, name)[k],
+                                       getattr(one, name)), (name, t)
+            for est in Estimand:
+                if est is Estimand.TEMPERATURE and bath.zero_temperature:
+                    continue
+                grid = factor_bundle(cfg, sd, bath, est, ts)
+                for k, t in enumerate(ts.tolist()):
+                    one = factor_bundle(cfg, sd, bath, est, t)
+                    # d_gamma adds the correlation slope to the uncorrelated
+                    # one, and the two can nearly cancel: compare it at the
+                    # size of its parts
+                    parts = abs(d_gamma_dx(sd, bath, t, DERIVATIVE_KEY[est]))
+                    for name in ("gamma", "delta", "chi", "d_gamma", "d_delta", "d_chi"):
+                        scale = parts if name == "d_gamma" else 0.0
+                        assert same_within(getattr(grid, name)[k], getattr(one, name),
+                                           scale), (scheme, initial, est, name, t)
+
+
+def test_bundle_formulas_take_time_grids():
+    rng = np.random.default_rng(28)
+    cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED)
+    sd, bath = SpectralDensity(0.7, 0.8, 2.0), BathState(0.6)
+    ts = np.sort(rng.uniform(0.05, 6.0, 17))
+    for est in Estimand:
+        grid = factor_bundle(cfg, sd, bath, est, ts)
+        angles = optimal_angle_from_bundle(grid, cfg.omega_0, ts)
+        assert isinstance(qfi_from_bundle(grid), np.ndarray)
+        for k, t in enumerate(ts.tolist()):
+            b = factor_bundle(cfg, sd, bath, est, t)
+            assert isinstance(b.gamma, float) and isinstance(qfi_from_bundle(b), float)
+            for got, want in ((qfi_from_bundle(grid)[k], qfi_from_bundle(b)),
+                              (angles[k], optimal_angle_from_bundle(b, 1.0, t)),
+                              (cfi_from_bundle(grid, 1.0, ts, 0.3)[k],
+                               cfi_from_bundle(b, 1.0, t, 0.3))):
+                assert rel_diff(got, want, floor=0.0) <= 1e-14
+    # t = 0 carries no information and is never evaluated
+    est, grid = Estimand.CUTOFF_FREQUENCY, np.array([0.0, 1.0])
+    assert qfi_closed(cfg, sd, bath, est, grid)[0] == 0.0
+    assert cfi(cfg, sd, bath, est, grid, 0.2)[0] == 0.0
+
+
+def test_non_finite_bundle_names_the_point():
+    # G Gamma(s) Re K overflows a double at long times
+    cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, FACTORIZED)
+    huge = SpectralDensity(1e308, 1.0, 1.0)
+    with pytest.raises(NumericalError) as err:
+        factor_bundle(cfg, huge, BathState(0.0), Estimand.CUTOFF_FREQUENCY,
+                      np.array([1e-3, 1e4]))
+    assert "s=1.0, w_c=1.0, T=0.0, t=10000.0" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's tree-evaluated golden section against the point-by-point loop
+# ---------------------------------------------------------------------------
+
+def reference_optimum(cfg, sd, bath, estimand, t_max, grid_size, rel_tol,
+                      rel_time_tol=1e-6):
+    """The optimizer with a one-point-at-a-time golden-section loop, one
+    scalar QFI per step: the reference whose iterates the tree-evaluated
+    refinement keeps."""
+    ts = np.geomspace(min(1e-3 / sd.cutoff, 0.5 * t_max), t_max, max(grid_size, 64))
+
+    def f(t):
+        return qfi_closed(cfg, sd, bath, estimand, t, rel_tol=rel_tol)
+
+    vals = qfi_closed(cfg, sd, bath, estimand, ts, rel_tol=rel_tol)
+    i = int(np.argmax(vals))
+    if not np.any(vals > 0.0):
+        return FisherOptimum(float(ts[0]), 0.0, False, flat=True)
+    if i == ts.size - 1:
+        return FisherOptimum(float(ts[-1]), float(vals[-1]), True)
+    lo = ts[i - 1] if i > 0 else ts[0]
+    hi = ts[i + 1]
+    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_gr * (b - a)
+    d = a + inv_gr * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rel_time_tol * b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_gr * (b - a)
+            fd = f(d)
+    t_star = 0.5 * (a + b)
+    f_star = f(t_star)
+    best = max((f_star, t_star), (fc, c), (fd, d), (vals[i], ts[i]))
+    return FisherOptimum(float(best[1]), float(best[0]), False)
+
+
+def figure_tasks(figure_id):
+    """Every (cfg, sd, bath, scenario) optimization of a qfi-sweep figure."""
+    scenario = FIGURE_PRESETS[figure_id].scenario
+    scenarios = [scenario]
+    if figure_id == "fig8":
+        base = scenario.spectral
+        scenarios = [replace(scenario,
+                             spectral=SpectralDensity(base.coupling, s, base.cutoff))
+                     for s in FIG8_OHMICITIES]
+    for sc in scenarios:
+        for value in sc.sweep_values().tolist():
+            sd, bath = sc.at_sweep_value(value)
+            for scheme, initial in VARIANTS:
+                yield ProbeConfig(sc.probe.omega_0, scheme, initial), sd, bath, sc
+
+
+@pytest.mark.parametrize("figure_id", [f"fig{i}" for i in range(1, 9)])
+def test_tree_refinement_keeps_the_golden_section_iterates(figure_id):
+    # at T = 0 every step makes the same comparison as the scalar loop; on
+    # the thermal figure a flat maximum may turn a near-tie the other way
+    t_tol, f_tol = (1e-5, 1e-9) if figure_id == "fig8" else (0.0, 1e-13)
+    refined = 0
+    for cfg, sd, bath, sc in figure_tasks(figure_id):
+        args = (cfg, sd, bath, sc.estimand, sc.t_max, sc.opt_grid)
+        got = optimize_qfi_over_time(*args, rel_tol=sc.tolerance)
+        want = reference_optimum(*args, rel_tol=sc.tolerance)
+        assert got.boundary_hit == want.boundary_hit and got.flat == want.flat
+        assert abs(got.t_star - want.t_star) <= t_tol * want.t_star, (cfg, sd, bath)
+        assert rel_diff(got.f_star, want.f_star, floor=0.0) <= f_tol, (cfg, sd, bath)
+        refined += not got.boundary_hit
+    assert refined

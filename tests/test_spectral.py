@@ -1,18 +1,19 @@
 """Closed forms vs quadrature, derivatives vs finite differences."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
 from bathprobe.quadrature import QuadratureError, adaptive_quadrature, bath_integral
-from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
-                                d_c_shift_dx, d_delta_dx, d_gamma_dx,
-                                d_gamma_vac_d_omega_c, d_phi_dx, delta_factor,
-                                gamma_th, gamma_un, gamma_vac, phi_factor,
-                                quadrature_factor, spectral_density)
+from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_shift,
+                                d_c_shift_dx, d_delta_d_omega_c, d_delta_dx,
+                                d_gamma_dx, d_gamma_th_d_temperature,
+                                d_gamma_vac_d_omega_c, d_phi_d_omega_c,
+                                d_phi_dx, delta_factor, gamma_th, gamma_un,
+                                gamma_vac, phi_factor, quadrature_factor,
+                                spectral_density)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 
@@ -32,6 +33,45 @@ def test_spectral_density_validation():
         SpectralDensity(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         SpectralDensity(1.0, 1.0, -2.0)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
+                                  (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
+                                  (1.0, 1.0, math.inf), (1.0, 172.0, 1.0)])
+def test_spectral_density_rejects_nan_inf_and_huge_ohmicity(args):
+    # Gamma(s) overflows a double past s = 171.6
+    with pytest.raises(ValueError):
+        SpectralDensity(*args)
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -1.0])
+def test_bath_state_rejects_nan_and_inf(temperature):
+    with pytest.raises(ValueError):
+        BathState(temperature)
+
+
+def test_vacuum_sign_guard_is_an_error_class(monkeypatch):
+    # a real exception, so it survives python -O
+    from bathprobe import spectral
+    monkeypatch.setattr(spectral, "_vacuum_kernel",
+                        lambda s, wc, t: (-np.ones(t.shape), np.zeros(t.shape)))
+    with pytest.raises(NumericalError) as err:
+        gamma_vac(SpectralDensity(1.0, 0.5, 2.0), 3.0)
+    assert "s=0.5, w_c=2.0, T=0.0, t=3.0" in str(err.value)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_gamma_th_at_extreme_temperatures(s):
+    sd = SpectralDensity(1.0, s, 1.0)
+    # 1/T overflows to inf, or every Bose term underflows: the cold limit 0
+    for T in (1e-320, 1e-300):
+        assert gamma_th(sd, BathState(T), 1.0) == 0.0
+        assert d_gamma_dx(sd, BathState(T), 1.0, "T") == 0.0
+    # the temperature slope of the series overflows: refused with the point
+    with pytest.raises(QuadratureError) as err:
+        gamma_th(sd, BathState(1e300), 1.0)
+    assert f"s={s!r}, w_c=1.0, T=1e+300, t=1.0" in str(err.value)
+    assert math.isfinite(err.value.value)
 
 
 def test_bath_state_flags():
@@ -152,13 +192,6 @@ def test_quadrature_nonconvergence_carries_achieved_tolerance():
         bath_integral(0.0, lambda w: np.sin(50.0 * w) ** 2 * np.exp(-w), 50.0,
                       40.0, rel_tol=1e-12, max_cells=4)
     assert err.value.achieved_error > 0.0
-
-
-def test_quadrature_error_survives_pickling():
-    # process-pool sweeps return a worker's exception to the parent by pickle
-    err = pickle.loads(pickle.dumps(QuadratureError("no convergence", 1.5, 2e-3)))
-    assert (err.value, err.achieved_error) == (1.5, 2e-3)
-    assert str(err) == "no convergence (value=1.5, achieved error=0.002)"
 
 
 def test_adaptive_quadrature_basic():
@@ -348,3 +381,49 @@ def test_gamma_un_combines_parts():
     bath = BathState(0.8)
     assert gamma_un(sd, bath, 1.5) == pytest.approx(
         gamma_vac(sd, 1.5) + gamma_th(sd, bath, 1.5), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# time grids
+# ---------------------------------------------------------------------------
+
+GRID_FORMS = {
+    "gamma_vac": lambda sd, bath, t: gamma_vac(sd, t),
+    "gamma_th": lambda sd, bath, t: gamma_th(sd, bath, t),
+    "gamma_un": lambda sd, bath, t: gamma_un(sd, bath, t),
+    "delta": lambda sd, bath, t: delta_factor(sd, t),
+    "phi": lambda sd, bath, t: phi_factor(sd, t),
+    "d_gamma_vac_d_omega_c": lambda sd, bath, t: d_gamma_vac_d_omega_c(sd, t),
+    "d_phi_d_omega_c": lambda sd, bath, t: d_phi_d_omega_c(sd, t),
+    "d_delta_d_omega_c": lambda sd, bath, t: d_delta_d_omega_c(sd, t),
+    "d_gamma_th_d_temperature": lambda sd, bath, t: d_gamma_th_d_temperature(sd, bath, t),
+    **{f"d_gamma_d{x}": (lambda x: lambda sd, bath, t: d_gamma_dx(sd, bath, t, x))(x)
+       for x in ("omega_c", "G", "T")},
+    **{f"d_delta_d{x}": (lambda x: lambda sd, bath, t: d_delta_dx(sd, t, x))(x)
+       for x in ("omega_c", "G", "T")},
+    **{f"d_phi_d{x}": (lambda x: lambda sd, bath, t: d_phi_dx(sd, t, x))(x)
+       for x in ("omega_c", "G", "T")},
+}
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9])
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_grid_forms_equal_their_scalar_calls(s, temperature):
+    rng = np.random.default_rng(31)
+    ts = np.concatenate([[0.0], np.exp(rng.uniform(math.log(1e-6), math.log(500.0), 40))])
+    sd, bath = SpectralDensity(0.9, s, 2.5), BathState(temperature)
+    for name, form in GRID_FORMS.items():
+        grid = form(sd, bath, ts)
+        assert isinstance(grid, np.ndarray) and grid.shape == ts.shape, name
+        assert form(sd, bath, np.array([])).shape == (0,), name
+        for k, t in enumerate(ts.tolist()):
+            one = form(sd, bath, t)
+            assert isinstance(one, float), name
+            assert abs(grid[k] - one) <= 1e-14 * max(abs(grid[k]), abs(one)), (name, t)
+
+
+def test_time_must_be_a_non_negative_scalar_or_grid():
+    for t in (-1.0, math.nan, np.array([1.0, -0.5]), np.ones((2, 2))):
+        for form in GRID_FORMS.values():
+            with pytest.raises(ValueError):
+                form(OHMIC, BathState(0.5), t)
