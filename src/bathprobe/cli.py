@@ -444,7 +444,7 @@ def run_cfi(scenario, out_path):
     notes = []
     if cfg.initial_state == CORRELATED and not scenario.bath.zero_temperature:
         notes.append("finite-temperature level-shift derivatives are "
-                     "chain-rule/finite-difference values")
+                     "chain-rule values")
     t = scenario.time_grid()
     bundle = fisher.factor_bundle(cfg, scenario.spectral, scenario.bath,
                                   scenario.estimand, t, rel_tol=scenario.tolerance)

@@ -20,19 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .spectral import _unpack
 
 __all__ = [
     "TWO_QUBIT",
     "SINGLE_QUBIT",
     "CorrelationFactors",
-    "corr_factors_two_qubit",
-    "corr_factors_single_qubit",
     "corr_factors_from_parts",
-    "d_corr_dx",
     "d_corr_from_parts",
-    "d_corr_d_temperature",
     "element_phase_factor",
 ]
 
@@ -120,104 +115,46 @@ def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
                               chi=_unpack(chi, scalar))
 
 
-def corr_factors_two_qubit(sd, bath, omega_0, t):
-    """Correlation factors for the traced two-qubit probe."""
-    _check_splitting(omega_0)
-    return corr_factors_from_parts(spectral.c_shift(sd), spectral.phi_factor(sd, t),
-                                   bath.beta, omega_0, TWO_QUBIT)
+def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, d_beta, omega_0, scheme):
+    """(d gamma_corr/dx, d chi/dx) by the chain rule through (C, phi, beta).
 
-
-def corr_factors_single_qubit(sd, bath, omega_0, t):
-    """Correlation factors for the bare single-qubit probe.
-
-    Not printed in closed form anywhere; obtained by repeating the
-    projective-preparation sum with one spin (the quadratic weight cancels
-    between numerator and denominator) and validated against the
-    discrete-mode oracle.
-    """
-    _check_splitting(omega_0)
-    return corr_factors_from_parts(spectral.c_shift(sd), spectral.phi_factor(sd, t),
-                                   bath.beta, omega_0, SINGLE_QUBIT)
-
-
-def _check_splitting(omega_0):
-    # the time is checked by the phase kernel
-    if omega_0 <= 0.0:
-        raise ValueError("probe splitting must be > 0")
-
-
-def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, omega_0, scheme):
-    """(d gamma_corr/dx, d chi/dx) by the chain rule through (C, phi).
-
-    Valid for any estimand that leaves beta fixed; ``phi`` and ``d_phi``
+    One rule for every estimand x: ``d_beta`` = d beta/dx is -beta**2 for
+    the temperature and 0 for the cutoff and the coupling, which leaves
+    the arithmetic of the fixed-beta rule as it is.  ``phi`` and ``d_phi``
     are floats or arrays over time.  At beta = inf the rescaled weight
     vanishes and the pair reduces to (0, du/dx) exactly.
     """
     phi, scalar = _as_array(phi)
     e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
-    du = (2.0 if scheme == TWO_QUBIT else 1.0) * np.asarray(d_phi, dtype=float)
+    two_qubit = scheme == TWO_QUBIT
+    du = (2.0 if two_qubit else 1.0) * np.asarray(d_phi, dtype=float)
     if math.isinf(beta):
         # the phasor turns on the unit circle; the general form below
         # leaves a rounding residue in d gamma_corr
         zero = np.zeros(u.shape)
         return _unpack(zero, scalar), _unpack(du + zero, scalar)
-    de = -beta * d_c_shift * e if scheme == TWO_QUBIT else 0.0
     cos_u = np.cos(u)
     sin_u = np.sin(u)
     A = cos_u + e
     B = tau * sin_u
-    dA = -sin_u * du + de
+    de = -beta * d_c_shift * e if two_qubit else 0.0
     dB = tau * cos_u * du
+    if d_beta:
+        # e = exp(-beta C) / cosh(beta w0) and tau = tanh(beta w), w = w0 (one
+        # qubit: w0 / 2), move with beta too; sech(beta w)**2 = 4 q / (1 + q)**2
+        # with q = exp(-2 beta w) keeps what 1 - tau**2 would cancel.  A weight
+        # that has underflowed to 0 adds nothing, also where d_beta overflows.
+        w = omega_0 if two_qubit else 0.5 * omega_0
+        q = math.exp(-2.0 * beta * w)
+        if e:
+            de -= d_beta * (c_shift + omega_0 * tau) * e
+        if q:
+            dB = dB + w * 4.0 * q / (1.0 + q) ** 2 * d_beta * sin_u
+    dA = -sin_u * du + de
     norm = A * A + B * B
     d_chi = (A * dB - B * dA) / norm
     d_gamma = de / (1.0 + e) - (A * dA + B * dB) / norm
     return _unpack(d_gamma, scalar), _unpack(d_chi, scalar)
-
-
-def d_corr_d_temperature(c_shift, phi, temperature, omega_0, scheme):
-    """(d gamma_corr/dT, d chi/dT) from raw (C, phi) values.
-
-    Richardson-extrapolated central difference over the temperature (one
-    step forward near T = 0); exactly (0, 0) at T = 0.  ``phi`` is a float
-    or an array over time.
-    """
-    phi, scalar = _as_array(phi)
-    if temperature == 0.0:
-        zero = _unpack(np.zeros(phi.shape), scalar)
-        return zero, zero
-
-    def factors(temp):
-        f = corr_factors_from_parts(c_shift, phi, 1.0 / temp, omega_0, scheme)
-        return f.gamma_corr, f.chi
-
-    T = temperature
-    h = spectral.temperature_step(T)
-    if T - h <= 0.0:
-        g0, c0 = factors(T)
-        g1, c1 = factors(T + h)
-        return _unpack((g1 - g0) / h, scalar), _unpack((c1 - c0) / h, scalar)
-    gp, cp = factors(T + h)
-    gm, cm = factors(T - h)
-    gp2, cp2 = factors(T + 0.5 * h)
-    gm2, cm2 = factors(T - 0.5 * h)
-    d_gamma = (4.0 * (gp2 - gm2) / h - (gp - gm) / (2.0 * h)) / 3.0
-    d_chi = (4.0 * (cp2 - cm2) / h - (cp - cm) / (2.0 * h)) / 3.0
-    return _unpack(d_gamma, scalar), _unpack(d_chi, scalar)
-
-
-def d_corr_dx(sd, bath, omega_0, t, x, scheme):
-    """(d gamma_corr/dx, d chi/dx) for x in {omega_c, G, T}.
-
-    Chain rule through (C, phi) for the spectral estimands, adaptive
-    finite difference over temperature for x = T.
-    """
-    _check_splitting(omega_0)
-    c, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
-    if x == "T":
-        return d_corr_d_temperature(c, phi, bath.temperature, omega_0, scheme)
-    return d_corr_from_parts(c, phi, spectral.d_c_shift_dx(sd, x),
-                             spectral.d_phi_dx(sd, t, x), bath.beta, omega_0,
-                             scheme)
 
 
 def element_phase_factor(m, c_shift, phi, beta, omega_0):

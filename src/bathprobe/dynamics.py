@@ -34,7 +34,6 @@ __all__ = [
     "reduced_qubit_state",
     "reduced_state_from_factors",
     "partial_trace_second_qubit",
-    "coherence_factor",
     "EigenDecomposition",
     "eigendecompose",
 ]
@@ -100,31 +99,59 @@ class TwoQubitState:
     matrix: np.ndarray
 
 
+def _assemble(cfg, sd, bath, t, x=None, rel_tol=spectral.GAMMA_TH_RTOL):
+    """(fields, C): the factors of cfg's probe at a time or over a time grid.
+
+    The one place that decides which factors a probe has: Delta for the
+    two-qubit scheme only, the correlation factors for the correlated
+    preparation only, zero otherwise.  Without an estimand key x the fields
+    are the state's (gamma_vac, gamma_th, gamma_corr, Delta, phi, chi); with
+    one, the Fisher bundle's (Gamma, Delta, chi) and their x-slopes, and C
+    and phi are evaluated only for the correlation factors.
+    """
+    t, scalar = _times(t)
+    zero = np.zeros(t.shape)
+    two_qubit = cfg.scheme == TWO_QUBIT_TRACED
+    correlated = cfg.initial_state == CORRELATED
+    with np.errstate(all="ignore"):
+        g_vac = spectral.gamma_vac(sd, t)
+        g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
+        delta = spectral.delta_factor(sd, t) if two_qubit else zero
+        shift, phi = 0.0, zero
+        if correlated or x is None:
+            shift, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
+        g_corr = chi = zero
+        if correlated:
+            corr = correlations.corr_factors_from_parts(
+                shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
+            g_corr, chi = corr.gamma_corr, corr.chi
+        if x is None:
+            fields = (g_vac, g_th, g_corr, delta, phi, chi)
+        else:
+            d_gamma = spectral.d_gamma_dx(sd, bath, t, x, rel_tol=rel_tol)
+            d_delta = spectral.d_delta_dx(sd, t, x) if two_qubit else zero
+            d_chi = zero
+            if correlated:
+                # beta = 1/T: d beta/dT = -beta**2, 0 for the spectral estimands
+                d_beta = -(bath.beta * bath.beta) if x == "T" else 0.0
+                dg_corr, d_chi = correlations.d_corr_from_parts(
+                    shift, phi, spectral.d_c_shift_dx(sd, x), spectral.d_phi_dx(sd, t, x),
+                    bath.beta, d_beta, cfg.omega_0, cfg.correlation_scheme)
+                d_gamma = d_gamma + dg_corr
+            fields = (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi)
+    _check_finite(fields, sd, bath, t)
+    if scalar:
+        fields = (float(v[0]) for v in fields)
+    return fields, shift
+
+
 def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """All dephasing exponents/phases of the probe at time t, bundled.
 
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
     A non-finite factor raises NumericalError naming its (s, w_c, T, t).
     """
-    t, scalar = _times(t)
-    zero = np.zeros(t.shape)
-    with np.errstate(all="ignore"):
-        g_vac = spectral.gamma_vac(sd, t)
-        g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
-        phi = spectral.phi_factor(sd, t)
-        two_qubit = cfg.scheme == TWO_QUBIT_TRACED
-        delta = spectral.delta_factor(sd, t) if two_qubit else zero
-        shift = spectral.c_shift(sd)
-        if cfg.initial_state == CORRELATED:
-            corr = correlations.corr_factors_from_parts(
-                shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
-            g_corr, chi = corr.gamma_corr, corr.chi
-        else:
-            g_corr, chi = zero, zero
-    fields = (g_vac, g_th, g_corr, delta, phi, chi)
-    _check_finite(fields, sd, bath, t)
-    if scalar:
-        fields = (float(v[0]) for v in fields)
+    fields, shift = _assemble(cfg, sd, bath, t, rel_tol=rel_tol)
     return DephasingFactors(*fields, c_shift=shift)
 
 
@@ -180,12 +207,6 @@ def reduced_qubit_state(cfg, sd, bath, t):
     fac = dephasing_factors(cfg, sd, bath, t)
     return reduced_state_from_factors(cfg.omega_0, t, fac.gamma_total,
                                       fac.delta, fac.chi)
-
-
-def coherence_factor(cfg, sd, bath, t):
-    """Signed coherence envelope; the reduced eigenvalues are (1 -+ F)/2."""
-    fac = dephasing_factors(cfg, sd, bath, t)
-    return math.cos(fac.delta) * math.exp(-fac.gamma_total)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import correlations, dynamics, spectral
-from .dynamics import CORRELATED, TWO_QUBIT_TRACED, reduced_qubit_state
-from .spectral import BathState, _check_finite, _ratio, _times, _unpack
+from . import dynamics, spectral
+from .dynamics import reduced_qubit_state
+from .spectral import BathState, _ratio, _times, _unpack
 
 __all__ = [
     "Estimand",
@@ -107,38 +107,7 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """
     estimand, x = _resolve(estimand)
     _validate_estimand(estimand, sd, bath)
-    t, scalar = _times(t)
-    zero = np.zeros(t.shape)
-    with np.errstate(all="ignore"):
-        gamma = spectral.gamma_vac(sd, t) + spectral.gamma_th(sd, bath, t,
-                                                              rel_tol=rel_tol)
-        d_gamma = spectral.d_gamma_dx(sd, bath, t, x, rel_tol=rel_tol)
-        if cfg.scheme == TWO_QUBIT_TRACED:
-            delta = spectral.delta_factor(sd, t)
-            d_delta = spectral.d_delta_dx(sd, t, x)
-        else:
-            delta = d_delta = zero
-        chi = d_chi = zero
-        if cfg.initial_state == CORRELATED:
-            scheme = cfg.correlation_scheme
-            shift = spectral.c_shift(sd)
-            phi = spectral.phi_factor(sd, t)
-            corr = correlations.corr_factors_from_parts(
-                shift, phi, bath.beta, cfg.omega_0, scheme)
-            if x == "T":
-                dg_corr, d_chi = correlations.d_corr_d_temperature(
-                    shift, phi, bath.temperature, cfg.omega_0, scheme)
-            else:
-                dg_corr, d_chi = correlations.d_corr_from_parts(
-                    shift, phi, spectral.d_c_shift_dx(sd, x),
-                    spectral.d_phi_dx(sd, t, x), bath.beta, cfg.omega_0, scheme)
-            gamma = gamma + corr.gamma_corr
-            d_gamma = d_gamma + dg_corr
-            chi = corr.chi
-    fields = (gamma, delta, chi, d_gamma, d_delta, d_chi)
-    _check_finite(fields, sd, bath, t)
-    if scalar:
-        fields = (float(v[0]) for v in fields)
+    fields, _ = dynamics._assemble(cfg, sd, bath, t, x, rel_tol)
     return FactorBundle(*fields)
 
 
@@ -222,11 +191,23 @@ def qfi_spectral(state, d_state):
     return SpectralQFI(value=value, degenerate=eig.degenerate)
 
 
-def _estimand_step(estimand, sd, bath):
-    ref = Estimand(estimand).current_value(sd, bath)
-    if Estimand(estimand) is Estimand.TEMPERATURE:
-        return spectral.temperature_step(bath.temperature)
-    return 1e-4 * max(abs(ref), 1.0)
+def _estimand_slope(f, sd, bath, estimand, step):
+    """df/dx at offset 0 by a Richardson-extrapolated central difference.
+
+    ``f`` takes the offset from the estimand's value x; the default step is
+    max(1e-6, 1e-4 T) for the temperature and 1e-4 max(|x|, 1) otherwise.
+    """
+    estimand = Estimand(estimand)
+    value = estimand.current_value(sd, bath)
+    h = step
+    if h is None:
+        hot = estimand is Estimand.TEMPERATURE
+        h = max(1e-6, 1e-4 * value) if hot else 1e-4 * max(abs(value), 1.0)
+    if value - h <= 0.0:
+        h = 0.5 * value  # keep both sample points in the physical domain
+    d1 = (f(h) - f(-h)) / (2.0 * h)
+    d2 = (f(0.5 * h) - f(-0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
 
 
 def _shifted(cfg, sd, bath, estimand, h):
@@ -241,18 +222,12 @@ def _shifted(cfg, sd, bath, estimand, h):
 def state_derivative(cfg, sd, bath, estimand, t, step=None):
     """Entrywise d rho / dx by Richardson-extrapolated central differences."""
     _validate_estimand(Estimand(estimand), sd, bath)
-    h = step if step is not None else _estimand_step(estimand, sd, bath)
-    value = Estimand(estimand).current_value(sd, bath)
 
     def rho(offset):
         c, s, b = _shifted(cfg, sd, bath, estimand, offset)
         return reduced_qubit_state(c, s, b, t).matrix
 
-    if value - h <= 0.0:
-        h = 0.5 * value  # keep both sample points in the physical domain
-    d1 = (rho(h) - rho(-h)) / (2.0 * h)
-    d2 = (rho(0.5 * h) - rho(-0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return _estimand_slope(rho, sd, bath, estimand, step)
 
 
 def cfi(cfg, sd, bath, estimand, t, varphi):
@@ -289,8 +264,6 @@ def cfi_born(cfg, sd, bath, estimand, t, varphi, step=None):
     reduced state, their derivatives from finite differences of it.
     """
     _validate_estimand(Estimand(estimand), sd, bath)
-    h = step if step is not None else _estimand_step(estimand, sd, bath)
-    value = Estimand(estimand).current_value(sd, bath)
 
     def probs(offset):
         c, s, b = _shifted(cfg, sd, bath, estimand, offset)
@@ -302,11 +275,7 @@ def cfi_born(cfg, sd, bath, estimand, t, varphi, step=None):
     if np.any(p < _PROB_FLOOR):
         raise MeasurementUnderflowError(
             f"outcome probability below {_PROB_FLOOR} at varphi={varphi}")
-    if value - h <= 0.0:
-        h = 0.5 * value
-    d1 = (probs(h) - probs(-h)) / (2.0 * h)
-    d2 = (probs(0.5 * h) - probs(-0.5 * h)) / h
-    dp = (4.0 * d2 - d1) / 3.0
+    dp = _estimand_slope(probs, sd, bath, estimand, step)
     return float(np.sum(dp * dp / p))
 
 

@@ -14,9 +14,9 @@ tests pin the two against each other.
 The closed forms take the time as a scalar or as a 1-D array: an array
 returns the factor over the whole grid from one call, a scalar returns a
 float.  They are written so that in-domain inputs raise no floating-point
-warning; the assemblies that feed them (``fisher.factor_bundle``,
-``dynamics.dephasing_factors``) run under one ``np.errstate`` and check the
-result for non-finite values.
+warning; the one assembly that feeds them (``dynamics._assemble``, behind
+``dephasing_factors`` and ``factor_bundle``) runs under one ``np.errstate``
+and checks the result for non-finite values.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ __all__ = [
     "BathState",
     "DephasingFactors",
     "NumericalError",
+    "MIN_OHMICITY",
     "MAX_OHMICITY",
     "spectral_density",
     "gamma_vac",
     "gamma_th",
-    "gamma_un",
     "delta_factor",
     "phi_factor",
     "c_shift",
@@ -63,6 +63,11 @@ GAMMA_TH_RTOL = 1e-10
 #: below this bound it stays under 1e156, leaving room for the prefactors
 MAX_OHMICITY = 100.0
 
+#: smallest accepted Ohmicity: the vacuum kernel's two O(1) terms cancel to
+#: O(s), which costs gamma_vac about 1e-16 / s relative (1e-10 here), and
+#: Gamma(s) overflows below s = 5.6e-309
+MIN_OHMICITY = 1e-6
+
 
 class NumericalError(ArithmeticError):
     """A closed form came out non-finite or broke a sign it must keep.
@@ -76,15 +81,15 @@ class SpectralDensity:
     """Exponential-cutoff power-law bath spectrum (G, s, w_c)."""
 
     coupling: float      # G >= 0, dimensionless
-    ohmicity: float      # 0 < s <= MAX_OHMICITY
+    ohmicity: float      # MIN_OHMICITY <= s <= MAX_OHMICITY
     cutoff: float        # w_c > 0, units of the probe splitting
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not (self.coupling >= 0.0 and math.isfinite(self.coupling)):
             raise ValueError(f"coupling must be finite and >= 0, got {self.coupling}")
-        if not 0.0 < self.ohmicity <= MAX_OHMICITY:
-            raise ValueError(f"ohmicity must be in (0, {MAX_OHMICITY:g}], "
+        if not MIN_OHMICITY <= self.ohmicity <= MAX_OHMICITY:
+            raise ValueError(f"ohmicity must be in [{MIN_OHMICITY:g}, {MAX_OHMICITY:g}], "
                              f"got {self.ohmicity}")
         if not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
             raise ValueError(f"cutoff must be finite and > 0, got {self.cutoff}")
@@ -171,9 +176,9 @@ def _unpack(val, scalar):
 
 
 def _point(sd, bath, t):
-    """The (s, w_c, T, t) part of an error message."""
-    T = 0.0 if bath is None else bath.temperature
-    return f"s={sd.ohmicity!r}, w_c={sd.cutoff!r}, T={T!r}, t={float(t)!r}"
+    """The (s, w_c, T, t) part of an error message; no T without a bath."""
+    T = "" if bath is None else f"T={bath.temperature!r}, "
+    return f"s={sd.ohmicity!r}, w_c={sd.cutoff!r}, {T}t={float(t)!r}"
 
 
 def _check_finite(fields, sd, bath, t):
@@ -336,11 +341,6 @@ def c_shift(sd):
     """Static bath reorganization constant, integral of J(w)/w."""
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     return G * wc * math.gamma(s)
-
-
-def gamma_un(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
-    """Total uncorrelated dephasing exponent (vacuum + thermal)."""
-    return gamma_vac(sd, t) + gamma_th(sd, bath, t, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +584,6 @@ def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
 # ---------------------------------------------------------------------------
 # parameter derivatives
 # ---------------------------------------------------------------------------
-
-def temperature_step(temperature):
-    """Finite-difference step for temperature derivatives."""
-    return max(1e-6, 1e-4 * temperature)
-
 
 def _omega_c_parts(sd, t):
     """(G Gamma(s) t (1 + x**2)**(-s/2), s atan x): the vacuum cutoff slopes."""

@@ -12,7 +12,7 @@ import numpy as np
 from bathprobe import oracle
 from bathprobe.cli import Scenario, run_factors, run_qfi_sweep
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
-                                TWO_QUBIT_TRACED, ProbeConfig,
+                                TWO_QUBIT_TRACED, ProbeConfig, dephasing_factors,
                                 partial_trace_second_qubit, reduced_qubit_state,
                                 two_qubit_state)
 from bathprobe.fisher import (Estimand, cfi_from_bundle, factor_bundle,
@@ -309,12 +309,11 @@ def test_criterion_9_invariant_suite(tmp_path):
     checks.append(("partial trace", trace_ok))
 
     # level-shift continuity on a dense grid
-    from bathprobe.correlations import corr_factors_two_qubit
     sd = SpectralDensity(3.0, 1.0, 2.0)
     cold = BathState(0.2)
     grid = np.arange(1e-3, 15.0, 0.005)
-    chis = np.array([corr_factors_two_qubit(sd, cold, 1.0, float(t)).chi
-                     for t in grid])
+    chis = dephasing_factors(ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED),
+                             sd, cold, grid).chi
     checks.append(("chi continuity", float(np.max(np.abs(np.diff(chis))))
                    < 0.5 * math.pi))
 

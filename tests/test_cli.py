@@ -167,6 +167,8 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, raw):
 @pytest.mark.parametrize("section,key,raw,command", [
     ("spectral", "coupling", "-1", "optimize"),
     ("spectral", "ohmicity", "500", "factors"),
+    ("spectral", "ohmicity", "1e-309", "optimize"),
+    ("spectral", "ohmicity", "1e-9", "optimize"),
     ("sweep", "points", "1", "qfi-sweep"),
     ("time", "t-max", "-5", "optimize"),
     ("time", "points", "0", "factors"),

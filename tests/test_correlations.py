@@ -5,70 +5,101 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from bathprobe.correlations import (SINGLE_QUBIT, TWO_QUBIT,
-                                    corr_factors_from_parts,
-                                    corr_factors_single_qubit,
-                                    corr_factors_two_qubit, d_corr_dx,
+                                    corr_factors_from_parts, d_corr_from_parts,
                                     element_phase_factor)
+from bathprobe.dynamics import (CORRELATED, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
+                                ProbeConfig, dephasing_factors)
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
-                                phi_factor)
+                                d_c_shift_dx, d_phi_dx, phi_factor)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
+SCHEMES = (TWO_QUBIT, SINGLE_QUBIT)
+PROBES = {TWO_QUBIT: TWO_QUBIT_TRACED, SINGLE_QUBIT: SINGLE_QUBIT_PROBE}
 
 
 def rel_diff(a, b, floor=1e-12):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def preparation_sum(c, phi, beta, omega_0, scheme):
-    """Literal spin-sector sum defining the preparation factor X."""
-    if scheme == TWO_QUBIT:
-        pairs = [(p, q) for p in (1, -1) for q in (1, -1)]
-        num = den = 0.0
-        for (p, q) in pairs:
-            w = math.exp(-0.5 * beta * omega_0 * (p + q)) * 0.25 \
-                * math.exp(0.25 * beta * (p + q) ** 2 * c)
-            num += w * cmath.exp(1j * (p + q) * phi)
-            den += w
-        return num / den
-    num = den = 0.0
-    for p in (1, -1):
-        w = math.exp(-0.5 * beta * omega_0 * p) * 0.5 * math.exp(0.25 * beta * c)
-        num += w * cmath.exp(1j * p * phi)
+def corr(sd, bath, t, scheme=TWO_QUBIT, omega_0=1.0):
+    """(gamma_corr, chi) of the correlated probe, through the factor assembly."""
+    cfg = ProbeConfig(omega_0, PROBES[scheme], CORRELATED)
+    fac = dephasing_factors(cfg, sd, bath, t)
+    return fac.gamma_corr, fac.chi
+
+
+def d_corr(sd, bath, t, x, scheme=TWO_QUBIT, omega_0=1.0):
+    """(d gamma_corr/dx, d chi/dx) by the chain rule, d beta/dT = -beta**2."""
+    beta = bath.beta
+    d_beta = -beta * beta if x == "T" else 0.0
+    return d_corr_from_parts(c_shift(sd), phi_factor(sd, t), d_c_shift_dx(sd, x),
+                             d_phi_dx(sd, t, x), beta, d_beta, omega_0, scheme)
+
+
+def preparation_sum(c, phi, beta, omega_0, scheme, exp=cmath.exp):
+    """Literal spin-sector sum defining the preparation factor X.
+
+    A sector of total spin m = p (+ q for two qubits) has weight
+    exp(-beta w0 m / 2 + beta m**2 C / 4) and phase exp(i m phi).  ``exp``
+    picks the arithmetic: cmath.exp for doubles, mpmath's exp for the
+    high-precision reference.
+    """
+    spins = [p + q for p in (1, -1) for q in (1, -1)] if scheme == TWO_QUBIT else [1, -1]
+    num = den = 0
+    for m in spins:
+        w = exp(-0.5 * beta * omega_0 * m + 0.25 * beta * m * m * c)
+        num += w * exp(1j * m * phi)
         den += w
     return num / den
 
 
+def richardson_d_temperature(c, phi, temperature, omega_0, scheme):
+    """(d gamma_corr/dT, d chi/dT) by the Richardson-extrapolated central
+    difference that the chain rule replaced (one step forward near T = 0)."""
+    def factors(temp):
+        f = corr_factors_from_parts(c, phi, 1.0 / temp, omega_0, scheme)
+        return np.array([f.gamma_corr, f.chi])
+
+    T = temperature
+    h = max(1e-6, 1e-4 * T)
+    if T - h <= 0.0:
+        return (factors(T + h) - factors(T)) / h
+    d1 = (factors(T + h) - factors(T - h)) / (2.0 * h)
+    d2 = (factors(T + 0.5 * h) - factors(T - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def test_two_qubit_time_zero():
-    bath = BathState(0.8)
-    f = corr_factors_two_qubit(OHMIC, bath, 1.0, 0.0)
-    assert f.gamma_corr == pytest.approx(0.0, abs=1e-14)
-    assert f.chi == 0.0
+    g, chi = corr(OHMIC, BathState(0.8), 0.0)
+    assert g == pytest.approx(0.0, abs=1e-14)
+    assert chi == 0.0
 
 
 def test_two_qubit_zero_temperature_values():
-    f = corr_factors_two_qubit(OHMIC, BathState(0.0), 1.0, 1.0)
-    assert f.gamma_corr == 0.0
-    assert f.chi == pytest.approx(math.pi / 2.0, rel=1e-14)  # 2 * phi(t=1)
+    g, chi = corr(OHMIC, BathState(0.0), 1.0)
+    assert g == 0.0
+    assert chi == pytest.approx(math.pi / 2.0, rel=1e-14)  # 2 * phi(t=1)
 
 
 def test_zero_coupling_is_inert():
     sd = SpectralDensity(0.0, 1.0, 1.0)
     for t in (0.0, 0.7, 4.0):
-        f = corr_factors_two_qubit(sd, BathState(0.6), 1.0, t)
-        assert f.gamma_corr == pytest.approx(0.0, abs=1e-14)
-        assert f.chi == pytest.approx(0.0, abs=1e-14)
+        g, chi = corr(sd, BathState(0.6), t)
+        assert g == pytest.approx(0.0, abs=1e-14)
+        assert chi == pytest.approx(0.0, abs=1e-14)
 
 
 def test_single_qubit_examples():
-    f0 = corr_factors_single_qubit(OHMIC, BathState(0.9), 1.0, 0.0)
-    assert (f0.gamma_corr, f0.chi) == (pytest.approx(0.0, abs=1e-14), 0.0)
-    fz = corr_factors_single_qubit(OHMIC, BathState(0.0), 1.0, 1.0)
-    assert fz.chi == pytest.approx(math.pi / 4.0, rel=1e-14)
-    assert fz.gamma_corr == 0.0
-    fhot = corr_factors_single_qubit(OHMIC, BathState(1e8), 1.0, 1.0)
-    assert abs(fhot.chi) < 1e-7
+    g0, chi0 = corr(OHMIC, BathState(0.9), 0.0, SINGLE_QUBIT)
+    assert (g0, chi0) == (pytest.approx(0.0, abs=1e-14), 0.0)
+    gz, chiz = corr(OHMIC, BathState(0.0), 1.0, SINGLE_QUBIT)
+    assert chiz == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert gz == 0.0
+    _, chi_hot = corr(OHMIC, BathState(1e8), 1.0, SINGLE_QUBIT)
+    assert abs(chi_hot) < 1e-7
 
 
 def test_gamma_corr_nonnegative():
@@ -79,8 +110,8 @@ def test_gamma_corr_nonnegative():
                              float(rng.uniform(0.5, 5.0)))
         bath = BathState(float(rng.uniform(0.05, 3.0)))
         t = float(rng.uniform(0.0, 10.0))
-        for fn in (corr_factors_two_qubit, corr_factors_single_qubit):
-            assert fn(sd, bath, 1.0, t).gamma_corr >= -1e-14
+        for scheme in SCHEMES:
+            assert corr(sd, bath, t, scheme)[0] >= -1e-14
 
 
 @pytest.mark.parametrize("scheme", [TWO_QUBIT, SINGLE_QUBIT])
@@ -127,11 +158,11 @@ def test_stabilized_matches_zero_temperature_limit():
         cold = BathState(1.0 / beta)
         zero = BathState(0.0)
         for t in (0.3, 1.0, 5.0, 12.0):
-            for fn in (corr_factors_two_qubit, corr_factors_single_qubit):
-                f_cold = fn(sd, cold, omega_0, t)
-                f_zero = fn(sd, zero, omega_0, t)
-                assert abs(f_cold.gamma_corr - f_zero.gamma_corr) < 1e-8
-                assert abs(f_cold.chi - f_zero.chi) < 1e-8
+            for scheme in SCHEMES:
+                g_cold, chi_cold = corr(sd, cold, t, scheme, omega_0)
+                g_zero, chi_zero = corr(sd, zero, t, scheme, omega_0)
+                assert abs(g_cold - g_zero) < 1e-8
+                assert abs(chi_cold - chi_zero) < 1e-8
 
 
 def test_chi_unwrapping_is_continuous():
@@ -139,8 +170,7 @@ def test_chi_unwrapping_is_continuous():
     sd = SpectralDensity(3.0, 1.0, 2.0)
     bath = BathState(0.2)
     ts = np.arange(1e-3, 20.0, 0.005)
-    chis = np.array([corr_factors_two_qubit(sd, bath, 1.0, float(t)).chi
-                     for t in ts])
+    _, chis = corr(sd, bath, ts)
     assert np.max(np.abs(np.diff(chis))) < 0.5 * math.pi
     assert chis.max() > 2.0 * math.pi  # actually wound past a full wrap
 
@@ -151,16 +181,14 @@ def test_chain_rule_derivatives_match_fd(scheme, x):
     sd = SpectralDensity(0.9, 0.7, 1.8)
     bath = BathState(1.1)
     omega_0, t = 1.0, 1.3
-    dg, dc = d_corr_dx(sd, bath, omega_0, t, x, scheme)
+    dg, dc = d_corr(sd, bath, t, x, scheme, omega_0)
 
     def factors(value):
         if x == "omega_c":
             sdx = SpectralDensity(sd.coupling, sd.ohmicity, value)
         else:
             sdx = SpectralDensity(value, sd.ohmicity, sd.cutoff)
-        fn = corr_factors_two_qubit if scheme == TWO_QUBIT else corr_factors_single_qubit
-        f = fn(sdx, bath, omega_0, t)
-        return f.gamma_corr, f.chi
+        return corr(sdx, bath, t, scheme, omega_0)
 
     x0 = sd.cutoff if x == "omega_c" else sd.coupling
     h = 1e-6 * x0
@@ -173,12 +201,11 @@ def test_chain_rule_derivatives_match_fd(scheme, x):
 def test_temperature_derivative_matches_fd():
     sd = SpectralDensity(0.6, 1.0, 2.0)
     bath = BathState(1.0)
-    dg, dc = d_corr_dx(sd, bath, 1.0, 1.0, "T", TWO_QUBIT)
+    dg, dc = d_corr(sd, bath, 1.0, "T")
     h = 1e-7
 
     def factors(T):
-        f = corr_factors_two_qubit(sd, BathState(T), 1.0, 1.0)
-        return f.gamma_corr, f.chi
+        return corr(sd, BathState(T), 1.0)
 
     gp, cp = factors(1.0 + h)
     gm, cm = factors(1.0 - h)
@@ -189,21 +216,81 @@ def test_temperature_derivative_matches_fd():
 def test_zero_temperature_derivatives_reduce_to_phase_kernel():
     sd = SpectralDensity(0.8, 0.5, 2.0)
     zero = BathState(0.0)
-    from bathprobe.spectral import d_phi_dx
     for t in (0.3, 1.4, 2.2, 5.1):
         for x in ("omega_c", "G"):
-            dg2, dc2 = d_corr_dx(sd, zero, 1.0, t, x, TWO_QUBIT)
-            dg1, dc1 = d_corr_dx(sd, zero, 1.0, t, x, SINGLE_QUBIT)
+            dg2, dc2 = d_corr(sd, zero, t, x, TWO_QUBIT)
+            dg1, dc1 = d_corr(sd, zero, t, x, SINGLE_QUBIT)
             assert dg2 == 0.0 and dg1 == 0.0
             assert dc2 == pytest.approx(2.0 * d_phi_dx(sd, t, x), rel=1e-13)
             assert dc1 == pytest.approx(d_phi_dx(sd, t, x), rel=1e-13)
-    assert d_corr_dx(sd, zero, 1.0, 1.4, "T", TWO_QUBIT) == (0.0, 0.0)
+    for scheme in SCHEMES:
+        assert d_corr(sd, zero, 1.4, "T", scheme) == (0.0, 0.0)
 
 
 def test_ohmic_level_shift_cutoff_derivative_at_zero_temperature():
     # two-qubit, Ohmic, T = 0: d chi / d omega_c = 2 G t / (1 + (wc t)^2)
     sd = SpectralDensity(0.7, 1.0, 1.5)
     t = 2.0
-    _, dc = d_corr_dx(sd, BathState(0.0), 1.0, t, "omega_c", TWO_QUBIT)
+    _, dc = d_corr(sd, BathState(0.0), t, "omega_c")
     expected = 2.0 * sd.coupling * t / (1.0 + (sd.cutoff * t) ** 2)
     assert dc == pytest.approx(expected, rel=1e-13)
+
+
+def random_point(rng):
+    """(C, phi over a few times, w0) of a random bath, probe and time grid."""
+    sd = SpectralDensity(float(rng.uniform(0.05, 2.0)),
+                         float(rng.uniform(0.3, 2.2)),
+                         float(rng.uniform(0.5, 4.0)))
+    ts = np.sort(rng.uniform(0.01, 8.0, 3))
+    return c_shift(sd), phi_factor(sd, ts), float(rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_temperature_chain_rule_matches_mpmath(scheme):
+    # reference: the literal preparation sum X at 50 digits, differentiated
+    # in T by mpmath; gamma_corr = -log|X| and chi = -arg X
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    with mp.workdps(50):
+        for T in np.geomspace(0.05, 20.0, 30).tolist():
+            c, phis, omega_0 = random_point(rng)
+            beta = 1.0 / T
+            dg, dc = d_corr_from_parts(c, phis, 0.0, 0.0, beta, -beta * beta,
+                                       omega_0, scheme)
+            for k, phi in enumerate(phis.tolist()):
+                def x(temp):
+                    return preparation_sum(mp.mpf(c), mp.mpf(phi), 1 / temp,
+                                           omega_0, scheme, exp=mp.exp)
+
+                ratio = mp.diff(x, mp.mpf(T)) / x(mp.mpf(T))
+                for got, ref in ((dg[k], -ratio.real), (dc[k], -ratio.imag)):
+                    ref = float(ref)
+                    worst = max(worst, abs(got - ref) / max(abs(ref), 1e-6))
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_temperature_chain_rule_matches_richardson(scheme):
+    rng = np.random.default_rng(44)
+    for T in np.geomspace(0.05, 20.0, 40).tolist():
+        c, phis, omega_0 = random_point(rng)
+        beta = 1.0 / T
+        got = np.array(d_corr_from_parts(c, phis, 0.0, 0.0, beta, -beta * beta,
+                                         omega_0, scheme))
+        ref = richardson_d_temperature(c, phis, T, omega_0, scheme)
+        assert np.all(np.abs(got - ref) <= 1e-7 * np.maximum(1.0, np.abs(got)))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("sd,omega_0", [(OHMIC, 1.0), (SpectralDensity(0.0, 1.0, 1.0), 0.5),
+                                        (SpectralDensity(2.0, 0.5, 3.0), 1.0)])
+def test_temperature_chain_rule_at_extreme_temperatures(scheme, sd, omega_0):
+    # beta**2 overflows below T ~ 7e-155, where e and sech**2 underflow to 0;
+    # at T = 1e8 the two-qubit weight e is 1 for G = 0, w0 = 0.5 and 1 - 1e-8
+    # otherwise.  Tier-1 turns any RuntimeWarning into a failure.
+    ts = np.array([0.0, 0.3, 2.0, 40.0])
+    for T in (1e-300, 1e-160, 1e8):
+        dg, dc = d_corr(sd, BathState(T), ts, "T", scheme, omega_0)
+        assert np.all(np.isfinite(dg)) and np.all(np.isfinite(dc))
+        if T < 1.0:
+            assert np.all(dg == 0.0) and np.all(dc == 0.0)

@@ -7,7 +7,7 @@ import pytest
 
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
-                                coherence_factor, dephasing_factors,
+                                dephasing_factors,
                                 eigendecompose, partial_trace_second_qubit,
                                 reduced_qubit_state, reduced_state_from_factors,
                                 two_qubit_state)
@@ -101,6 +101,12 @@ def test_reduced_state_positivity_and_shape():
                 assert st.rho10 == np.conj(st.rho01)
                 evals = np.linalg.eigvalsh(st.matrix)
                 assert np.all(evals > -1e-12) and np.all(evals < 1.0 + 1e-12)
+
+
+def coherence_factor(cfg, sd, bath, t):
+    """Signed coherence envelope; the reduced eigenvalues are (1 -+ F)/2."""
+    fac = dephasing_factors(cfg, sd, bath, t)
+    return math.cos(fac.delta) * math.exp(-fac.gamma_total)
 
 
 def test_coherence_factor_examples():

@@ -11,9 +11,8 @@ from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_sh
                                 d_c_shift_dx, d_delta_d_omega_c, d_delta_dx,
                                 d_gamma_dx, d_gamma_th_d_temperature,
                                 d_gamma_vac_d_omega_c, d_phi_d_omega_c,
-                                d_phi_dx, delta_factor, gamma_th, gamma_un,
-                                gamma_vac, phi_factor, quadrature_factor,
-                                spectral_density)
+                                d_phi_dx, delta_factor, gamma_th, gamma_vac,
+                                phi_factor, quadrature_factor, spectral_density)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 
@@ -37,9 +36,11 @@ def test_spectral_density_validation():
 
 @pytest.mark.parametrize("args", [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0),
                                   (1.0, 1.0, math.nan), (math.inf, 1.0, 1.0),
-                                  (1.0, 1.0, math.inf), (1.0, 172.0, 1.0)])
+                                  (1.0, 1.0, math.inf), (1.0, 172.0, 1.0),
+                                  (1.0, 1e-309, 1.0), (1.0, 1e-9, 1.0)])
 def test_spectral_density_rejects_nan_inf_and_huge_ohmicity(args):
-    # Gamma(s) overflows a double past s = 171.6
+    # Gamma(s) overflows a double past s = 171.6 and below s = 5.6e-309; below
+    # s = 1e-6 the vacuum kernel's O(1) terms cancel to O(s)
     with pytest.raises(ValueError):
         SpectralDensity(*args)
 
@@ -57,7 +58,20 @@ def test_vacuum_sign_guard_is_an_error_class(monkeypatch):
                         lambda s, wc, t: (-np.ones(t.shape), np.zeros(t.shape)))
     with pytest.raises(NumericalError) as err:
         gamma_vac(SpectralDensity(1.0, 0.5, 2.0), 3.0)
-    assert "s=0.5, w_c=2.0, T=0.0, t=3.0" in str(err.value)
+    assert "s=0.5, w_c=2.0, t=3.0" in str(err.value)
+
+
+def test_vacuum_sign_guard_names_no_temperature(monkeypatch):
+    # the vacuum exponent does not depend on T, so its guard names none,
+    # rather than T = 0 on a hot bath
+    from bathprobe import spectral
+    from bathprobe.dynamics import CORRELATED, ProbeConfig, dephasing_factors
+    monkeypatch.setattr(spectral, "_vacuum_kernel",
+                        lambda s, wc, t: (-np.ones(t.shape), np.zeros(t.shape)))
+    cfg = ProbeConfig(1.0, initial_state=CORRELATED)
+    with pytest.raises(NumericalError) as err:
+        dephasing_factors(cfg, SpectralDensity(1.0, 0.5, 2.0), BathState(0.5), 3.0)
+    assert str(err.value).endswith(" at s=0.5, w_c=2.0, t=3.0")
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
@@ -377,9 +391,11 @@ def test_series_bound_past_tolerance_raises_with_point():
 
 
 def test_gamma_un_combines_parts():
+    # the uncorrelated exponent that the two-qubit state reads
+    from bathprobe.dynamics import ProbeConfig, dephasing_factors
     sd = SpectralDensity(0.5, 1.0, 2.0)
     bath = BathState(0.8)
-    assert gamma_un(sd, bath, 1.5) == pytest.approx(
+    assert dephasing_factors(ProbeConfig(), sd, bath, 1.5).gamma_un == pytest.approx(
         gamma_vac(sd, 1.5) + gamma_th(sd, bath, 1.5), rel=1e-14)
 
 
@@ -390,7 +406,6 @@ def test_gamma_un_combines_parts():
 GRID_FORMS = {
     "gamma_vac": lambda sd, bath, t: gamma_vac(sd, t),
     "gamma_th": lambda sd, bath, t: gamma_th(sd, bath, t),
-    "gamma_un": lambda sd, bath, t: gamma_un(sd, bath, t),
     "delta": lambda sd, bath, t: delta_factor(sd, t),
     "phi": lambda sd, bath, t: phi_factor(sd, t),
     "d_gamma_vac_d_omega_c": lambda sd, bath, t: d_gamma_vac_d_omega_c(sd, t),
