@@ -554,7 +554,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="scenario config file")
         add_out(p)
         p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--grid", type=int)
+        p.add_argument("--grid", type=int,
+                       help="coarse optimization grid size; at least 64 points are used")
         p.add_argument("--tol", type=float)
 
     add_common(sub.add_parser("factors", help="time-resolved dephasing factors"))

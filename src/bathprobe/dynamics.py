@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from . import correlations, spectral
 from .correlations import SINGLE_QUBIT, TWO_QUBIT
-from .spectral import DephasingFactors, _check_finite, _times
+from .spectral import DephasingFactors, SpectralDensity, _check_finite, _times
 
 __all__ = [
     "TWO_QUBIT_TRACED",
     "SINGLE_QUBIT_PROBE",
     "FACTORIZED",
     "CORRELATED",
+    "Estimand",
     "ProbeConfig",
     "QubitState",
     "TwoQubitState",
@@ -45,6 +47,21 @@ CORRELATED = "correlated"
 
 #: row/column ordering of the two-qubit matrix: sigma_z eigenvalues (k, l)
 BASIS_LABELS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+class Estimand(str, Enum):
+    """Environment parameter being estimated."""
+
+    CUTOFF_FREQUENCY = "cutoff_frequency"
+    COUPLING_STRENGTH = "coupling_strength"
+    TEMPERATURE = "temperature"
+
+    def current_value(self, sd, bath):
+        if self is Estimand.CUTOFF_FREQUENCY:
+            return sd.cutoff
+        if self is Estimand.COUPLING_STRENGTH:
+            return sd.coupling
+        return bath.temperature
 
 
 @dataclass(frozen=True)
@@ -99,44 +116,71 @@ class TwoQubitState:
     matrix: np.ndarray
 
 
-def _assemble(cfg, sd, bath, t, x=None, rel_tol=spectral.GAMMA_TH_RTOL):
+def _factors(cfg, sd, bath, t, rel_tol, phases):
+    """(gamma_vac, gamma_th, Delta, C, phi) of cfg's probe over the grid t.
+
+    Delta only for the two-qubit scheme, C and phi only if ``phases``; a
+    factor left out is zero.
+    """
+    zero = np.zeros(t.shape)
+    g_vac = spectral.gamma_vac(sd, t)
+    g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
+    delta = spectral.delta_factor(sd, t) if cfg.scheme == TWO_QUBIT_TRACED else zero
+    shift, phi = 0.0, zero
+    if phases:
+        shift, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
+    return g_vac, g_th, delta, shift, phi
+
+
+def _assemble(cfg, sd, bath, t, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
     """(fields, C): the factors of cfg's probe at a time or over a time grid.
 
-    The one place that decides which factors a probe has: Delta for the
+    The one place that decides which factors a probe has (Delta for the
     two-qubit scheme only, the correlation factors for the correlated
-    preparation only, zero otherwise.  Without an estimand key x the fields
-    are the state's (gamma_vac, gamma_th, gamma_corr, Delta, phi, chi); with
-    one, the Fisher bundle's (Gamma, Delta, chi) and their x-slopes, and C
-    and phi are evaluated only for the correlation factors.
+    preparation only, zero otherwise) and how each moves with the estimand.
+    Without an estimand the fields are the state's (gamma_vac, gamma_th,
+    gamma_corr, Delta, phi, chi); with one, the Fisher bundle's
+    (Gamma, Delta, chi) and their slopes, and C and phi are evaluated only
+    for the correlation factors.
     """
     t, scalar = _times(t)
     zero = np.zeros(t.shape)
-    two_qubit = cfg.scheme == TWO_QUBIT_TRACED
     correlated = cfg.initial_state == CORRELATED
     with np.errstate(all="ignore"):
-        g_vac = spectral.gamma_vac(sd, t)
-        g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
-        delta = spectral.delta_factor(sd, t) if two_qubit else zero
-        shift, phi = 0.0, zero
-        if correlated or x is None:
-            shift, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
+        g_vac, g_th, delta, shift, phi = _factors(cfg, sd, bath, t, rel_tol,
+                                                  correlated or estimand is None)
         g_corr = chi = zero
         if correlated:
             corr = correlations.corr_factors_from_parts(
                 shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
             g_corr, chi = corr.gamma_corr, corr.chi
-        if x is None:
+        if estimand is None:
             fields = (g_vac, g_th, g_corr, delta, phi, chi)
         else:
-            d_gamma = spectral.d_gamma_dx(sd, bath, t, x, rel_tol=rel_tol)
-            d_delta = spectral.d_delta_dx(sd, t, x) if two_qubit else zero
-            d_chi = zero
+            d_delta = d_phi = d_chi = zero
+            d_shift = d_beta = 0.0
+            if estimand is Estimand.COUPLING_STRENGTH:
+                # every factor is linear in G: its slope is its value at G = 1
+                unit = SpectralDensity(1.0, sd.ohmicity, sd.cutoff)
+                dg_vac, dg_th, d_delta, d_shift, d_phi = _factors(
+                    cfg, unit, bath, t, rel_tol, correlated)
+                d_gamma = dg_vac + dg_th
+            elif estimand is Estimand.CUTOFF_FREQUENCY:
+                d_gamma = spectral.d_gamma_d_omega_c(sd, bath, t, rel_tol)
+                if cfg.scheme == TWO_QUBIT_TRACED:
+                    d_delta = spectral.d_delta_d_omega_c(sd, t)
+                if correlated:
+                    # C = G w_c Gamma(s)
+                    d_shift = sd.coupling * math.gamma(sd.ohmicity)
+                    d_phi = spectral.d_phi_d_omega_c(sd, t)
+            else:
+                # only gamma_th and beta = 1/T move with T: d beta/dT = -beta**2
+                d_gamma = spectral.d_gamma_th_d_temperature(sd, bath, t, rel_tol=rel_tol)
+                d_beta = -(bath.beta * bath.beta)
             if correlated:
-                # beta = 1/T: d beta/dT = -beta**2, 0 for the spectral estimands
-                d_beta = -(bath.beta * bath.beta) if x == "T" else 0.0
                 dg_corr, d_chi = correlations.d_corr_from_parts(
-                    shift, phi, spectral.d_c_shift_dx(sd, x), spectral.d_phi_dx(sd, t, x),
-                    bath.beta, d_beta, cfg.omega_0, cfg.correlation_scheme)
+                    shift, phi, d_shift, d_phi, bath.beta, d_beta, cfg.omega_0,
+                    cfg.correlation_scheme)
                 d_gamma = d_gamma + dg_corr
             fields = (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi)
     _check_finite(fields, sd, bath, t)
@@ -220,12 +264,6 @@ class EigenDecomposition:
     populations: tuple
     azimuths: tuple
     degenerate: bool
-
-    def bloch_vectors(self):
-        out = []
-        for az in self.azimuths:
-            out.append(np.array([math.cos(az), math.sin(az), 0.0]))
-        return tuple(out)
 
 
 def eigendecompose(state, degeneracy_tol=0.0):

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from . import dynamics, spectral
-from .dynamics import reduced_qubit_state
+from .dynamics import Estimand, reduced_qubit_state
 from .spectral import BathState, _ratio, _times, _unpack
 
 __all__ = [
@@ -36,42 +35,9 @@ __all__ = [
     "MeasurementUnderflowError",
     "optimal_angle",
     "optimal_angle_from_bundle",
-    "FisherCurve",
     "FisherOptimum",
-    "qfi_curve",
     "optimize_qfi_over_time",
 ]
-
-
-class Estimand(str, Enum):
-    """Environment parameter being estimated."""
-
-    CUTOFF_FREQUENCY = "cutoff_frequency"
-    COUPLING_STRENGTH = "coupling_strength"
-    TEMPERATURE = "temperature"
-
-    def current_value(self, sd, bath):
-        if self is Estimand.CUTOFF_FREQUENCY:
-            return sd.cutoff
-        if self is Estimand.COUPLING_STRENGTH:
-            return sd.coupling
-        return bath.temperature
-
-
-#: (member, spectral derivative key) of each estimand; a str-valued member
-#: hashes as its value, so both look up the same entry
-_RESOLVED = {e: (e, key) for e, key in (
-    (Estimand.CUTOFF_FREQUENCY, "omega_c"),
-    (Estimand.COUPLING_STRENGTH, "G"),
-    (Estimand.TEMPERATURE, "T"))}
-
-
-def _resolve(estimand):
-    """(Estimand, derivative key) of a member or of its value."""
-    try:
-        return _RESOLVED[estimand]
-    except KeyError:
-        raise ValueError(f"{estimand!r} is not a valid Estimand") from None
 
 
 @dataclass(frozen=True)
@@ -105,9 +71,9 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
     A non-finite factor raises NumericalError naming its (s, w_c, T, t).
     """
-    estimand, x = _resolve(estimand)
+    estimand = Estimand(estimand)
     _validate_estimand(estimand, sd, bath)
-    fields, _ = dynamics._assemble(cfg, sd, bath, t, x, rel_tol)
+    fields, _ = dynamics._assemble(cfg, sd, bath, t, estimand, rel_tol)
     return FactorBundle(*fields)
 
 
@@ -297,20 +263,6 @@ def optimal_angle_from_bundle(b, omega_0, t):
 
 
 @dataclass(frozen=True)
-class FisherCurve:
-    """Fisher information sampled over a time grid."""
-
-    estimand: Estimand
-    times: np.ndarray
-    qfi: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("time grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class FisherOptimum:
     """Maximum of the QFI over the interaction time."""
 
@@ -318,12 +270,6 @@ class FisherOptimum:
     f_star: float
     boundary_hit: bool
     flat: bool = False
-
-
-def qfi_curve(cfg, sd, bath, estimand, times):
-    times = np.asarray(times, dtype=float)
-    vals = qfi_closed(cfg, sd, bath, estimand, times)
-    return FisherCurve(estimand=Estimand(estimand), times=times, qfi=vals)
 
 
 #: 1/phi, the golden-section shrink factor
@@ -409,9 +355,9 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
                            rel_time_tol=1e-6, rel_tol=spectral.GAMMA_TH_RTOL):
     """Maximize the QFI over t in [1e-3 / w_c, t_max].
 
-    Coarse log-spaced scan followed by golden-section refinement inside the
-    best bracketing interval; both evaluate whole time arrays per factor
-    bundle.  ``boundary_hit`` marks a maximizer at t_max (typical in
+    Coarse log-spaced scan of max(grid_size, 64) points followed by
+    golden-section refinement inside the best bracketing interval; both
+    evaluate whole time arrays per factor bundle.  ``boundary_hit`` marks a maximizer at t_max (typical in
     regimes where the information keeps accumulating); ``flat`` marks an
     information-free curve (such as G = 0).
     """

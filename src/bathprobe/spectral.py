@@ -1,4 +1,4 @@
-"""Bath spectral density, dephasing exponents, and their parameter derivatives.
+"""Bath spectral density, dephasing exponents, and their cutoff and temperature slopes.
 
 The bath is an exponentially cut off power-law spectral density
 
@@ -9,7 +9,9 @@ s > 1 super-Ohmic) and cutoff frequency w_c, all in units of the probe
 splitting.  Every factor below is a closed form, the thermal exponent a
 Bose series of vacuum-type terms; each has an independent quadrature route
 (``quadrature_factor``) evaluating the defining integral directly, and the
-tests pin the two against each other.
+tests pin the two against each other.  Every factor is linear in G, so its
+coupling slope is the factor itself at G = 1 and needs no form of its own;
+the temperature moves only the thermal exponent.
 
 The closed forms take the time as a scalar or as a 1-D array: an array
 returns the factor over the whole grid from one call, a scalar returns a
@@ -42,16 +44,9 @@ __all__ = [
     "delta_factor",
     "phi_factor",
     "c_shift",
-    "d_gamma_dx",
-    "d_delta_dx",
-    "d_phi_dx",
-    "d_c_shift_dx",
     "quadrature_factor",
     "QUAD_KINDS",
 ]
-
-#: estimand keys accepted by the derivative dispatchers
-DERIVATIVE_KEYS = ("omega_c", "G", "T")
 
 #: integral kinds exposed by the quadrature verification route
 QUAD_KINDS = ("gamma_vac", "gamma_th", "delta", "phi", "c_shift")
@@ -262,33 +257,25 @@ def _vacuum_kernel(s, wc, t):
 def gamma_vac(sd, t):
     """Vacuum dephasing exponent G Gamma(s) Re K; >= 0, zero at t = 0."""
     t, scalar = _times(t)
-    return _unpack(_gamma_vac(sd.coupling, sd, t), scalar)
-
-
-def _gamma_vac(G, sd, t):
+    G, s = sd.coupling, sd.ohmicity
     if G == 0.0:
-        return np.zeros(t.shape)
-    s = sd.ohmicity
+        return _unpack(np.zeros(t.shape), scalar)
     val = G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[0]
     # the defining integral has a positive integrand
     if not (val >= 0.0).all():
         i = int(np.argmin(val >= 0.0))
         raise NumericalError(f"vacuum exponent came out {val[i]!r} at "
                              f"{_point(sd, None, t[i])}")
-    return val
+    return _unpack(val, scalar)
 
 
 def phi_factor(sd, t):
     """Phase kernel -G Gamma(s) Im K feeding the initial-correlation level shift."""
     t, scalar = _times(t)
-    return _unpack(_phi(sd.coupling, sd, t), scalar)
-
-
-def _phi(G, sd, t):
+    G, s = sd.coupling, sd.ohmicity
     if G == 0.0:
-        return np.zeros(t.shape)
-    s = sd.ohmicity
-    return -G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[1]
+        return _unpack(np.zeros(t.shape), scalar)
+    return _unpack(-G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[1], scalar)
 
 
 def delta_factor(sd, t):
@@ -300,13 +287,10 @@ def delta_factor(sd, t):
     remainder -Im(K - log(1 - i x)) = b (expm1(u) sinc v + sinc v - 1).
     """
     t, scalar = _times(t)
-    return _unpack(_delta(sd.coupling, sd, t), scalar)
-
-
-def _delta(G, sd, t):
+    G, s = sd.coupling, sd.ohmicity
     if G == 0.0:
-        return np.zeros(t.shape)
-    return G * math.gamma(sd.ohmicity) * _delta_shape(sd.ohmicity, sd.cutoff, t)
+        return _unpack(np.zeros(t.shape), scalar)
+    return _unpack(G * math.gamma(s) * _delta_shape(s, sd.cutoff, t), scalar)
 
 
 @_last_call
@@ -554,21 +538,15 @@ def _certified_sums(sd, bath, t, rel_tol):
                 else f"bound exceeds rel_tol={rel_tol!r}")
         raise QuadratureError(
             f"thermal series {what} at {_point(sd, bath, t[worst])}",
-            float(_prefactor(sd.coupling, s, wc) * sums[0][worst]),
+            float(_prefactor(sd) * sums[0][worst]),
             float(bound[worst]))
     return sums
 
 
-def _prefactor(G, s, wc):
+def _prefactor(sd):
     """2 G Gamma(s) w_c**(1-s), the factor in front of the Bose sums."""
-    return 2.0 * G * math.gamma(s) * wc ** (1.0 - s)
-
-
-def _gamma_th(G, sd, bath, t, rel_tol):
-    if _cold(bath) or G == 0.0:
-        return np.zeros(t.shape)
-    return (_prefactor(G, sd.ohmicity, sd.cutoff)
-            * _certified_sums(sd, bath, t, rel_tol)[0])
+    s = sd.ohmicity
+    return 2.0 * sd.coupling * math.gamma(s) * sd.cutoff ** (1.0 - s)
 
 
 def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
@@ -578,7 +556,9 @@ def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     point that misses it raises QuadratureError naming that point.
     """
     t, scalar = _times(t)
-    return _unpack(_gamma_th(sd.coupling, sd, bath, t, rel_tol), scalar)
+    if _cold(bath) or sd.coupling == 0.0:
+        return _unpack(np.zeros(t.shape), scalar)
+    return _unpack(_prefactor(sd) * _certified_sums(sd, bath, t, rel_tol)[0], scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -613,25 +593,18 @@ def d_delta_d_omega_c(sd, t):
     return _unpack(val, scalar)
 
 
-def d_gamma_dx(sd, bath, t, x, rel_tol=GAMMA_TH_RTOL):
-    """Derivative of the uncorrelated exponent gamma_vac + gamma_th.
+def d_gamma_d_omega_c(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
+    """Cutoff derivative of the uncorrelated exponent gamma_vac + gamma_th.
 
-    Closed form for every estimand; the thermal part differentiates its Bose
-    series, through w_c**(1-s) and a_n for the cutoff.
+    The thermal part differentiates its Bose series through w_c**(1-s) and
+    the shifted inverse cutoffs a_n.
     """
     t, scalar = _times(t)
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
-    if x == "omega_c":
-        d = d_gamma_vac_d_omega_c(sd, t)
-        if not (_cold(bath) or G == 0.0):
-            s0, s1, _ = _certified_sums(sd, bath, t, rel_tol)
-            d = d + _prefactor(G, s, wc) / wc * ((1.0 - s) * s0 - s1 / wc)
-    elif x == "G":
-        d = _gamma_vac(1.0, sd, t) + _gamma_th(1.0, sd, bath, t, rel_tol)
-    elif x == "T":
-        d = d_gamma_th_d_temperature(sd, bath, t, rel_tol=rel_tol)
-    else:
-        raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")
+    d = d_gamma_vac_d_omega_c(sd, t)
+    if not (_cold(bath) or G == 0.0):
+        s0, s1, _ = _certified_sums(sd, bath, t, rel_tol)
+        d = d + _prefactor(sd) / wc * ((1.0 - s) * s0 - s1 / wc)
     return _unpack(d, scalar)
 
 
@@ -641,48 +614,8 @@ def d_gamma_th_d_temperature(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     Exactly 0 at T = 0, where gamma_th vanishes like T**(s+1).
     """
     t, scalar = _times(t)
-    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
-    if _cold(bath) or G == 0.0:
+    if _cold(bath) or sd.coupling == 0.0:
         return _unpack(np.zeros(t.shape), scalar)
     beta = bath.beta
     sn = _certified_sums(sd, bath, t, rel_tol)[2]
-    return _unpack(_prefactor(G, s, wc) * beta * (beta * -sn), scalar)
-
-
-def d_delta_dx(sd, t, x):
-    """Derivative of the induced-interaction phase; zero for x = T."""
-    t, scalar = _times(t)
-    if x == "omega_c":
-        d = d_delta_d_omega_c(sd, t)
-    elif x == "G":
-        d = _delta(1.0, sd, t)
-    elif x == "T":
-        d = np.zeros(t.shape)
-    else:
-        raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")
-    return _unpack(d, scalar)
-
-
-def d_phi_dx(sd, t, x):
-    """Derivative of the phase kernel; zero for x = T."""
-    t, scalar = _times(t)
-    if x == "omega_c":
-        d = d_phi_d_omega_c(sd, t)
-    elif x == "G":
-        d = _phi(1.0, sd, t)
-    elif x == "T":
-        d = np.zeros(t.shape)
-    else:
-        raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")
-    return _unpack(d, scalar)
-
-
-def d_c_shift_dx(sd, x):
-    """Derivative of the reorganization constant; zero for x = T."""
-    if x == "omega_c":
-        return sd.coupling * math.gamma(sd.ohmicity)
-    if x == "G":
-        return sd.cutoff * math.gamma(sd.ohmicity)
-    if x == "T":
-        return 0.0
-    raise ValueError(f"unknown estimand key {x!r}; expected one of {DERIVATIVE_KEYS}")
+    return _unpack(_prefactor(sd) * beta * (beta * -sn), scalar)

@@ -13,7 +13,7 @@ from bathprobe.correlations import (SINGLE_QUBIT, TWO_QUBIT,
 from bathprobe.dynamics import (CORRELATED, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
                                 ProbeConfig, dephasing_factors)
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
-                                d_c_shift_dx, d_phi_dx, phi_factor)
+                                d_phi_d_omega_c, phi_factor)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 SCHEMES = (TWO_QUBIT, SINGLE_QUBIT)
@@ -31,12 +31,23 @@ def corr(sd, bath, t, scheme=TWO_QUBIT, omega_0=1.0):
     return fac.gamma_corr, fac.chi
 
 
+def d_phi(sd, t, x):
+    """d phi/dx: the cutoff closed form, phi itself at G = 1, 0 for T."""
+    if x == "omega_c":
+        return d_phi_d_omega_c(sd, t)
+    if x == "G":
+        return phi_factor(SpectralDensity(1.0, sd.ohmicity, sd.cutoff), t)
+    return 0.0
+
+
 def d_corr(sd, bath, t, x, scheme=TWO_QUBIT, omega_0=1.0):
     """(d gamma_corr/dx, d chi/dx) by the chain rule, d beta/dT = -beta**2."""
     beta = bath.beta
     d_beta = -beta * beta if x == "T" else 0.0
-    return d_corr_from_parts(c_shift(sd), phi_factor(sd, t), d_c_shift_dx(sd, x),
-                             d_phi_dx(sd, t, x), beta, d_beta, omega_0, scheme)
+    # C = G w_c Gamma(s)
+    d_c = {"omega_c": sd.coupling, "G": sd.cutoff, "T": 0.0}[x] * math.gamma(sd.ohmicity)
+    return d_corr_from_parts(c_shift(sd), phi_factor(sd, t), d_c, d_phi(sd, t, x),
+                             beta, d_beta, omega_0, scheme)
 
 
 def preparation_sum(c, phi, beta, omega_0, scheme, exp=cmath.exp):
@@ -221,8 +232,8 @@ def test_zero_temperature_derivatives_reduce_to_phase_kernel():
             dg2, dc2 = d_corr(sd, zero, t, x, TWO_QUBIT)
             dg1, dc1 = d_corr(sd, zero, t, x, SINGLE_QUBIT)
             assert dg2 == 0.0 and dg1 == 0.0
-            assert dc2 == pytest.approx(2.0 * d_phi_dx(sd, t, x), rel=1e-13)
-            assert dc1 == pytest.approx(d_phi_dx(sd, t, x), rel=1e-13)
+            assert dc2 == pytest.approx(2.0 * d_phi(sd, t, x), rel=1e-13)
+            assert dc1 == pytest.approx(d_phi(sd, t, x), rel=1e-13)
     for scheme in SCHEMES:
         assert d_corr(sd, zero, 1.4, "T", scheme) == (0.0, 0.0)
 

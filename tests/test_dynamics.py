@@ -165,12 +165,11 @@ def test_eigendecompose_matches_generic_solver():
         eig = eigendecompose(st)
         ref = np.linalg.eigvalsh(st.matrix)
         assert np.allclose(sorted(eig.populations), ref, atol=1e-12)
-        lo, hi = eig.bloch_vectors()
         for az, pop in zip(eig.azimuths, eig.populations):
             vec = np.array([1.0, np.exp(1j * az)]) / math.sqrt(2.0)
             resid = st.matrix @ vec - pop * vec
             assert np.max(np.abs(resid)) < 1e-12
-        assert np.allclose(lo, -hi, atol=1e-12)
+        assert eig.azimuths[0] - eig.azimuths[1] == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_eigendecompose_rejects_general_states():

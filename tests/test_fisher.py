@@ -10,14 +10,14 @@ from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
                                 dephasing_factors, reduced_qubit_state)
 from bathprobe.cli import FIG8_OHMICITIES, FIGURE_PRESETS, VARIANTS
-from bathprobe.fisher import (Estimand, FisherCurve, FisherOptimum,
-                              MeasurementUnderflowError, cfi, cfi_born,
-                              cfi_from_bundle, factor_bundle, optimal_angle,
-                              optimal_angle_from_bundle, optimize_qfi_over_time,
-                              qfi_closed, qfi_curve, qfi_from_bundle,
+from bathprobe.correlations import d_corr_from_parts
+from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
+                              cfi, cfi_born, cfi_from_bundle, factor_bundle,
+                              optimal_angle, optimal_angle_from_bundle,
+                              optimize_qfi_over_time, qfi_closed, qfi_from_bundle,
                               qfi_spectral, state_derivative)
-from bathprobe.spectral import (BathState, NumericalError, SpectralDensity,
-                                d_gamma_dx)
+from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_shift,
+                                delta_factor, gamma_th, gamma_vac, phi_factor)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)
@@ -258,21 +258,8 @@ def test_optimize_refines_interior_maximum():
                           opt.t_star * dt) <= opt.f_star * (1.0 + 1e-9)
 
 
-def test_fisher_curve_validation():
-    with pytest.raises(ValueError):
-        FisherCurve(Estimand.CUTOFF_FREQUENCY, np.array([1.0, 0.5]),
-                    np.array([0.0, 0.0]))
-    curve = qfi_curve(ProbeConfig(), OHMIC, BathState(0.0),
-                      Estimand.CUTOFF_FREQUENCY, np.linspace(0.1, 2.0, 8))
-    assert np.all(curve.qfi >= 0.0)
-
-
 def same_within(got, want, scale=0.0):
     return abs(got - want) <= 1e-14 * max(abs(got), abs(want), scale)
-
-
-DERIVATIVE_KEY = {Estimand.CUTOFF_FREQUENCY: "omega_c",
-                  Estimand.COUPLING_STRENGTH: "G", Estimand.TEMPERATURE: "T"}
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 1.0 - 1e-9, 1.0 + 1e-9])
@@ -281,6 +268,7 @@ def test_grid_bundles_equal_their_scalar_calls(s, temperature):
     rng = np.random.default_rng([29, int(1e9 * s) % 1000, int(10 * temperature)])
     sd, bath = SpectralDensity(0.6, s, 1.7), BathState(temperature)
     ts = np.concatenate([[0.0], np.exp(rng.uniform(math.log(1e-4), math.log(60.0), 24))])
+    uncorrelated = ProbeConfig(1.3, SINGLE_QUBIT_PROBE, FACTORIZED)
     for scheme in SCHEMES:
         for initial in INITIALS:
             cfg = ProbeConfig(1.3, scheme, initial)
@@ -300,11 +288,35 @@ def test_grid_bundles_equal_their_scalar_calls(s, temperature):
                     # d_gamma adds the correlation slope to the uncorrelated
                     # one, and the two can nearly cancel: compare it at the
                     # size of its parts
-                    parts = abs(d_gamma_dx(sd, bath, t, DERIVATIVE_KEY[est]))
+                    parts = abs(factor_bundle(uncorrelated, sd, bath, est, t).d_gamma)
                     for name in ("gamma", "delta", "chi", "d_gamma", "d_delta", "d_chi"):
                         scale = parts if name == "d_gamma" else 0.0
                         assert same_within(getattr(grid, name)[k], getattr(one, name),
                                            scale), (scheme, initial, est, name, t)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.8])
+def test_coupling_slopes_are_unit_coupling_factors(temperature):
+    # every factor is linear in G: the coupling-estimand bundle reads the
+    # factors at G = 1 with the same arithmetic, so the slopes are equal exactly
+    sd, bath = SpectralDensity(0.6, 0.7, 1.7), BathState(temperature)
+    unit = SpectralDensity(1.0, sd.ohmicity, sd.cutoff)
+    ts = np.array([0.0, 0.3, 1.7, 12.0])
+    d_uncorrelated = gamma_vac(unit, ts) + gamma_th(unit, bath, ts)
+    for scheme in SCHEMES:
+        for initial in INITIALS:
+            cfg = ProbeConfig(1.3, scheme, initial)
+            b = factor_bundle(cfg, sd, bath, Estimand.COUPLING_STRENGTH, ts)
+            d_delta = delta_factor(unit, ts) if scheme == TWO_QUBIT_TRACED else 0.0 * ts
+            assert np.array_equal(b.d_delta, d_delta), (scheme, initial)
+            d_gamma, d_chi = d_uncorrelated, 0.0 * ts
+            if initial == CORRELATED:
+                dg_corr, d_chi = d_corr_from_parts(
+                    c_shift(sd), phi_factor(sd, ts), c_shift(unit), phi_factor(unit, ts),
+                    bath.beta, 0.0, cfg.omega_0, cfg.correlation_scheme)
+                d_gamma = d_gamma + dg_corr
+            assert np.array_equal(b.d_gamma, d_gamma), (scheme, initial)
+            assert np.array_equal(b.d_chi, d_chi), (scheme, initial)
 
 
 def test_bundle_formulas_take_time_grids():

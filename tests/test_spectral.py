@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from bathprobe.dynamics import (SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED, Estimand,
+                                ProbeConfig)
+from bathprobe.fisher import factor_bundle
 from bathprobe.quadrature import QuadratureError, adaptive_quadrature, bath_integral
 from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_shift,
-                                d_c_shift_dx, d_delta_d_omega_c, d_delta_dx,
-                                d_gamma_dx, d_gamma_th_d_temperature,
-                                d_gamma_vac_d_omega_c, d_phi_d_omega_c,
-                                d_phi_dx, delta_factor, gamma_th, gamma_vac,
+                                d_delta_d_omega_c, d_gamma_d_omega_c,
+                                d_gamma_th_d_temperature, d_gamma_vac_d_omega_c,
+                                d_phi_d_omega_c, delta_factor, gamma_th, gamma_vac,
                                 phi_factor, quadrature_factor, spectral_density)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
@@ -80,7 +82,7 @@ def test_gamma_th_at_extreme_temperatures(s):
     # 1/T overflows to inf, or every Bose term underflows: the cold limit 0
     for T in (1e-320, 1e-300):
         assert gamma_th(sd, BathState(T), 1.0) == 0.0
-        assert d_gamma_dx(sd, BathState(T), 1.0, "T") == 0.0
+        assert d_gamma_th_d_temperature(sd, BathState(T), 1.0) == 0.0
     # the temperature slope of the series overflows: refused with the point
     with pytest.raises(QuadratureError) as err:
         gamma_th(sd, BathState(1e300), 1.0)
@@ -276,32 +278,41 @@ def _central_fd(f, x, h=1e-5):
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_closed_derivatives_match_finite_differences(s):
+    # every factor is linear in G, so its coupling slope is the factor at G = 1
     G, wc = 0.8, 1.7
     bath0 = BathState(0.0)
+    unit = SpectralDensity(1.0, s, wc)
     for t in (0.6, 2.3):
         sd = SpectralDensity(G, s, wc)
         fd = _central_fd(lambda w: gamma_vac(SpectralDensity(G, s, w), t), wc)
-        assert rel_diff(d_gamma_dx(sd, bath0, t, "omega_c"), fd) < 1e-6
+        assert rel_diff(d_gamma_d_omega_c(sd, bath0, t), fd) < 1e-6
         fd = _central_fd(lambda g: gamma_vac(SpectralDensity(g, s, wc), t), G)
-        assert rel_diff(d_gamma_dx(sd, bath0, t, "G"), fd) < 1e-6
+        assert rel_diff(gamma_vac(unit, t), fd) < 1e-6
         fd = _central_fd(lambda w: delta_factor(SpectralDensity(G, s, w), t), wc)
-        assert rel_diff(d_delta_dx(sd, t, "omega_c"), fd) < 1e-6
+        assert rel_diff(d_delta_d_omega_c(sd, t), fd) < 1e-6
         fd = _central_fd(lambda g: delta_factor(SpectralDensity(g, s, wc), t), G)
-        assert rel_diff(d_delta_dx(sd, t, "G"), fd) < 1e-6
+        assert rel_diff(delta_factor(unit, t), fd) < 1e-6
         fd = _central_fd(lambda w: phi_factor(SpectralDensity(G, s, w), t), wc)
-        assert rel_diff(d_phi_dx(sd, t, "omega_c"), fd) < 1e-6
+        assert rel_diff(d_phi_d_omega_c(sd, t), fd) < 1e-6
+        fd = _central_fd(lambda g: phi_factor(SpectralDensity(g, s, wc), t), G)
+        assert rel_diff(phi_factor(unit, t), fd) < 1e-6
+        # the factor assembly's cutoff slope of C = G w_c Gamma(s)
         fd = _central_fd(lambda w: c_shift(SpectralDensity(G, s, w)), wc)
-        assert rel_diff(d_c_shift_dx(sd, "omega_c"), fd) < 1e-6
+        assert rel_diff(G * math.gamma(s), fd) < 1e-6
 
 
 def test_derivative_examples():
-    assert d_gamma_dx(OHMIC, BathState(0.0), 1.0, "G") == pytest.approx(
+    one = ProbeConfig(1.0, SINGLE_QUBIT_PROBE)
+    two = ProbeConfig(1.0, TWO_QUBIT_TRACED)
+    bath0, hot = BathState(0.0), BathState(0.8)
+    coupling = Estimand.COUPLING_STRENGTH
+    assert factor_bundle(one, OHMIC, bath0, coupling, 1.0).d_gamma == pytest.approx(
         0.5 * math.log(2.0), rel=1e-12)
-    assert d_gamma_dx(OHMIC, BathState(0.0), 0.0, "omega_c") == 0.0
-    assert d_delta_dx(OHMIC, 1.0, "G") == pytest.approx(math.pi / 4.0 - 1.0, rel=1e-12)
-    assert d_phi_dx(OHMIC, 1.0, "omega_c") == pytest.approx(0.5, rel=1e-12)
-    assert d_delta_dx(OHMIC, 1.0, "T") == 0.0
-    assert d_phi_dx(OHMIC, 1.0, "T") == 0.0
+    assert d_gamma_d_omega_c(OHMIC, bath0, 0.0) == 0.0
+    assert factor_bundle(two, OHMIC, bath0, coupling, 1.0).d_delta == pytest.approx(
+        math.pi / 4.0 - 1.0, rel=1e-12)
+    assert d_phi_d_omega_c(OHMIC, 1.0) == pytest.approx(0.5, rel=1e-12)
+    assert factor_bundle(two, OHMIC, hot, Estimand.TEMPERATURE, 1.0).d_delta == 0.0
 
 
 def test_thermal_derivative_wrt_cutoff_matches_fd():
@@ -309,7 +320,7 @@ def test_thermal_derivative_wrt_cutoff_matches_fd():
     bath = BathState(1.3)
     t = 1.1
     fd = _central_fd(lambda w: gamma_th(SpectralDensity(0.8, 0.5, w), bath, t), 2.0)
-    closed = d_gamma_dx(sd, bath, t, "omega_c") - 0.0  # vacuum part is separate
+    closed = d_gamma_d_omega_c(sd, bath, t)
     vac = _central_fd(lambda w: gamma_vac(SpectralDensity(0.8, 0.5, w), t), 2.0)
     assert rel_diff(closed - vac, fd) < 1e-6
 
@@ -325,7 +336,7 @@ def test_temperature_derivative_matches_analytic_integrand():
                 * (0.5 * w / T ** 2) * csch ** 2)
 
     ref, _ = scipy_quad(integrand, 0.0, 150.0, limit=800, epsabs=1e-13, epsrel=1e-11)
-    got = d_gamma_dx(sd, BathState(T), t, "T")
+    got = d_gamma_th_d_temperature(sd, BathState(T), t)
     assert rel_diff(got, ref) < 1e-6
 
 
@@ -333,10 +344,11 @@ def test_temperature_derivative_exact_zero_at_zero_temperature():
     # gamma_th vanishes like T**(s+1), so its slope at T = 0 is 0; just above
     # it the series derivative matches a central difference of the series
     sd = SpectralDensity(1.0, 1.0, 2.0)
-    assert d_gamma_dx(sd, BathState(0.0), 1.0, "T") == 0.0
+    assert d_gamma_th_d_temperature(sd, BathState(0.0), 1.0) == 0.0
     T = 1e-3
     fd = _central_fd(lambda temp: gamma_th(sd, BathState(temp), 1.0), T, h=1e-5)
-    assert rel_diff(d_gamma_dx(sd, BathState(T), 1.0, "T"), fd, floor=0.0) < 1e-6
+    assert rel_diff(d_gamma_th_d_temperature(sd, BathState(T), 1.0), fd,
+                    floor=0.0) < 1e-6
 
 
 # s = 1 and s = 2 are the poles of the series' tail integral; t spans the
@@ -369,10 +381,10 @@ def test_thermal_derivatives_match_quadrature_differences(s):
             bath = BathState(T)
             for t in (1e-6, 1.0, 500.0):
                 fd = _central_fd(lambda temp: quad(wc, temp, t), T, h=1e-3 * T)
-                got = d_gamma_dx(sd, bath, t, "T")
+                got = d_gamma_th_d_temperature(sd, bath, t)
                 assert rel_diff(got, fd, floor=0.0) < 1e-6, ("T", s, wc, T, t)
                 fd = _central_fd(lambda w: quad(w, T, t), wc, h=1e-3 * wc)
-                got = d_gamma_dx(sd, bath, t, "omega_c") - d_gamma_vac_d_omega_c(sd, t)
+                got = d_gamma_d_omega_c(sd, bath, t) - d_gamma_vac_d_omega_c(sd, t)
                 assert rel_diff(got, fd, floor=0.0) < 1e-6, ("omega_c", s, wc, T, t)
 
 
@@ -381,8 +393,8 @@ def test_series_bound_past_tolerance_raises_with_point():
     bath = BathState(1.0)
     value = gamma_th(sd, bath, 200.0)
     for call in (lambda: gamma_th(sd, bath, 200.0, rel_tol=1e-16),
-                 lambda: d_gamma_dx(sd, bath, 200.0, "T", rel_tol=1e-16),
-                 lambda: d_gamma_dx(sd, bath, 200.0, "omega_c", rel_tol=1e-16)):
+                 lambda: d_gamma_th_d_temperature(sd, bath, 200.0, rel_tol=1e-16),
+                 lambda: d_gamma_d_omega_c(sd, bath, 200.0, rel_tol=1e-16)):
         with pytest.raises(QuadratureError) as err:
             call()
         assert err.value.value == value
@@ -412,12 +424,7 @@ GRID_FORMS = {
     "d_phi_d_omega_c": lambda sd, bath, t: d_phi_d_omega_c(sd, t),
     "d_delta_d_omega_c": lambda sd, bath, t: d_delta_d_omega_c(sd, t),
     "d_gamma_th_d_temperature": lambda sd, bath, t: d_gamma_th_d_temperature(sd, bath, t),
-    **{f"d_gamma_d{x}": (lambda x: lambda sd, bath, t: d_gamma_dx(sd, bath, t, x))(x)
-       for x in ("omega_c", "G", "T")},
-    **{f"d_delta_d{x}": (lambda x: lambda sd, bath, t: d_delta_dx(sd, t, x))(x)
-       for x in ("omega_c", "G", "T")},
-    **{f"d_phi_d{x}": (lambda x: lambda sd, bath, t: d_phi_dx(sd, t, x))(x)
-       for x in ("omega_c", "G", "T")},
+    "d_gamma_d_omega_c": lambda sd, bath, t: d_gamma_d_omega_c(sd, bath, t),
 }
 
 
