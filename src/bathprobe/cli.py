@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from .fisher import Estimand
 from .quadrature import QuadratureError
 from .spectral import BathState, NumericalError, SpectralDensity
 
-__all__ = ["Scenario", "FigurePreset", "FIGURE_PRESETS", "main"]
+__all__ = ["Scenario", "FIGURE_PRESETS", "main"]
 
 OUTPUT_DIR_ENV = "BATHPROBE_OUT"
 
@@ -36,6 +35,31 @@ _FMT = "%.17g"
 VARIANTS = tuple((scheme, initial)
                  for scheme in (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)
                  for initial in (CORRELATED, FACTORIZED))
+
+#: every config key as (section, key, Scenario field, sub-field or None), in
+#: the order the config text and the output headers write them
+_CONFIG_KEYS = (
+    ("probe", "omega0", "probe", "omega_0"),
+    ("probe", "scheme", "probe", "scheme"),
+    ("probe", "initial-state", "probe", "initial_state"),
+    ("spectral", "coupling", "spectral", "coupling"),
+    ("spectral", "ohmicity", "spectral", "ohmicity"),
+    ("spectral", "cutoff", "spectral", "cutoff"),
+    ("bath", "temperature", "bath", "temperature"),
+    ("estimand", "parameter", "estimand", None),
+    ("sweep", "variable", "sweep_variable", None),
+    ("sweep", "start", "sweep_start", None),
+    ("sweep", "stop", "sweep_stop", None),
+    ("sweep", "points", "sweep_points", None),
+    ("sweep", "spacing", "sweep_spacing", None),
+    ("time", "t-max", "t_max", None),
+    ("time", "grid", "opt_grid", None),
+    ("time", "points", "time_points", None),
+    ("time", "spacing", "time_spacing", None),
+    ("run", "tolerance", "tolerance", None),
+)
+
+_KEY_FIELDS = {(section, key): (name, sub) for section, key, name, sub in _CONFIG_KEYS}
 
 
 @dataclass(frozen=True)
@@ -65,9 +89,9 @@ class Scenario:
         if self.sweep_variable not in ("cutoff", "coupling", "temperature"):
             raise ValueError(f"unknown sweep variable {self.sweep_variable!r}")
         if self.sweep_spacing not in ("linear", "log"):
-            raise ValueError(f"unknown spacing {self.sweep_spacing!r}")
+            raise ValueError(f"unknown sweep spacing {self.sweep_spacing!r}")
         if self.time_spacing not in ("linear", "log"):
-            raise ValueError(f"unknown spacing {self.time_spacing!r}")
+            raise ValueError(f"unknown time spacing {self.time_spacing!r}")
         if not self.t_max > 0.0:
             raise ValueError(f"t-max must be > 0, got {self.t_max}")
         if self.time_points < 1:
@@ -78,89 +102,50 @@ class Scenario:
     # -- config round trip ---------------------------------------------------
 
     def to_config_text(self):
-        # repr() is the shortest exact round trip, so reparsing recovers
-        # bit-identical floats
-        cp = configparser.ConfigParser()
-        cp["probe"] = {
-            "omega0": repr(self.probe.omega_0),
-            "scheme": self.probe.scheme,
-            "initial-state": self.probe.initial_state,
-        }
-        cp["spectral"] = {
-            "coupling": repr(self.spectral.coupling),
-            "ohmicity": repr(self.spectral.ohmicity),
-            "cutoff": repr(self.spectral.cutoff),
-        }
-        cp["bath"] = {"temperature": repr(self.bath.temperature)}
-        cp["estimand"] = {"parameter": self.estimand.value}
-        cp["sweep"] = {
-            "variable": self.sweep_variable,
-            "start": repr(self.sweep_start),
-            "stop": repr(self.sweep_stop),
-            "points": str(self.sweep_points),
-            "spacing": self.sweep_spacing,
-        }
-        cp["time"] = {
-            "t-max": repr(self.t_max),
-            "grid": str(self.opt_grid),
-            "points": str(self.time_points),
-            "spacing": self.time_spacing,
-        }
-        cp["run"] = {"tolerance": repr(self.tolerance)}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
+        sections = {}
+        for section, key, name, sub in _CONFIG_KEYS:
+            value = getattr(self, name)
+            if sub is not None:
+                value = getattr(value, sub)
+            lines = sections.setdefault(section, [f"[{section}]"])
+            lines.append(f"{key} = {_config_value(value)}")
+        return "".join("\n".join(lines) + "\n\n" for lines in sections.values())
 
     @classmethod
     def from_config_text(cls, text):
-        cp = configparser.ConfigParser()
+        # no interpolation: '%' in a value is an ordinary character
+        cp = configparser.ConfigParser(interpolation=None)
         try:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(str(exc)) from None
-        if cp.has_option("run", "threads"):
-            raise ConfigError("[run] threads: the key was removed; runs are serial")
-        get = _SectionReader(cp)
+        default = cls()
+        fields, nested = {}, {}    # Scenario field -> value; -> {sub-field: value}
+        # [DEFAULT] first: its keys are unknown there, and would otherwise
+        # be read into every other section
+        for section in (cp.default_section, *cp.sections()):
+            for key, raw in cp.items(section, raw=True):
+                if (section, key) not in _KEY_FIELDS:
+                    raise ConfigError(f"[{section}] {key}: unknown key")
+                name, sub = _KEY_FIELDS[section, key]
+                current = getattr(default, name)
+                if sub is not None:
+                    current = getattr(current, sub)
+                try:
+                    value = _parse_value(raw, current)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from None
+                if sub is None:
+                    fields[name] = value
+                else:
+                    nested.setdefault(name, {})[sub] = value
         try:
-            return cls._from_reader(get)
-        except ConfigError:
-            raise
+            for name, values in nested.items():
+                fields[name] = replace(getattr(default, name), **values)
+            return replace(default, **fields)
         except ValueError as exc:
             # a value the scenario's own checks reject, such as coupling = -1
             raise ConfigError(str(exc)) from None
-
-    @classmethod
-    def _from_reader(cls, get):
-        probe = ProbeConfig(
-            omega_0=get.number("probe", "omega0", 1.0),
-            scheme=get.choice("probe", "scheme", TWO_QUBIT_TRACED,
-                              (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)),
-            initial_state=get.choice("probe", "initial-state", FACTORIZED,
-                                     (FACTORIZED, CORRELATED)),
-        )
-        sd = SpectralDensity(
-            coupling=get.number("spectral", "coupling", 1.0),
-            ohmicity=get.number("spectral", "ohmicity", 1.0),
-            cutoff=get.number("spectral", "cutoff", 1.0),
-        )
-        bath = BathState(temperature=get.number("bath", "temperature", 0.0))
-        estimand = Estimand(get.choice(
-            "estimand", "parameter", Estimand.CUTOFF_FREQUENCY.value,
-            tuple(e.value for e in Estimand)))
-        return cls(
-            probe=probe, spectral=sd, bath=bath, estimand=estimand,
-            sweep_variable=get.choice("sweep", "variable", "cutoff",
-                                      ("cutoff", "coupling", "temperature")),
-            sweep_start=get.number("sweep", "start", 0.5),
-            sweep_stop=get.number("sweep", "stop", 3.0),
-            sweep_points=get.integer("sweep", "points", 6),
-            sweep_spacing=get.choice("sweep", "spacing", "linear", ("linear", "log")),
-            t_max=get.number("time", "t-max", 20.0),
-            opt_grid=get.integer("time", "grid", 128),
-            time_points=get.integer("time", "points", 100),
-            time_spacing=get.choice("time", "spacing", "linear", ("linear", "log")),
-            tolerance=get.number("run", "tolerance", 1e-8),
-        )
 
     @classmethod
     def from_config_file(cls, path):
@@ -193,157 +178,106 @@ class ConfigError(ValueError):
     """Config file could not be parsed; message carries key diagnostics."""
 
 
-class _SectionReader:
-    def __init__(self, cp):
-        self.cp = cp
+def _config_value(value):
+    if isinstance(value, Estimand):
+        return value.value
+    # repr() is the shortest exact round trip, so reparsing recovers
+    # bit-identical floats
+    return repr(value) if isinstance(value, float) else str(value)
 
-    def _raw(self, section, key, default):
-        if not self.cp.has_section(section) or not self.cp.has_option(section, key):
-            return None
-        return self.cp.get(section, key)
 
-    def number(self, section, key, default):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
+def _parse_value(raw, default):
+    """``raw`` read as the type of ``default``; ValueError if it is not one."""
+    if isinstance(default, Estimand):
+        return Estimand(raw)
+    if isinstance(default, float):
         try:
             value = float(raw)
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key}: expected a finite number, "
-                              f"got {raw!r}")
+            raise ValueError(f"expected a finite number, got {raw!r}")
         return value
-
-    def integer(self, section, key, default):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
+    if isinstance(default, int):
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
-
-    def choice(self, section, key, default, allowed):
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        raw = raw.strip()
-        if raw not in allowed:
-            raise ConfigError(f"[{section}] {key}: {raw!r} not in {allowed}")
-        return raw
+            raise ValueError(f"expected an integer, got {raw!r}") from None
+    return raw
 
 
 # ---------------------------------------------------------------------------
 # figure presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FigurePreset:
-    """Pinned scenario reproducing one published result panel."""
-
-    figure_id: str
-    scenario: Scenario
-    kind: str            # qfi-sweep | cfi
-    note: str = ""
-
-
+#: figure id -> (file name, command, scenario) of each file the preset writes;
+#: each scenario pins the parameters of one published result panel
 FIGURE_PRESETS = {
-    "fig1": FigurePreset(
-        "fig1",
-        Scenario(
-            spectral=SpectralDensity(0.01, 0.5, 1.0), bath=BathState(0.0),
-            estimand=Estimand.CUTOFF_FREQUENCY,
-            sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
-            sweep_points=6, t_max=1000.0, opt_grid=192),
-        "qfi-sweep",
-        "optimized cutoff-frequency QFI, weak sub-Ohmic coupling"),
-    "fig2": FigurePreset(
-        "fig2",
-        Scenario(
-            spectral=SpectralDensity(1.0, 0.5, 1.0), bath=BathState(0.0),
-            estimand=Estimand.CUTOFF_FREQUENCY,
-            sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
-            sweep_points=6, t_max=50.0, opt_grid=160),
-        "qfi-sweep",
-        "same sweep at strong coupling"),
-    "fig3": FigurePreset(
-        "fig3",
-        Scenario(
-            spectral=SpectralDensity(1.0, 1.0, 1.0), bath=BathState(0.0),
-            estimand=Estimand.CUTOFF_FREQUENCY,
-            sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
-            sweep_points=6, t_max=50.0, opt_grid=160),
-        "qfi-sweep",
-        "Ohmic bath; the weak-coupling inset uses coupling 0.1"),
-    "fig4": FigurePreset(
-        "fig4",
-        Scenario(
-            spectral=SpectralDensity(2.0, 2.0, 1.0), bath=BathState(0.0),
-            estimand=Estimand.CUTOFF_FREQUENCY,
-            sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
-            sweep_points=6, t_max=200.0, opt_grid=192),
-        "qfi-sweep",
-        "super-Ohmic bath; two-qubit information keeps accumulating"),
-    "fig5": FigurePreset(
-        "fig5",
-        Scenario(
-            spectral=SpectralDensity(1.0, 0.1, 5.0), bath=BathState(0.0),
-            estimand=Estimand.COUPLING_STRENGTH,
-            sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
-            sweep_points=7, sweep_spacing="log", t_max=20.0, opt_grid=160),
-        "qfi-sweep",
-        "coupling-strength estimation, deep sub-Ohmic bath"),
-    "fig6": FigurePreset(
-        "fig6",
-        Scenario(
-            spectral=SpectralDensity(1.0, 1.0, 5.0), bath=BathState(0.0),
-            estimand=Estimand.COUPLING_STRENGTH,
-            sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
-            sweep_points=7, sweep_spacing="log", t_max=20.0, opt_grid=160),
-        "qfi-sweep",
-        "coupling-strength estimation, Ohmic bath"),
-    "fig7": FigurePreset(
-        "fig7",
-        Scenario(
-            spectral=SpectralDensity(1.0, 2.0, 5.0), bath=BathState(0.0),
-            estimand=Estimand.COUPLING_STRENGTH,
-            sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
-            sweep_points=7, sweep_spacing="log", t_max=200.0, opt_grid=192),
-        "qfi-sweep",
-        "coupling-strength estimation, super-Ohmic bath"),
-    "fig8": FigurePreset(
-        "fig8",
-        Scenario(
-            spectral=SpectralDensity(1.0, 2.0, 5.0), bath=BathState(1.0),
+    # optimized cutoff-frequency QFI, weak sub-Ohmic coupling
+    "fig1": (("fig1_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(0.01, 0.5, 1.0), bath=BathState(0.0),
+        estimand=Estimand.CUTOFF_FREQUENCY,
+        sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
+        sweep_points=6, t_max=1000.0, opt_grid=192)),),
+    # same sweep at strong coupling
+    "fig2": (("fig2_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(1.0, 0.5, 1.0), bath=BathState(0.0),
+        estimand=Estimand.CUTOFF_FREQUENCY,
+        sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
+        sweep_points=6, t_max=50.0, opt_grid=160)),),
+    # Ohmic bath; the weak-coupling inset uses coupling 0.1
+    "fig3": (("fig3_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(1.0, 1.0, 1.0), bath=BathState(0.0),
+        estimand=Estimand.CUTOFF_FREQUENCY,
+        sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
+        sweep_points=6, t_max=50.0, opt_grid=160)),),
+    # super-Ohmic bath; two-qubit information keeps accumulating
+    "fig4": (("fig4_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(2.0, 2.0, 1.0), bath=BathState(0.0),
+        estimand=Estimand.CUTOFF_FREQUENCY,
+        sweep_variable="cutoff", sweep_start=0.5, sweep_stop=3.0,
+        sweep_points=6, t_max=200.0, opt_grid=192)),),
+    # coupling-strength estimation, deep sub-Ohmic bath
+    "fig5": (("fig5_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(1.0, 0.1, 5.0), bath=BathState(0.0),
+        estimand=Estimand.COUPLING_STRENGTH,
+        sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
+        sweep_points=7, sweep_spacing="log", t_max=20.0, opt_grid=160)),),
+    # coupling-strength estimation, Ohmic bath
+    "fig6": (("fig6_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(1.0, 1.0, 5.0), bath=BathState(0.0),
+        estimand=Estimand.COUPLING_STRENGTH,
+        sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
+        sweep_points=7, sweep_spacing="log", t_max=20.0, opt_grid=160)),),
+    # coupling-strength estimation, super-Ohmic bath
+    "fig7": (("fig7_qfi_sweep.csv", "qfi-sweep", Scenario(
+        spectral=SpectralDensity(1.0, 2.0, 5.0), bath=BathState(0.0),
+        estimand=Estimand.COUPLING_STRENGTH,
+        sweep_variable="coupling", sweep_start=0.2, sweep_stop=2.0,
+        sweep_points=7, sweep_spacing="log", t_max=200.0, opt_grid=192)),),
+    # temperature estimation at Ohmicity 2, 1 and 0.5
+    "fig8": tuple(
+        (f"fig8_s{s:g}_qfi_sweep.csv", "qfi-sweep", Scenario(
+            spectral=SpectralDensity(1.0, s, 5.0), bath=BathState(1.0),
             estimand=Estimand.TEMPERATURE,
             sweep_variable="temperature", sweep_start=0.5, sweep_stop=2.0,
-            sweep_points=4, t_max=5.0, opt_grid=72),
-        "qfi-sweep",
-        "temperature estimation; run for Ohmicity 2, 1, 0.5"),
-    "fig9": FigurePreset(
-        "fig9",
-        Scenario(
+            sweep_points=4, t_max=5.0, opt_grid=72))
+        for s in (2.0, 1.0, 0.5)),
+    # optimal-measurement CFI versus QFI, one panel per estimand
+    "fig9": (
+        ("fig9_main_cfi.csv", "cfi", Scenario(
             probe=ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED),
             spectral=SpectralDensity(0.5, 1.0, 5.0), bath=BathState(0.0),
-            estimand=Estimand.COUPLING_STRENGTH,
-            t_max=5.0, time_points=50),
-        "cfi",
-        "optimal-measurement CFI versus QFI; panels cover G, T, cutoff"),
+            estimand=Estimand.COUPLING_STRENGTH, t_max=5.0, time_points=50)),
+        ("fig9_temperature_cfi.csv", "cfi", Scenario(
+            probe=ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED),
+            spectral=SpectralDensity(1.0, 1.0, 5.0), bath=BathState(1.0),
+            estimand=Estimand.TEMPERATURE, t_max=5.0, time_points=50)),
+        ("fig9_cutoff_cfi.csv", "cfi", Scenario(
+            probe=ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED),
+            spectral=SpectralDensity(0.01, 1.0, 1.0), bath=BathState(0.0),
+            estimand=Estimand.CUTOFF_FREQUENCY, t_max=5.0, time_points=50))),
 }
-
-#: per-panel overrides for the three-panel optimal-measurement figure
-FIG9_PANELS = {
-    "main": dict(spectral=SpectralDensity(0.5, 1.0, 5.0), bath=BathState(0.0),
-                 estimand=Estimand.COUPLING_STRENGTH),
-    "temperature": dict(spectral=SpectralDensity(1.0, 1.0, 5.0), bath=BathState(1.0),
-                        estimand=Estimand.TEMPERATURE),
-    "cutoff": dict(spectral=SpectralDensity(0.01, 1.0, 1.0), bath=BathState(0.0),
-                   estimand=Estimand.CUTOFF_FREQUENCY),
-}
-
-#: Ohmicity values covered by the temperature-estimation figure
-FIG8_OHMICITIES = (2.0, 1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -506,33 +440,19 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0,
     return report
 
 
+RUNNERS = {"factors": run_factors, "qfi-sweep": run_qfi_sweep, "cfi": run_cfi,
+           "optimize": run_optimize}
+
+
 def run_figure(figure_id, out_dir):
     """Run one figure preset end to end; returns emitted file paths."""
     if figure_id not in FIGURE_PRESETS:
         raise ConfigError(f"unknown figure {figure_id!r}; known: "
                           f"{sorted(FIGURE_PRESETS)}")
-    preset = FIGURE_PRESETS[figure_id]
     paths = []
-    if figure_id == "fig8":
-        for s in FIG8_OHMICITIES:
-            scenario = replace(preset.scenario,
-                               spectral=SpectralDensity(
-                                   preset.scenario.spectral.coupling, s,
-                                   preset.scenario.spectral.cutoff))
-            path = out_dir / f"{figure_id}_s{s:g}_qfi_sweep.csv"
-            run_qfi_sweep(scenario, path)
-            paths.append(path)
-    elif figure_id == "fig9":
-        for panel, overrides in FIG9_PANELS.items():
-            scenario = replace(preset.scenario, **overrides)
-            path = out_dir / f"{figure_id}_{panel}_cfi.csv"
-            run_cfi(scenario, path)
-            paths.append(path)
-    else:
-        scenario = preset.scenario
-        path = out_dir / f"{figure_id}_qfi_sweep.csv"
-        run_qfi_sweep(scenario, path)
-        paths.append(path)
+    for name, command, scenario in FIGURE_PRESETS[figure_id]:
+        RUNNERS[command](scenario, out_dir / name)
+        paths.append(out_dir / name)
     return paths
 
 
@@ -598,10 +518,8 @@ def main(argv=None):
                 print(f"wrote {p}")
             return 0
         scenario = _apply_overrides(Scenario.from_config_file(args.config), args)
-        runner = {"factors": run_factors, "qfi-sweep": run_qfi_sweep,
-                  "cfi": run_cfi, "optimize": run_optimize}[args.command]
         out_path = out_dir / f"{args.command.replace('-', '_')}.csv"
-        runner(scenario, out_path)
+        RUNNERS[args.command](scenario, out_path)
         print(f"wrote {out_path}")
         return 0
     except ConfigError as exc:

@@ -233,11 +233,13 @@ def two_qubit_state(cfg, sd, bath, t):
 
 def partial_trace_second_qubit(state):
     """Reduce a TwoQubitState over its second qubit."""
-    m = state.matrix
+    return QubitState.from_matrix(_trace_second_qubit(state.matrix))
+
+
+def _trace_second_qubit(m):
     # basis order (k,l): rows 0,1 have k=+1; rows 2,3 have k=-1
-    r = np.array([[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-                  [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]], dtype=complex)
-    return QubitState.from_matrix(r)
+    return np.array([[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
+                     [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]], dtype=complex)
 
 
 def reduced_state_from_factors(omega_0, t, gamma, delta, chi):

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import correlations
-from .dynamics import BASIS_LABELS, QubitState, TwoQubitState
+from .dynamics import BASIS_LABELS, QubitState, _trace_second_qubit
 
 __all__ = [
     "DiscreteBath",
@@ -384,23 +384,13 @@ def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs):
 
 
 def _reduce(rho, n_qubits):
-    if n_qubits == 1:
-        return QubitState.from_matrix(rho)
-    r = np.array([[rho[0, 0] + rho[1, 1], rho[0, 2] + rho[1, 3]],
-                  [rho[2, 0] + rho[3, 1], rho[2, 2] + rho[3, 3]]], dtype=complex)
-    return QubitState.from_matrix(r)
+    return QubitState.from_matrix(rho if n_qubits == 1 else _trace_second_qubit(rho))
 
 
 @dataclass(frozen=True)
 class EvolvedState:
     reduced: QubitState
     full: np.ndarray
-
-    @property
-    def two_qubit(self):
-        if self.full.shape[0] != 4:
-            raise ValueError("full state is not a two-qubit matrix")
-        return TwoQubitState(matrix=self.full)
 
 
 def _factorized_preparation(db, bath):

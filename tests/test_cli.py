@@ -2,13 +2,15 @@
 
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from bathprobe.cli import (FIG8_OHMICITIES, FIG9_PANELS, FIGURE_PRESETS,
-                           ConfigError, Scenario, main, run_cfi, run_factors,
-                           run_optimize, run_oracle_validation, run_qfi_sweep)
+from bathprobe.cli import (_CONFIG_KEYS, FIGURE_PRESETS, ConfigError, Scenario,
+                           main, run_cfi, run_factors, run_optimize,
+                           run_oracle_validation, run_qfi_sweep)
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig)
 from bathprobe.fisher import Estimand
@@ -205,6 +207,36 @@ def test_threads_key_and_flag_are_gone(tmp_path, capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("line,where", [("[spectral]\ncutof = 3", "[spectral] cutof"),
+                                        ("[spectral]\ncoupling = 5%", "[spectral] coupling"),
+                                        ("[sweep]\nspacing = %(x)s", "sweep spacing '%(x)s'"),
+                                        ("[DEFAULT]\ncoupling = 2", "[DEFAULT] coupling")])
+def test_config_keys_and_values_are_taken_literally(tmp_path, capsys, line, where):
+    # an unknown key is an error, not ignored; '%' is not interpolated
+    config = tmp_path / "scenario.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main(["factors", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert where in err
+    assert not list(out.iterdir())
+
+
+def test_readme_config_block_is_the_default_scenario():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert Scenario.from_config_text(block) == Scenario()
+    keys = {(section, key) for section, key, _, _ in _CONFIG_KEYS}
+    section, written = None, set()
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line and not line.startswith(";"):
+            written.add((section, line.split("=")[0].strip()))
+    assert written == keys
+
+
 @pytest.mark.parametrize("flags", [("--temperature", "1e300"), ("--temperature", "1e308"),
                                    ("--n-max", "5000")])
 def test_oracle_validate_refuses_infeasible_truncations(tmp_path, capsys, flags):
@@ -280,31 +312,48 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     assert (target / "factors.csv").exists()
 
 
+def preset(figure_id, index=0):
+    """Scenario of the ``index``-th file that a figure preset writes."""
+    return FIGURE_PRESETS[figure_id][index][2]
+
+
 def test_figure_presets_pin_caption_parameters():
     assert set(FIGURE_PRESETS) == {f"fig{i}" for i in range(1, 10)}
-    p1 = FIGURE_PRESETS["fig1"].scenario
+    for figure_id in (f"fig{i}" for i in range(1, 8)):
+        assert [(name, command) for name, command, _ in FIGURE_PRESETS[figure_id]] == [
+            (f"{figure_id}_qfi_sweep.csv", "qfi-sweep")]
+    p1 = preset("fig1")
     assert (p1.spectral.coupling, p1.spectral.ohmicity) == (0.01, 0.5)
     assert p1.bath.zero_temperature and p1.probe.omega_0 == 1.0
-    assert FIGURE_PRESETS["fig2"].scenario.spectral.coupling == 1.0
-    assert FIGURE_PRESETS["fig3"].scenario.spectral.ohmicity == 1.0
-    p4 = FIGURE_PRESETS["fig4"].scenario
+    assert preset("fig2").spectral.coupling == 1.0
+    assert preset("fig3").spectral.ohmicity == 1.0
+    p4 = preset("fig4")
     assert (p4.spectral.ohmicity, p4.spectral.coupling) == (2.0, 2.0)
-    p5 = FIGURE_PRESETS["fig5"].scenario
+    p5 = preset("fig5")
     assert (p5.spectral.ohmicity, p5.spectral.cutoff) == (0.1, 5.0)
-    assert FIGURE_PRESETS["fig6"].scenario.spectral.ohmicity == 1.0
-    p7 = FIGURE_PRESETS["fig7"].scenario
+    assert preset("fig6").spectral.ohmicity == 1.0
+    p7 = preset("fig7")
     assert (p7.spectral.ohmicity, p7.spectral.cutoff) == (2.0, 5.0)
-    p8 = FIGURE_PRESETS["fig8"].scenario
-    assert (p8.spectral.cutoff, p8.spectral.coupling) == (5.0, 1.0)
-    assert p8.estimand is Estimand.TEMPERATURE
-    assert FIG8_OHMICITIES == (2.0, 1.0, 0.5)
-    assert set(FIG9_PANELS) == {"main", "temperature", "cutoff"}
-    assert FIG9_PANELS["cutoff"]["spectral"].coupling == 0.01
-    assert FIG9_PANELS["temperature"]["spectral"].coupling == 1.0
+    fig8 = FIGURE_PRESETS["fig8"]
+    assert [name for name, _, _ in fig8] == [
+        "fig8_s2_qfi_sweep.csv", "fig8_s1_qfi_sweep.csv", "fig8_s0.5_qfi_sweep.csv"]
+    assert tuple(p8.spectral.ohmicity for _, _, p8 in fig8) == (2.0, 1.0, 0.5)
+    for _, command, p8 in fig8:
+        assert command == "qfi-sweep"
+        assert (p8.spectral.cutoff, p8.spectral.coupling) == (5.0, 1.0)
+        assert p8.estimand is Estimand.TEMPERATURE
+    fig9 = FIGURE_PRESETS["fig9"]
+    assert [(name, command) for name, command, _ in fig9] == [
+        ("fig9_main_cfi.csv", "cfi"), ("fig9_temperature_cfi.csv", "cfi"),
+        ("fig9_cutoff_cfi.csv", "cfi")]
+    assert [p9.estimand for _, _, p9 in fig9] == [
+        Estimand.COUPLING_STRENGTH, Estimand.TEMPERATURE, Estimand.CUTOFF_FREQUENCY]
+    assert preset("fig9", 2).spectral.coupling == 0.01
+    assert preset("fig9", 1).spectral.coupling == 1.0
 
 
 def test_fig1_factors_run_is_deterministic_with_100_rows(tmp_path):
-    scenario = FIGURE_PRESETS["fig1"].scenario
+    scenario = preset("fig1")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     rows = run_factors(scenario, a)
     run_factors(scenario, b)
@@ -315,7 +364,7 @@ def test_fig1_factors_run_is_deterministic_with_100_rows(tmp_path):
 def test_fig1_sweep_shows_two_qubit_advantage(tmp_path):
     # the published weak-coupling claim, exercised through the CLI path:
     # three-orders-of-magnitude gain, insensitive to initial correlations
-    rows = run_qfi_sweep(FIGURE_PRESETS["fig1"].scenario, tmp_path / "f.csv")
+    rows = run_qfi_sweep(preset("fig1"), tmp_path / "f.csv")
     best = {}
     for (value, scheme, initial, _t, f_star, _b) in rows:
         best[(value, scheme, initial)] = f_star
@@ -329,12 +378,12 @@ def test_fig1_sweep_shows_two_qubit_advantage(tmp_path):
 
 
 def test_main_figure_runs_quick_panel(tmp_path):
-    # fig9's cutoff panel is cheap; patch the preset list down to it
     rc = main(["figure", "fig9", "--out", str(tmp_path)])
     assert rc == 0
-    for panel in FIG9_PANELS:
-        path = tmp_path / f"fig9_{panel}_cfi.csv"
-        assert path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for name, _, _ in FIGURE_PRESETS["fig9"])
+    for name, _, scenario in FIGURE_PRESETS["fig9"]:
+        path = tmp_path / name
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].split(",")[0] == "t"
-        assert len(lines) == 1 + FIGURE_PRESETS["fig9"].scenario.time_points
+        assert len(lines) == 1 + scenario.time_points

@@ -1,7 +1,6 @@
 """Fisher information: closed form vs spectral definition, optimal measurement."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ import pytest
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
                                 dephasing_factors, reduced_qubit_state)
-from bathprobe.cli import FIG8_OHMICITIES, FIGURE_PRESETS, VARIANTS
+from bathprobe.cli import FIGURE_PRESETS, VARIANTS
 from bathprobe.correlations import d_corr_from_parts
 from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
                               cfi, cfi_born, cfi_from_bundle, factor_bundle,
@@ -396,14 +395,7 @@ def reference_optimum(cfg, sd, bath, estimand, t_max, grid_size, rel_tol,
 
 def figure_tasks(figure_id):
     """Every (cfg, sd, bath, scenario) optimization of a qfi-sweep figure."""
-    scenario = FIGURE_PRESETS[figure_id].scenario
-    scenarios = [scenario]
-    if figure_id == "fig8":
-        base = scenario.spectral
-        scenarios = [replace(scenario,
-                             spectral=SpectralDensity(base.coupling, s, base.cutoff))
-                     for s in FIG8_OHMICITIES]
-    for sc in scenarios:
+    for _name, _command, sc in FIGURE_PRESETS[figure_id]:
         for value in sc.sweep_values().tolist():
             sd, bath = sc.at_sweep_value(value)
             for scheme, initial in VARIANTS:
