@@ -117,6 +117,14 @@ class Scenario:
         cp = configparser.ConfigParser(interpolation=None)
         try:
             cp.read_string(text)
+        # configparser spreads these two over several lines; one line each
+        except configparser.MissingSectionHeaderError as exc:
+            raise ConfigError(f"line {exc.lineno}: expected a [section] header, "
+                              f"got {exc.line!r}") from None
+        except configparser.ParsingError as exc:
+            lineno, line = exc.errors[0]  # the line comes as its repr
+            raise ConfigError(f"line {lineno}: expected 'key = value', "
+                              f"got {line}") from None
         except configparser.Error as exc:
             raise ConfigError(str(exc)) from None
         default = cls()
@@ -375,10 +383,6 @@ def run_qfi_sweep(scenario, out_path):
 def run_cfi(scenario, out_path):
     """Optimal-angle CFI against the QFI over the time grid."""
     cfg = scenario.probe
-    notes = []
-    if cfg.initial_state == CORRELATED and not scenario.bath.zero_temperature:
-        notes.append("finite-temperature level-shift derivatives are "
-                     "chain-rule values")
     t = scenario.time_grid()
     bundle = fisher.factor_bundle(cfg, scenario.spectral, scenario.bath,
                                   scenario.estimand, t, rel_tol=scenario.tolerance)
@@ -392,7 +396,7 @@ def run_cfi(scenario, out_path):
     rows = list(zip(*(col.tolist() for col in (t, angle, cfi_val, qfi_val, gap))))
     write_csv(out_path, scenario,
               ("t", "optimal_angle", "cfi", "qfi", "relative_gap"),
-              rows, extra_header=tuple(notes))
+              rows)
     return rows
 
 

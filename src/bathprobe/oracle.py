@@ -14,8 +14,8 @@ into (spin sector) x (mode) blocks:
 with c the total spin projection.  Per-sector, per-mode matrices are all
 the oracle ever diagonalizes, which keeps three thermal modes at large
 truncation cheap.  Kronecker assembly of the full matrices is exact (the
-blocks commute by construction) and is cross-checked against a literal
-dense exponential of the full Hamiltonian on small fixtures.
+blocks commute by construction); tests/test_oracle.py checks it against a
+literal matrix exponential of the full Hamiltonian on small fixtures.
 
 Truncation is certified at runtime: coherent displacement and thermal
 occupation bounds, plus an empirical per-column leakage measure used to
@@ -25,10 +25,10 @@ pick the columns on which unitary comparisons are meaningful.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import correlations
 from .dynamics import BASIS_LABELS, QubitState, _trace_second_qubit
@@ -168,10 +168,15 @@ def truncation_info(db, bath):
 # unitaries
 # ---------------------------------------------------------------------------
 
-def _mode_unitary_dense(omega, g, sector, n, t):
-    """exp(-i h t) for one mode and sector via Hermitian diagonalization."""
-    evals, vecs = np.linalg.eigh(mode_hamiltonian(omega, g, sector, n))
+def _hermitian_exp(h, t):
+    """exp(-i h t) of a Hermitian h via its diagonalization."""
+    evals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
+
+
+def _mode_unitary_dense(omega, g, sector, n, t):
+    """exp(-i h t) for one mode and sector."""
+    return _hermitian_exp(mode_hamiltonian(omega, g, sector, n), t)
 
 
 def _mode_unitary_magnus(omega, g, sector, n, t):
@@ -179,17 +184,15 @@ def _mode_unitary_magnus(omega, g, sector, n, t):
 
     exp(-i h t) rewritten as phase x free rotation x displacement; the
     phase carries the commutator term that closes the exponential series.
+    The displacement exp(A), A anti-Hermitian, is exp(-i (iA) t) at t = 1;
+    the free rotation exp(-i w t n) is diagonal and scales its rows.
     """
     b = lowering_operator(n)
     alpha = 2.0 * g * (1.0 - np.exp(1j * omega * t)) / omega
     delta_r = 4.0 * g * g / omega ** 2 * (math.sin(omega * t) - omega * t)
-    free = expm(-1j * omega * t * (b.conj().T @ b))
-    disp = expm(0.5 * sector * (alpha * b.conj().T - np.conj(alpha) * b))
-    return np.exp(-0.25j * sector * sector * delta_r) * (free @ disp)
-
-
-def _qubit_phase(omega_0, sector, t):
-    return np.exp(-0.5j * omega_0 * sector * t)
+    free = np.exp(-1j * omega * t * np.arange(n))
+    disp = _hermitian_exp(0.5j * sector * (alpha * b.T - np.conj(alpha) * b), 1.0)
+    return np.exp(-0.25j * sector * sector * delta_r) * (free[:, None] * disp)
 
 
 def _kron_all(mats):
@@ -215,8 +218,8 @@ def magnus_unitary(db, omega_0, t, n_qubits=2):
     """Full truncated-space unitary built from the two exponential factors.
 
     The first factor is the free probe+bath rotation, the second the
-    displacement exponential with the commutator phase; both are matrix
-    exponentials in the truncated space collected over the spin sectors.
+    displacement exponential with the commutator phase; both are taken in
+    the truncated space and collected over the spin sectors.
     """
     _check_full_dim(db, n_qubits)
     _, charges = _sectors(n_qubits)
@@ -225,7 +228,7 @@ def magnus_unitary(db, omega_0, t, n_qubits=2):
     out = np.zeros((dim, dim), dtype=complex)
     for idx, c in enumerate(charges):
         mats = [_mode_unitary_magnus(w, g, c, db.n_max, t) for (w, g) in db.modes]
-        block = _kron_all(mats) * _qubit_phase(omega_0, c, t)
+        block = _kron_all(mats) * np.exp(-0.5j * omega_0 * c * t)
         sl = slice(idx * env_dim, (idx + 1) * env_dim)
         out[sl, sl] = block
     return out
@@ -234,9 +237,9 @@ def magnus_unitary(db, omega_0, t, n_qubits=2):
 def dense_unitary(db, omega_0, t, n_qubits=2):
     """Literal exp(-i H t) of the assembled Hamiltonian (small fixtures)."""
     dim = _check_full_dim(db, n_qubits)
-    labels, charges = _sectors(n_qubits)
+    _, charges = _sectors(n_qubits)
     env_dim = db.n_max ** len(db.modes)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     n = db.n_max
     eye = [np.eye(n) for _ in db.modes]
     for idx, c in enumerate(charges):
@@ -247,7 +250,7 @@ def dense_unitary(db, omega_0, t, n_qubits=2):
             block = block + _kron_all(mats)
         sl = slice(idx * env_dim, (idx + 1) * env_dim)
         h[sl, sl] = block + 0.5 * omega_0 * c * np.eye(env_dim)
-    return expm(-1j * h * t)
+    return _hermitian_exp(h, t)
 
 
 def _certified_columns(omega, g, sector, n, t, leak_tol=1e-10, pad=40):
@@ -425,13 +428,6 @@ class CorrelatedPreparation:
         return math.exp(self.log_z - self.log_z_closed)
 
 
-def _preparation_charges(n_qubits):
-    # multiplicities of the total spin charge over the 2^nq basis states
-    if n_qubits == 2:
-        return {2: 1, 0: 2, -2: 1}
-    return {1: 1, -1: 1}
-
-
 def prepare_correlated(db, omega_0, bath, n_qubits=2):
     """Projective |+...+> preparation of the jointly thermalized state.
 
@@ -444,7 +440,7 @@ def prepare_correlated(db, omega_0, bath, n_qubits=2):
 
 
 def _prepare_correlated(db, omega_0, bath, n_qubits, eigs):
-    mult = _preparation_charges(n_qubits)
+    mult = Counter(_sectors(n_qubits)[1])  # charge -> number of basis states
     n = db.n_max
     if bath.zero_temperature:
         c_min = min(mult)  # w0 c/2 - c^2 C/4 is minimized by the bottom sector

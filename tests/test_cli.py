@@ -2,14 +2,18 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import bathprobe
 from bathprobe.cli import (_CONFIG_KEYS, FIGURE_PRESETS, ConfigError, Scenario,
-                           main, run_cfi, run_factors, run_optimize,
+                           _header_block, main, run_cfi, run_factors, run_optimize,
                            run_oracle_validation, run_qfi_sweep)
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig)
@@ -117,6 +121,15 @@ def test_cfi_zero_coupling_rows(tmp_path):
         assert cfi_val == 0.0 and qfi_val == 0.0
 
 
+def test_cfi_header_is_the_scenario_block(tmp_path):
+    # a correlated preparation at T > 0 carries no extra header note either
+    for scenario in (QUICK, replace(QUICK, bath=BathState(0.7))):
+        path = tmp_path / "cfi.csv"
+        run_cfi(scenario, path)
+        lines = path.read_text().splitlines(keepends=True)
+        assert "".join(l for l in lines if l.startswith("#")) == _header_block(scenario)
+
+
 def test_optimize_run(tmp_path):
     rows = run_optimize(QUICK, tmp_path / "opt.csv")
     assert len(rows) == 4
@@ -220,6 +233,23 @@ def test_config_keys_and_values_are_taken_literally(tmp_path, capsys, line, wher
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert where in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("text,line", [
+    ("coupling = 1\n", 1),                                   # no section header
+    ("[spectral\ncoupling = 1\n", 1),                        # unclosed header
+    ("[spectral]\ncoupling = 1\nstray\n", 3),                # no '='
+    ("[spectral]\ncoupling = 1\ncoupling = 2\n", 3),         # duplicate option
+    ("[spectral]\ncoupling = 1\n\n[spectral]\ncutoff = 2\n", 4)])  # duplicate section
+def test_config_syntax_errors_are_one_line(tmp_path, capsys, text, line):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["factors", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert re.search(rf"\bline\s+{line}\b", err), err
     assert not list(out.iterdir())
 
 
@@ -387,3 +417,27 @@ def test_main_figure_runs_quick_panel(tmp_path):
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].split(",")[0] == "t"
         assert len(lines) == 1 + scenario.time_points
+
+
+NUMPY_ONLY = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from bathprobe.cli import main
+codes = (main(["oracle-validate", "one-mode", "--out", sys.argv[1]]),
+         main(["figure", "fig9", "--out", sys.argv[1]]))
+try:
+    import scipy
+except ImportError:
+    sys.exit(max(codes))
+sys.exit("scipy is importable")
+"""
+
+
+def test_runtime_needs_numpy_only(tmp_path):
+    # scipy is a test-only reference; the package must run without it
+    src = str(Path(bathprobe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Discrete-mode oracle: operator algebra and exact-vs-closed-form dynamics."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -78,6 +79,49 @@ def test_magnus_matches_dense_full_matrix_small():
     core = [i * n + j for i in range(3) for j in range(3)]
     cols = [s * n * n + c for s in range(4) for c in core]
     assert np.max(np.abs((um - ud)[:, cols])) < 1e-8
+
+
+def _literal_hamiltonian(db, omega_0, n_qubits):
+    """H = w0 Jz/2 + sum_r [w_r n_r + Jz g_r (b_r + b_r^+)] by Kronecker products."""
+    sz = np.diag([1.0, -1.0])
+    jz = sz if n_qubits == 1 else np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sz)
+    n, n_modes = db.n_max, len(db.modes)
+
+    def on_mode(r, op):
+        return reduce(np.kron, [op if k == r else np.eye(n) for k in range(n_modes)])
+
+    h = 0.5 * omega_0 * np.kron(jz, np.eye(n ** n_modes))
+    for r, (w, g) in enumerate(db.modes):
+        free = oracle.mode_hamiltonian(w, g, 0, n)
+        coupling = oracle.mode_hamiltonian(w, g, 1, n) - free
+        h = (h + np.kron(np.eye(len(jz)), on_mode(r, free))
+             + np.kron(jz, on_mode(r, coupling)))
+    return h
+
+
+SMALL_TWO_MODE = DiscreteBath(((1.0, 0.05), (1.6, 0.04)), 8)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("t", [0.5, 1.1, 4.0])
+def test_dense_unitary_is_the_literal_matrix_exponential(n_qubits, t):
+    # independent route: scipy's expm of the Hamiltonian assembled above
+    ref = expm(-1j * _literal_hamiltonian(SMALL_TWO_MODE, 0.9, n_qubits) * t)
+    ud = dense_unitary(SMALL_TWO_MODE, 0.9, t, n_qubits)
+    assert np.max(np.abs(ud - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("t", [0.5, 1.1])
+def test_magnus_unitary_matches_literal_exponential_on_core(n_qubits, t):
+    # the 3x3 core columns stay clear of the n_max = 8 boundary up to t = 1.1;
+    # by t = 4 truncation alone moves the product form there by up to 3e-6
+    ref = expm(-1j * _literal_hamiltonian(SMALL_TWO_MODE, 0.9, n_qubits) * t)
+    n = SMALL_TWO_MODE.n_max
+    core = [i * n + j for i in range(3) for j in range(3)]
+    cols = [s * n * n + c for s in range(2 ** n_qubits) for c in core]
+    um = magnus_unitary(SMALL_TWO_MODE, 0.9, t, n_qubits)
+    assert np.max(np.abs((um - ref)[:, cols])) < 1e-8
 
 
 def test_single_qubit_unitaries():
