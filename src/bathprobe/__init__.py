@@ -13,8 +13,8 @@ from .dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                        partial_trace_second_qubit, reduced_qubit_state,
                        two_qubit_state)
 from .fisher import (FisherOptimum, cfi, cfi_born, optimal_angle,
-                     optimize_qfi_over_time, qfi_closed, qfi_spectral,
-                     state_derivative)
+                     optimize_qfi_over_time, optimize_variants, qfi_closed,
+                     qfi_spectral, state_derivative)
 from .oracle import (DiscreteBath, DiscreteFactors, compare_report,
                      discrete_factors, evolve_correlated, evolve_factorized,
                      magnus_unitary, prepare_correlated)
@@ -39,7 +39,7 @@ __all__ = [
     "eigendecompose",
     "Estimand", "FisherOptimum", "qfi_closed", "qfi_spectral",
     "state_derivative", "cfi", "cfi_born", "optimal_angle",
-    "optimize_qfi_over_time",
+    "optimize_qfi_over_time", "optimize_variants",
     "DiscreteBath", "DiscreteFactors", "discrete_factors", "magnus_unitary",
     "evolve_factorized", "prepare_correlated", "evolve_correlated",
     "compare_report",

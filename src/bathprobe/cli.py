@@ -324,6 +324,20 @@ def _resolve_out_dir(args):
     return path
 
 
+def _check_estimand(scenario, command):
+    """ConfigError for a temperature or coupling estimand at a true value of
+    0, where its information is undefined, unless a qfi-sweep supplies it."""
+    est = scenario.estimand
+    section, key, value = (("bath", "temperature", scenario.bath.temperature)
+                           if est is Estimand.TEMPERATURE else
+                           ("spectral", "coupling", scenario.spectral.coupling))
+    sweep = command == "qfi-sweep"
+    if (command != "factors" and est is not Estimand.CUTOFF_FREQUENCY and value == 0.0
+            and not (sweep and scenario.sweep_variable == key)):
+        raise ConfigError(f"[estimand] parameter = {est.value} needs [{section}] {key} > 0"
+                          + (f" or [sweep] variable = {key}" if sweep else ""))
+
+
 def _apply_overrides(scenario, args):
     changes = {}
     if getattr(args, "t_max", None) is not None:
@@ -363,15 +377,14 @@ def run_factors(scenario, out_path):
 def run_qfi_sweep(scenario, out_path):
     """Optimized QFI across the sweep for all scheme/preparation variants."""
     rows = []
+    cfgs = [ProbeConfig(scenario.probe.omega_0, *variant) for variant in VARIANTS]
     for value in scenario.sweep_values().tolist():
         sd, bath = scenario.at_sweep_value(value)
-        for (scheme, initial) in VARIANTS:
-            cfg = ProbeConfig(scenario.probe.omega_0, scheme, initial)
-            opt = fisher.optimize_qfi_over_time(cfg, sd, bath, scenario.estimand,
-                                                scenario.t_max, scenario.opt_grid,
-                                                rel_tol=scenario.tolerance)
-            rows.append((value, scheme, initial, opt.t_star, opt.f_star,
-                         opt.boundary_hit))
+        optima = fisher.optimize_variants(cfgs, sd, bath, scenario.estimand,
+                                          scenario.t_max, scenario.opt_grid,
+                                          rel_tol=scenario.tolerance)
+        rows += [(value, cfg.scheme, cfg.initial_state, opt.t_star, opt.f_star,
+                  opt.boundary_hit) for cfg, opt in zip(cfgs, optima)]
     write_csv(out_path, scenario,
               ("sweep_value", "scheme", "initial_state", "t_star", "f_star",
                "boundary_hit"),
@@ -522,6 +535,7 @@ def main(argv=None):
                 print(f"wrote {p}")
             return 0
         scenario = _apply_overrides(Scenario.from_config_file(args.config), args)
+        _check_estimand(scenario, args.command)
         out_path = out_dir / f"{args.command.replace('-', '_')}.csv"
         RUNNERS[args.command](scenario, out_path)
         print(f"wrote {out_path}")

@@ -116,8 +116,8 @@ class TwoQubitState:
     matrix: np.ndarray
 
 
-def _factors(cfg, sd, bath, t, rel_tol, phases):
-    """(gamma_vac, gamma_th, Delta, C, phi) of cfg's probe over the grid t.
+def _factors(sd, bath, t, rel_tol, two_qubit, phases):
+    """(gamma_vac, gamma_th, Delta, C, phi) over the grid t.
 
     Delta only for the two-qubit scheme, C and phi only if ``phases``; a
     factor left out is zero.
@@ -125,68 +125,82 @@ def _factors(cfg, sd, bath, t, rel_tol, phases):
     zero = np.zeros(t.shape)
     g_vac = spectral.gamma_vac(sd, t)
     g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
-    delta = spectral.delta_factor(sd, t) if cfg.scheme == TWO_QUBIT_TRACED else zero
+    delta = spectral.delta_factor(sd, t) if two_qubit else zero
     shift, phi = 0.0, zero
     if phases:
         shift, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
     return g_vac, g_th, delta, shift, phi
 
 
-def _assemble(cfg, sd, bath, t, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
-    """(fields, C): the factors of cfg's probe at a time or over a time grid.
+def _assemble(cfgs, sd, bath, ts, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
+    """([fields], C): the factors of each cfg's probe over its time(s) in ``ts``.
 
-    The one place that decides which factors a probe has (Delta for the
-    two-qubit scheme only, the correlation factors for the correlated
-    preparation only, zero otherwise) and how each moves with the estimand.
-    Without an estimand the fields are the state's (gamma_vac, gamma_th,
-    gamma_corr, Delta, phi, chi); with one, the Fisher bundle's
-    (Gamma, Delta, chi) and their slopes, and C and phi are evaluated only
-    for the correlation factors.
+    Each spectral form is evaluated once, on the sorted union of the grids
+    (a lone config's grid as it is); the forms are elementwise, so a config
+    gets the values of an assembly over its own grid.  The one place that decides which factors a probe
+    has (Delta for the two-qubit scheme only, the correlation factors for
+    the correlated preparation only, zero otherwise) and how each moves
+    with the estimand.  Without an estimand the fields are the state's
+    (gamma_vac, gamma_th, gamma_corr, Delta, phi, chi); with one, the Fisher
+    bundle's (Gamma, Delta, chi) and their slopes.
     """
-    t, scalar = _times(t)
-    zero = np.zeros(t.shape)
-    correlated = cfg.initial_state == CORRELATED
+    grids = [_times(t) for t in ts]
+    t = grids[0][0]
+    if len(grids) > 1:
+        t, inverse = np.unique(np.concatenate([g for g, _ in grids]), return_inverse=True)
+    two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg in cfgs)
+    correlated = any(cfg.initial_state == CORRELATED for cfg in cfgs)
+    zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
+    d_shift = d_beta = 0.0
+    out = []
     with np.errstate(all="ignore"):
-        g_vac, g_th, delta, shift, phi = _factors(cfg, sd, bath, t, rel_tol,
+        g_vac, g_th, delta, shift, phi = _factors(sd, bath, t, rel_tol, two_qubit,
                                                   correlated or estimand is None)
-        g_corr = chi = zero
-        if correlated:
-            corr = correlations.corr_factors_from_parts(
-                shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
-            g_corr, chi = corr.gamma_corr, corr.chi
-        if estimand is None:
-            fields = (g_vac, g_th, g_corr, delta, phi, chi)
-        else:
-            d_delta = d_phi = d_chi = zero
-            d_shift = d_beta = 0.0
-            if estimand is Estimand.COUPLING_STRENGTH:
-                # every factor is linear in G: its slope is its value at G = 1
-                unit = SpectralDensity(1.0, sd.ohmicity, sd.cutoff)
-                dg_vac, dg_th, d_delta, d_shift, d_phi = _factors(
-                    cfg, unit, bath, t, rel_tol, correlated)
-                d_gamma = dg_vac + dg_th
-            elif estimand is Estimand.CUTOFF_FREQUENCY:
-                d_gamma = spectral.d_gamma_d_omega_c(sd, bath, t, rel_tol)
-                if cfg.scheme == TWO_QUBIT_TRACED:
-                    d_delta = spectral.d_delta_d_omega_c(sd, t)
-                if correlated:
-                    # C = G w_c Gamma(s)
-                    d_shift = sd.coupling * math.gamma(sd.ohmicity)
-                    d_phi = spectral.d_phi_d_omega_c(sd, t)
-            else:
-                # only gamma_th and beta = 1/T move with T: d beta/dT = -beta**2
-                d_gamma = spectral.d_gamma_th_d_temperature(sd, bath, t, rel_tol=rel_tol)
-                d_beta = -(bath.beta * bath.beta)
+        if estimand is Estimand.COUPLING_STRENGTH:
+            # every factor is linear in G: its slope is its value at G = 1
+            unit = SpectralDensity(1.0, sd.ohmicity, sd.cutoff)
+            dg_vac, dg_th, d_delta, d_shift, d_phi = _factors(
+                unit, bath, t, rel_tol, two_qubit, correlated)
+            d_gamma = dg_vac + dg_th
+        elif estimand is Estimand.CUTOFF_FREQUENCY:
+            d_gamma = spectral.d_gamma_d_omega_c(sd, bath, t, rel_tol)
+            if two_qubit:
+                d_delta = spectral.d_delta_d_omega_c(sd, t)
             if correlated:
-                dg_corr, d_chi = correlations.d_corr_from_parts(
-                    shift, phi, d_shift, d_phi, bath.beta, d_beta, cfg.omega_0,
-                    cfg.correlation_scheme)
-                d_gamma = d_gamma + dg_corr
-            fields = (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi)
-    _check_finite(fields, sd, bath, t)
-    if scalar:
-        fields = (float(v[0]) for v in fields)
-    return fields, shift
+                # C = G w_c Gamma(s)
+                d_shift = sd.coupling * math.gamma(sd.ohmicity)
+                d_phi = spectral.d_phi_d_omega_c(sd, t)
+        elif estimand is not None:
+            # only gamma_th and beta = 1/T move with T: d beta/dT = -beta**2
+            d_gamma = spectral.d_gamma_th_d_temperature(sd, bath, t, rel_tol=rel_tol)
+            d_beta = -(bath.beta * bath.beta)
+        forms = [(zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)]
+        if len(grids) > 1:
+            # each config's forms in one gather from the union
+            stacked = np.stack(forms[0])
+            forms = [stacked[:, pick] for pick in
+                     np.split(inverse, np.cumsum([g.size for g, _ in grids])[:-1])]
+        for cfg, (grid, scalar), (zero, g_vac, g_th, delta, phi, d_gamma,
+                                  d_delta, d_phi) in zip(cfgs, grids, forms):
+            if cfg.scheme != TWO_QUBIT_TRACED:
+                delta = d_delta = zero
+            g_corr = chi = d_chi = zero
+            if cfg.initial_state == CORRELATED:
+                corr = correlations.corr_factors_from_parts(
+                    shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
+                g_corr, chi = corr.gamma_corr, corr.chi
+                if estimand is not None:
+                    dg_corr, d_chi = correlations.d_corr_from_parts(
+                        shift, phi, d_shift, d_phi, bath.beta, d_beta, cfg.omega_0,
+                        cfg.correlation_scheme)
+                    d_gamma = d_gamma + dg_corr
+            fields = ((g_vac, g_th, g_corr, delta, phi, chi) if estimand is None else
+                      (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi))
+            _check_finite(fields, sd, bath, grid)
+            if scalar:
+                fields = (float(v[0]) for v in fields)
+            out.append(fields)
+    return out, shift
 
 
 def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
@@ -195,7 +209,7 @@ def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
     A non-finite factor raises NumericalError naming its (s, w_c, T, t).
     """
-    fields, shift = _assemble(cfg, sd, bath, t, rel_tol=rel_tol)
+    (fields,), shift = _assemble([cfg], sd, bath, [t], rel_tol=rel_tol)
     return DephasingFactors(*fields, c_shift=shift)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "optimal_angle_from_bundle",
     "FisherOptimum",
     "optimize_qfi_over_time",
+    "optimize_variants",
 ]
 
 
@@ -73,7 +74,7 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """
     estimand = Estimand(estimand)
     _validate_estimand(estimand, sd, bath)
-    fields, _ = dynamics._assemble(cfg, sd, bath, t, estimand, rel_tol)
+    (fields,), _ = dynamics._assemble([cfg], sd, bath, [t], estimand, rel_tol)
     return FactorBundle(*fields)
 
 
@@ -281,18 +282,6 @@ _INV_GR = (math.sqrt(5.0) - 1.0) / 2.0
 _TREE_DEPTH = 5
 
 
-def _golden_step(a, b, c, d, left):
-    """One golden-section step, left when f(c) > f(d); returns the bracket
-    and the one new point it needs."""
-    if left:
-        b, d = d, c
-        c = b - _INV_GR * (b - a)
-        return a, b, c, d, c
-    a, c = c, d
-    d = a + _INV_GR * (b - a)
-    return a, b, c, d, d
-
-
 def _tree_points(a, b, c, d, first, depth, tol):
     """Every point the next ``depth`` steps from (a, b, c, d) may evaluate.
 
@@ -304,29 +293,34 @@ def _tree_points(a, b, c, d, first, depth, tol):
     points = []
     level = [(a, b, c, d)]
     for k in range(depth + 1):
-        outcomes = (True, False) if k or first is None else (first,)
+        left, right = k or first is not False, k or not first
         nxt = []
         for a, b, c, d in level:
             if not (b - a) > tol * b:
                 points.append(0.5 * (a + b))
             elif k < depth:
-                for left in outcomes:
-                    step = _golden_step(a, b, c, d, left)
-                    points.append(step[4])
-                    nxt.append(step[:4])
+                # the two golden-section steps of _golden_section's walk
+                if left:
+                    p = d - _INV_GR * (d - a)
+                    points.append(p)
+                    nxt.append((a, d, p, c))
+                if right:
+                    p = c + _INV_GR * (b - c)
+                    points.append(p)
+                    nxt.append((c, b, d, p))
         level = dict.fromkeys(nxt)
     return points
 
 
-def _golden_section(f, lo, hi, tol):
-    """Golden-section maximization of f on [lo, hi], a decision tree at a time.
+def _golden_section(lo, hi, tol):
+    """Golden-section maximization on [lo, hi], a decision tree at a time.
 
     Takes the same steps as the one-point-at-a-time loop: from the state
     (a, b, c, d, fc, fd), each of the next _TREE_DEPTH steps places its
     point by the earlier fc > fd outcomes alone, so all candidate points
-    are known up front.  One array call of ``f`` evaluates them (paths
-    often share points), and the real path is then walked with the same
-    comparisons.  Returns (t_star, f_star, c, fc, d, fd).
+    are known up front.  A generator: it yields them as one array (paths
+    often share points), is sent their values, and walks the real path with
+    the same comparisons.  Returns (t_star, f_star, c, fc, d, fd).
     """
     a, b = lo, hi
     c = b - _INV_GR * (b - a)
@@ -337,18 +331,55 @@ def _golden_section(f, lo, hi, tol):
         points = (([c, d] if fc is None else [])
                   + _tree_points(a, b, c, d, first, _TREE_DEPTH, tol))
         points = list(dict.fromkeys(points))
-        known = dict(zip(points, f(np.array(points)).tolist()))
+        known = dict(zip(points, (yield np.array(points)).tolist()))
         if fc is None:
             fc, fd = known[c], known[d]
         for _ in range(_TREE_DEPTH):
             if not (b - a) > tol * b:
                 break
-            left = fc > fd
-            a, b, c, d, p = _golden_step(a, b, c, d, left)
-            fc, fd = (known[p], fc) if left else (fd, known[p])
+            if fc > fd:
+                b, d, fd = d, c, fc
+                c = b - _INV_GR * (b - a)
+                fc = known[c]
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INV_GR * (b - a)
+                fd = known[d]
         if not (b - a) > tol * b:
             t_star = 0.5 * (a + b)
             return t_star, known[t_star], c, fc, d, fd
+
+
+def _optimize(n, sd, t_max, grid_size, rel_time_tol, qfi):
+    """n time optimizations in lockstep; ``qfi(tasks, times)`` returns the
+    QFIs of tasks (by index) over their time arrays.  One call scans all n
+    tasks, then one per round refines every bracket still open."""
+    if t_max <= 0.0:
+        raise ValueError("t_max must be > 0")
+    ts = np.geomspace(min(1e-3 / sd.cutoff, 0.5 * t_max), t_max, max(int(grid_size), 64))
+    optima, refining = [], {}
+    for i, vals in enumerate(qfi(range(n), [ts] * n)):
+        k = int(np.argmax(vals))
+        if not np.any(vals > 0.0):
+            optima.append(FisherOptimum(float(ts[0]), 0.0, False, flat=True))
+        elif k == ts.size - 1:
+            optima.append(FisherOptimum(float(ts[-1]), float(vals[-1]), True))
+        else:  # the scan's best (f, t) until the refinement returns
+            optima.append((vals[k], ts[k]))
+            refining[i] = _golden_section(float(ts[max(k - 1, 0)]), float(ts[k + 1]),
+                                          rel_time_tol)
+    wanted = {i: next(task) for i, task in refining.items()}
+    while wanted:
+        live = list(wanted)
+        for i, vals in zip(live, qfi(live, [wanted[i] for i in live])):
+            try:
+                wanted[i] = refining[i].send(vals)
+            except StopIteration as done:
+                t_star, f_star, c, fc, d, fd = done.value
+                best = max((f_star, t_star), (fc, c), (fd, d), optima[i])
+                optima[i] = FisherOptimum(float(best[1]), float(best[0]), False)
+                del wanted[i]
+    return optima
 
 
 def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
@@ -357,30 +388,25 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
 
     Coarse log-spaced scan of max(grid_size, 64) points followed by
     golden-section refinement inside the best bracketing interval; both
-    evaluate whole time arrays per factor bundle.  ``boundary_hit`` marks a maximizer at t_max (typical in
-    regimes where the information keeps accumulating); ``flat`` marks an
-    information-free curve (such as G = 0).
+    evaluate whole time arrays per factor bundle.  ``boundary_hit`` marks a
+    maximizer at t_max (typical in regimes where the information keeps
+    accumulating); ``flat`` marks an information-free curve (such as G = 0).
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be > 0")
-    grid_size = max(int(grid_size), 64)
-    t_lo = min(1e-3 / sd.cutoff, 0.5 * t_max)
-    ts = np.geomspace(t_lo, t_max, grid_size)
+    return _optimize(1, sd, t_max, grid_size, rel_time_tol, lambda _, times: [
+        qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, times[0], rel_tol))])[0]
 
-    def f(t):
-        return qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, t, rel_tol))
 
-    vals = f(ts)
-    i = int(np.argmax(vals))
-    if not np.any(vals > 0.0):
-        return FisherOptimum(t_star=float(ts[0]), f_star=0.0,
-                             boundary_hit=False, flat=True)
-    if i == grid_size - 1:
-        return FisherOptimum(t_star=float(ts[-1]), f_star=float(vals[-1]),
-                             boundary_hit=True)
-    lo = ts[i - 1] if i > 0 else ts[0]
-    t_star, f_star, c, fc, d, fd = _golden_section(f, float(lo), float(ts[i + 1]),
-                                                   rel_time_tol)
-    best = max((f_star, t_star), (fc, c), (fd, d), (vals[i], ts[i]))
-    return FisherOptimum(t_star=float(best[1]), f_star=float(best[0]),
-                         boundary_hit=False)
+def optimize_variants(cfgs, sd, bath, estimand, t_max, grid_size=128,
+                      rel_time_tol=1e-6, rel_tol=spectral.GAMMA_TH_RTOL):
+    """optimize_qfi_over_time for each probe of ``cfgs``, in lockstep: the
+    scans are one factor assembly over the shared (sd, bath), and so is
+    each later round over every bracket still open.  Same optima."""
+    estimand = Estimand(estimand)
+    _validate_estimand(estimand, sd, bath)
+
+    def qfi(tasks, times):
+        fields_of_each, _ = dynamics._assemble([cfgs[i] for i in tasks], sd, bath,
+                                               times, estimand, rel_tol)
+        return [qfi_from_bundle(FactorBundle(*fields)) for fields in fields_of_each]
+
+    return _optimize(len(cfgs), sd, t_max, grid_size, rel_time_tol, qfi)

@@ -17,8 +17,8 @@ The closed forms take the time as a scalar or as a 1-D array: an array
 returns the factor over the whole grid from one call, a scalar returns a
 float.  They are written so that in-domain inputs raise no floating-point
 warning; the one assembly that feeds them (``dynamics._assemble``, behind
-``dephasing_factors`` and ``factor_bundle``) runs under one ``np.errstate``
-and checks the result for non-finite values.
+``dephasing_factors``, ``factor_bundle`` and ``optimize_variants``) runs
+under one ``np.errstate`` and checks the result for non-finite values.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def _point(sd, bath, t):
 
 def _check_finite(fields, sd, bath, t):
     """NumericalError naming the first time at which a field is not finite."""
-    ok = np.isfinite(fields).all(axis=0)
-    if not ok.all():
+    if not np.isfinite(fields).all():
+        ok = np.isfinite(fields).all(axis=0)
         raise NumericalError(f"non-finite dephasing factor at "
                              f"{_point(sd, bath, t[np.argmin(ok)])}")
 

@@ -286,6 +286,60 @@ def test_non_finite_factor_exit_code(tmp_path, capsys):
     assert err.startswith("numerical error:") and "t=3333.3333333333335" in err
 
 
+@pytest.mark.parametrize("command", ["qfi-sweep", "optimize", "cfi"])
+@pytest.mark.parametrize("estimand,zero,keys", [
+    ("temperature", "[bath]\ntemperature = 0\n", "[bath] temperature"),
+    ("coupling_strength", "[spectral]\ncoupling = 0\n", "[spectral] coupling")])
+def test_estimand_with_a_zero_true_value_is_a_config_error(tmp_path, capsys, command,
+                                                           estimand, zero, keys):
+    # the temperature and coupling information are not defined at T = 0 and
+    # G = 0; the run stops before it computes or writes anything
+    config = tmp_path / "scenario.cfg"
+    config.write_text(zero + f"[estimand]\nparameter = {estimand}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert f"[estimand] parameter = {estimand}" in err and f"{keys} > 0" in err
+    assert not list(out.iterdir())
+    # factors reads no estimand
+    assert main(["factors", "--config", str(config), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("variable,zero,estimand", [
+    ("temperature", "[bath]\ntemperature = 0\n", "temperature"),
+    ("coupling", "[spectral]\ncoupling = 0\n", "coupling_strength")])
+def test_sweep_over_the_estimand_starts_from_a_zero_base(tmp_path, variable, zero,
+                                                         estimand):
+    # every sweep value is > 0, so the base value is never read
+    config = tmp_path / "scenario.cfg"
+    config.write_text(zero + f"[estimand]\nparameter = {estimand}\n"
+                      f"[sweep]\nvariable = {variable}\nstart = 0.5\nstop = 1.5\n"
+                      "points = 2\n[time]\nt-max = 5\ngrid = 64\n")
+    assert main(["qfi-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    rows = [l.split(",") for l in (tmp_path / "qfi_sweep.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert len(rows) == 8 and {r[0] for r in rows} == {"0.5", "1.5"}
+    assert all(float(r[4]) > 0.0 for r in rows)
+
+
+def test_quadrature_failure_in_the_lockstep_exit_code(tmp_path, capsys):
+    # the four variants of a sweep value are optimized together; a thermal
+    # series that misses the tolerance still stops the run with exit 3
+    config = tmp_path / "scenario.cfg"
+    config.write_text("[spectral]\ncoupling = 0.5\nohmicity = 0.5\ncutoff = 2\n"
+                      "[bath]\ntemperature = 1\n[estimand]\nparameter = temperature\n"
+                      "[sweep]\nvariable = temperature\nstart = 0.5\nstop = 1\n"
+                      "points = 2\n[time]\nt-max = 5\ngrid = 64\n")
+    out = tmp_path / "out"
+    assert main(["qfi-sweep", "--config", str(config), "--out", str(out),
+                 "--tol", "1e-20"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("quadrature error:") and "achieved error=" in err
+    assert not list(out.iterdir())
+
+
 @pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--tol", "1e-6")])
 def test_figure_rejects_scenario_flags(tmp_path, flag):
     # a preset pins its scenario; a flag it would ignore is an argument error

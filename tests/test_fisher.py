@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bathprobe import dynamics
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
                                 dephasing_factors, reduced_qubit_state)
@@ -13,8 +14,9 @@ from bathprobe.correlations import d_corr_from_parts
 from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
                               cfi, cfi_born, cfi_from_bundle, factor_bundle,
                               optimal_angle, optimal_angle_from_bundle,
-                              optimize_qfi_over_time, qfi_closed, qfi_from_bundle,
-                              qfi_spectral, state_derivative)
+                              optimize_qfi_over_time, optimize_variants, qfi_closed,
+                              qfi_from_bundle, qfi_spectral, state_derivative)
+from bathprobe.quadrature import QuadratureError
 from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_shift,
                                 delta_factor, gamma_th, gamma_vac, phi_factor)
 
@@ -417,3 +419,81 @@ def test_tree_refinement_keeps_the_golden_section_iterates(figure_id):
         assert rel_diff(got.f_star, want.f_star, floor=0.0) <= f_tol, (cfg, sd, bath)
         refined += not got.boundary_hit
     assert refined
+
+
+# ---------------------------------------------------------------------------
+# the shared factor assembly and the lockstep optimizer
+# ---------------------------------------------------------------------------
+
+def field_bytes(fields_of_each):
+    return [tuple(np.asarray(v).tobytes() for v in fields) for fields in fields_of_each]
+
+
+def test_shared_assembly_equals_the_per_config_assemblies():
+    # every spectral form is elementwise, so evaluating it once on the union
+    # of the configs' grids gives each config its own values bit for bit.
+    # Only grids of >= 2 points: numpy sums the thermal series of a 1-point
+    # grid in another order, so at T > 0 a lone time can differ from the
+    # same time inside a grid in the last bits (about 1e-15 relative in the
+    # factors, more in a field whose terms cancel).
+    rng = np.random.default_rng(2024)
+    cfgs = [ProbeConfig(float(rng.choice([1.0, 1.7])), scheme, initial)
+            for scheme in SCHEMES for initial in INITIALS]
+    for draw in range(40):
+        s = float(rng.choice([rng.uniform(0.05, 4.0),
+                              rng.integers(1, 4) + rng.choice([-1e-9, 0.0, 1e-9])]))
+        sd = SpectralDensity(float(np.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
+                             s, float(rng.uniform(0.5, 5.0)))
+        bath = BathState(float(rng.choice([0.0, rng.uniform(0.2, 3.0)])))
+        shared = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(30.0), 9)))
+        picked = [cfgs[i] for i in rng.permutation(4)[:int(rng.integers(2, 5))]]
+        # shared grids, and distinct grids that overlap the shared one
+        grids = [shared if rng.random() < 0.4 else np.concatenate(
+                     [shared[:int(rng.integers(0, 9))],
+                      np.exp(rng.uniform(math.log(1e-3), math.log(30.0),
+                                         int(rng.integers(2, 12))))])
+                 for _ in picked]
+        for est in (None, *Estimand):
+            if est is Estimand.TEMPERATURE and bath.zero_temperature:
+                continue
+            together, _ = dynamics._assemble(picked, sd, bath, grids, est)
+            alone = [dynamics._assemble([c], sd, bath, [g], est)[0][0]
+                     for c, g in zip(picked, grids)]
+            assert field_bytes(together) == field_bytes(alone), (draw, sd, bath, est)
+
+
+@pytest.mark.parametrize("figure_id", [f"fig{i}" for i in range(1, 9)])
+def test_lockstep_optimizer_equals_one_optimization_per_variant(figure_id):
+    hits = set()
+    for _name, _command, sc in FIGURE_PRESETS[figure_id]:
+        cfgs = [ProbeConfig(sc.probe.omega_0, *variant) for variant in VARIANTS]
+        for value in sc.sweep_values().tolist():
+            sd, bath = sc.at_sweep_value(value)
+            args = (sd, bath, sc.estimand, sc.t_max, sc.opt_grid)
+            together = optimize_variants(cfgs, *args, rel_tol=sc.tolerance)
+            alone = [optimize_qfi_over_time(cfg, *args, rel_tol=sc.tolerance)
+                     for cfg in cfgs]
+            assert together == alone, (figure_id, value)
+            hits.add(tuple(opt.boundary_hit for opt in together))
+    if figure_id == "fig4":
+        # one call that mixes boundary hits with refined optima
+        assert any(len(set(h)) == 2 for h in hits)
+
+
+def test_an_error_in_a_later_round_leaves_the_lockstep(monkeypatch):
+    # the scans pass, the first refinement round raises: the error reaches
+    # the caller, as it would from one optimization at a time
+    sd, bath = SpectralDensity(0.5, 1.0, 2.0), BathState(0.7)
+    cfgs = [ProbeConfig(1.0, *variant) for variant in VARIANTS]
+    assemble, calls = dynamics._assemble, []
+
+    def failing(*args, **kwargs):
+        calls.append(len(args[0]))
+        if len(calls) == 2:
+            raise QuadratureError("thermal series bound exceeds rel_tol", 1.0, 1.0)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_assemble", failing)
+    with pytest.raises(QuadratureError):
+        optimize_variants(cfgs, sd, bath, Estimand.CUTOFF_FREQUENCY, 20.0, 64)
+    assert calls == [4, 4]
