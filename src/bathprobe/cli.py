@@ -82,6 +82,10 @@ class Scenario:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        for section, key, name, sub in _CONFIG_KEYS:
+            value = getattr(getattr(self, name), sub) if sub else getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"[{section}] {key} must be finite, got {value!r}")
         if self.sweep_start <= 0.0 or self.sweep_stop <= 0.0:
             raise ValueError("sweep range must be positive")
         if self.sweep_points < 2:
@@ -376,15 +380,13 @@ def run_factors(scenario, out_path):
 
 def run_qfi_sweep(scenario, out_path):
     """Optimized QFI across the sweep for all scheme/preparation variants."""
-    rows = []
     cfgs = [ProbeConfig(scenario.probe.omega_0, *variant) for variant in VARIANTS]
-    for value in scenario.sweep_values().tolist():
-        sd, bath = scenario.at_sweep_value(value)
-        optima = fisher.optimize_variants(cfgs, sd, bath, scenario.estimand,
-                                          scenario.t_max, scenario.opt_grid,
-                                          rel_tol=scenario.tolerance)
-        rows += [(value, cfg.scheme, cfg.initial_state, opt.t_star, opt.f_star,
-                  opt.boundary_hit) for cfg, opt in zip(cfgs, optima)]
+    values = scenario.sweep_values().tolist()
+    optima = fisher.optimize_variants(cfgs, [scenario.at_sweep_value(v) for v in values],
+                                      scenario.estimand, scenario.t_max,
+                                      scenario.opt_grid, rel_tol=scenario.tolerance)
+    rows = [(value, cfg.scheme, cfg.initial_state, opt.t_star, opt.f_star, opt.boundary_hit)
+            for value, opts in zip(values, optima) for cfg, opt in zip(cfgs, opts)]
     write_csv(out_path, scenario,
               ("sweep_value", "scheme", "initial_state", "t_star", "f_star",
                "boundary_hit"),

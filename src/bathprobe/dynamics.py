@@ -18,7 +18,7 @@ import numpy as np
 
 from . import correlations, spectral
 from .correlations import SINGLE_QUBIT, TWO_QUBIT
-from .spectral import DephasingFactors, SpectralDensity, _check_finite, _times
+from .spectral import DephasingFactors, NumericalError, _point, _times
 
 __all__ = [
     "TWO_QUBIT_TRACED",
@@ -116,91 +116,168 @@ class TwoQubitState:
     matrix: np.ndarray
 
 
-def _factors(sd, bath, t, rel_tol, two_qubit, phases):
-    """(gamma_vac, gamma_th, Delta, C, phi) over the grid t.
-
-    Delta only for the two-qubit scheme, C and phi only if ``phases``; a
-    factor left out is zero.
-    """
+def _factors(p, t, rel_tol, two_qubit, phases):
+    """(gamma_vac, gamma_th, Delta, phi) over t at the Points p; Delta only
+    for the two-qubit scheme, phi only if ``phases``, a factor left out 0."""
     zero = np.zeros(t.shape)
-    g_vac = spectral.gamma_vac(sd, t)
-    g_th = spectral.gamma_th(sd, bath, t, rel_tol=rel_tol)
-    delta = spectral.delta_factor(sd, t) if two_qubit else zero
-    shift, phi = 0.0, zero
-    if phases:
-        shift, phi = spectral.c_shift(sd), spectral.phi_factor(sd, t)
-    return g_vac, g_th, delta, shift, phi
+    return (spectral.gamma_vac(p, t), spectral.gamma_th(p, p, t, rel_tol=rel_tol),
+            spectral.delta_factor(p, t) if two_qubit else zero,
+            spectral.phi_factor(p, t) if phases else zero)
 
 
-def _assemble(cfgs, sd, bath, ts, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
-    """([fields], C): the factors of each cfg's probe over its time(s) in ``ts``.
-
-    Each spectral form is evaluated once, on the sorted union of the grids
-    (a lone config's grid as it is); the forms are elementwise, so a config
-    gets the values of an assembly over its own grid.  The one place that decides which factors a probe
-    has (Delta for the two-qubit scheme only, the correlation factors for
-    the correlated preparation only, zero otherwise) and how each moves
-    with the estimand.  Without an estimand the fields are the state's
-    (gamma_vac, gamma_th, gamma_corr, Delta, phi, chi); with one, the Fisher
-    bundle's (Gamma, Delta, chi) and their slopes.
-    """
-    grids = [_times(t) for t in ts]
-    t = grids[0][0]
-    if len(grids) > 1:
-        t, inverse = np.unique(np.concatenate([g for g, _ in grids]), return_inverse=True)
-    two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg in cfgs)
-    correlated = any(cfg.initial_state == CORRELATED for cfg in cfgs)
-    zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
+def _scalars(p, estimand):
+    """(C, dC/dx, beta, d beta/dx) at the Points p for the correlation factors."""
     d_shift = d_beta = 0.0
-    out = []
+    if estimand is Estimand.COUPLING_STRENGTH:
+        d_shift = spectral.c_shift(p._replace(coupling=1.0))
+    elif estimand is Estimand.CUTOFF_FREQUENCY:
+        d_shift = p.coupling * math.gamma(p.ohmicity)  # C = G w_c Gamma(s)
+    elif estimand is not None:
+        d_beta = -(p.beta * p.beta)
+    return spectral.c_shift(p), d_shift, p.beta, d_beta
+
+
+def _unions(grids, pair_of, n_pairs):
+    """(times, sizes, inverse): the sorted union of the grids of each pair,
+    laid end to end in pair order, its size per pair, and the index in it
+    of every point of the grids laid end to end; one sort by (pair, time)."""
+    times = np.concatenate(grids)
+    pair = np.repeat(pair_of, [g.size for g in grids])
+    sort = np.lexsort((times, pair))
+    times, pair = times[sort], pair[sort]
+    new = np.ones(times.size, bool)
+    new[1:] = (times[1:] != times[:-1]) | (pair[1:] != pair[:-1])
+    inverse = np.empty_like(sort)
+    inverse[sort] = np.cumsum(new) - 1
+    return times[new], np.bincount(pair[new], minlength=n_pairs), inverse
+
+
+def _runs(members, grids):
+    """(k, start, stop) of each member's times, laid end to end."""
+    stops = np.cumsum([grids[k].size for k in members]).tolist()
+    return zip(members, [0] + stops[:-1], stops)
+
+
+def _correlation_factors(cfg, phi, d_phi, scalars, estimand):
+    """(gamma_corr, chi) of a correlated probe and their estimand slopes."""
+    shift, d_shift, beta, d_beta = scalars
+    corr = correlations.corr_factors_from_parts(
+        shift, phi, beta, cfg.omega_0, cfg.correlation_scheme)
+    if estimand is None:
+        zero = np.zeros(np.shape(phi))
+        return corr.gamma_corr, corr.chi, zero, zero
+    return (corr.gamma_corr, corr.chi, *correlations.d_corr_from_parts(
+        shift, phi, d_shift, d_phi, beta, d_beta, cfg.omega_0, cfg.correlation_scheme))
+
+
+def _assemble(tasks, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
+    """[(members, fields)]: the factors of tasks (cfg, sd, bath, t), by config.
+
+    Tasks that share (sd, bath) share the sorted union of their grids (a
+    lone task keeps its grid), and each spectral form is evaluated once
+    over the unions laid end to end, with (G, w_c, T) per point
+    (``spectral.Points``; tasks at another s, at G = 0 or in the cold limit
+    are assembled apart).  The forms are elementwise, so a task gets the
+    values of an assembly of its own.  Then, once per config over the times
+    of its members laid end to end, the one place that decides which
+    factors a probe has (Delta for the two-qubit scheme only, the
+    correlation factors for the correlated preparation only, zero
+    otherwise) and how each moves with the estimand.  Without an estimand
+    the fields are the state's (gamma_vac, gamma_th, gamma_corr, Delta, phi,
+    chi); with one, the Fisher bundle's (Gamma, Delta, chi) and their
+    slopes.  A lone task at a scalar time gets floats.
+    """
+    if len(tasks) == 1:
+        ((cfg, sd, bath, t),) = tasks
+        t, scalar = _times(t)
+        grids, by_cfg = [t], [(cfg, [0])]
+        p = spectral.Points(sd.coupling, sd.ohmicity, sd.cutoff, bath.temperature, bath.beta)
+    else:
+        grids = [_times(t)[0] for *_, t in tasks]
+        classes = {}
+        for i, (_, sd, bath, _) in enumerate(tasks):
+            key = (sd.ohmicity, sd.coupling == 0.0, spectral._cold(bath))
+            classes.setdefault(key, []).append(i)
+        if len(classes) != 1:
+            return [([part[k] for k in members], fields) for part in classes.values()
+                    for members, fields in _assemble([tasks[i] for i in part],
+                                                     estimand, rel_tol)]
+        by_cfg, pairs = {}, {}
+        for i, (cfg, sd, bath, _) in enumerate(tasks):
+            by_cfg.setdefault(cfg, []).append(i)
+            pairs.setdefault((sd, bath), len(pairs))
+        by_cfg = list(by_cfg.items())
+        order = [i for _, members in by_cfg for i in members]
+        t, sizes, inverse = _unions([grids[i] for i in order],
+                                    [pairs[tasks[i][1:3]] for i in order], len(pairs))
+        p = spectral.Points.of(list(pairs), sizes)
+    two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg, _ in by_cfg)
+    correlated = any(cfg.initial_state == CORRELATED for cfg, _ in by_cfg)
+    zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
+    out, done = [], 0
     with np.errstate(all="ignore"):
-        g_vac, g_th, delta, shift, phi = _factors(sd, bath, t, rel_tol, two_qubit,
-                                                  correlated or estimand is None)
+        g_vac, g_th, delta, phi = _factors(p, t, rel_tol, two_qubit,
+                                           correlated or estimand is None)
         if estimand is Estimand.COUPLING_STRENGTH:
             # every factor is linear in G: its slope is its value at G = 1
-            unit = SpectralDensity(1.0, sd.ohmicity, sd.cutoff)
-            dg_vac, dg_th, d_delta, d_shift, d_phi = _factors(
-                unit, bath, t, rel_tol, two_qubit, correlated)
+            dg_vac, dg_th, d_delta, d_phi = _factors(p._replace(coupling=1.0), t,
+                                                     rel_tol, two_qubit, correlated)
             d_gamma = dg_vac + dg_th
         elif estimand is Estimand.CUTOFF_FREQUENCY:
-            d_gamma = spectral.d_gamma_d_omega_c(sd, bath, t, rel_tol)
+            d_gamma = spectral.d_gamma_d_omega_c(p, p, t, rel_tol)
             if two_qubit:
-                d_delta = spectral.d_delta_d_omega_c(sd, t)
+                d_delta = spectral.d_delta_d_omega_c(p, t)
             if correlated:
-                # C = G w_c Gamma(s)
-                d_shift = sd.coupling * math.gamma(sd.ohmicity)
-                d_phi = spectral.d_phi_d_omega_c(sd, t)
+                d_phi = spectral.d_phi_d_omega_c(p, t)
         elif estimand is not None:
-            # only gamma_th and beta = 1/T move with T: d beta/dT = -beta**2
-            d_gamma = spectral.d_gamma_th_d_temperature(sd, bath, t, rel_tol=rel_tol)
-            d_beta = -(bath.beta * bath.beta)
-        forms = [(zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)]
-        if len(grids) > 1:
-            # each config's forms in one gather from the union
-            stacked = np.stack(forms[0])
-            forms = [stacked[:, pick] for pick in
-                     np.split(inverse, np.cumsum([g.size for g, _ in grids])[:-1])]
-        for cfg, (grid, scalar), (zero, g_vac, g_th, delta, phi, d_gamma,
-                                  d_delta, d_phi) in zip(cfgs, grids, forms):
+            # only gamma_th and beta = 1/T move with T
+            d_gamma = spectral.d_gamma_th_d_temperature(p, p, t, rel_tol=rel_tol)
+        forms = (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)
+        scalars = _scalars(p, estimand) if correlated else ()
+        varies = (correlated and not spectral._cold(p)
+                  and any(isinstance(x, np.ndarray) for x in scalars))
+        for cfg, members in by_cfg:
+            (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = forms, scalars
+            if len(tasks) > 1:
+                pick = inverse[done:done + sum(grids[k].size for k in members)]
+                done += pick.size
+                # a config whose times are the whole union in order reads the
+                # forms as they are (the scans of a sweep)
+                if not (pick.size == t.size and (np.diff(pick) > 0).all()):
+                    (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = (
+                        [x[pick] if isinstance(x, np.ndarray) else x for x in y]
+                        for y in (forms, scalars))
             if cfg.scheme != TWO_QUBIT_TRACED:
                 delta = d_delta = zero
             g_corr = chi = d_chi = zero
             if cfg.initial_state == CORRELATED:
-                corr = correlations.corr_factors_from_parts(
-                    shift, phi, bath.beta, cfg.omega_0, cfg.correlation_scheme)
-                g_corr, chi = corr.gamma_corr, corr.chi
-                if estimand is not None:
-                    dg_corr, d_chi = correlations.d_corr_from_parts(
-                        shift, phi, d_shift, d_phi, bath.beta, d_beta, cfg.omega_0,
-                        cfg.correlation_scheme)
-                    d_gamma = d_gamma + dg_corr
+                if varies:  # at T > 0 they read the scalars of one (sd, bath)
+                    g_corr, chi, dg_corr, d_chi = map(np.concatenate, zip(*(
+                        _correlation_factors(cfg, phi[lo:hi], d_phi[lo:hi], _scalars(
+                            spectral.Points.of([tasks[k][1:3]]), estimand), estimand)
+                        for k, lo, hi in _runs(members, grids))))
+                else:
+                    g_corr, chi, dg_corr, d_chi = _correlation_factors(cfg, phi, d_phi,
+                                                                       sc, estimand)
+                d_gamma = d_gamma + dg_corr
             fields = ((g_vac, g_th, g_corr, delta, phi, chi) if estimand is None else
                       (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi))
-            _check_finite(fields, sd, bath, grid)
-            if scalar:
-                fields = (float(v[0]) for v in fields)
-            out.append(fields)
-    return out, shift
+            _check_finite(fields, tasks, grids, members)
+            if len(tasks) == 1 and scalar:
+                fields = tuple(float(v[0]) for v in fields)
+            out.append((members, fields))
+    return out
+
+
+def _check_finite(fields, tasks, grids, members):
+    """NumericalError naming its task's (s, w_c, T, t) at the first point of
+    the members' times, laid end to end, where a field is not finite."""
+    if not np.isfinite(fields).all():
+        i = int(np.argmin(np.isfinite(fields).all(axis=0)))
+        k, lo, _ = next(run for run in _runs(members, grids) if i < run[2])
+        _, sd, bath, _ = tasks[k]
+        raise NumericalError(f"non-finite dephasing factor at "
+                             f"{_point(sd, bath, grids[k], i - lo)}")
 
 
 def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
@@ -209,8 +286,8 @@ def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
     A non-finite factor raises NumericalError naming its (s, w_c, T, t).
     """
-    (fields,), shift = _assemble([cfg], sd, bath, [t], rel_tol=rel_tol)
-    return DephasingFactors(*fields, c_shift=shift)
+    ((_, fields),) = _assemble([(cfg, sd, bath, t)], rel_tol=rel_tol)
+    return DephasingFactors(*fields, c_shift=spectral.c_shift(sd))
 
 
 def assemble_two_qubit_matrix(omega_0, t, gamma_un, delta, x_factors=None):

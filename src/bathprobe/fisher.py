@@ -74,7 +74,7 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """
     estimand = Estimand(estimand)
     _validate_estimand(estimand, sd, bath)
-    (fields,), _ = dynamics._assemble([cfg], sd, bath, [t], estimand, rel_tol)
+    ((_, fields),) = dynamics._assemble([(cfg, sd, bath, t)], estimand, rel_tol)
     return FactorBundle(*fields)
 
 
@@ -350,15 +350,18 @@ def _golden_section(lo, hi, tol):
             return t_star, known[t_star], c, fc, d, fd
 
 
-def _optimize(n, sd, t_max, grid_size, rel_time_tol, qfi):
-    """n time optimizations in lockstep; ``qfi(tasks, times)`` returns the
-    QFIs of tasks (by index) over their time arrays.  One call scans all n
-    tasks, then one per round refines every bracket still open."""
+def _optimize(cutoffs, t_max, grid_size, rel_time_tol, qfi):
+    """Time optimizations in lockstep, one per cutoff of ``cutoffs``, which
+    sets the start of its scan; ``qfi(tasks, times)`` returns the QFIs of
+    tasks (by index) over their time arrays.  One call scans every task,
+    then one per round refines every bracket still open."""
     if t_max <= 0.0:
         raise ValueError("t_max must be > 0")
-    ts = np.geomspace(min(1e-3 / sd.cutoff, 0.5 * t_max), t_max, max(int(grid_size), 64))
+    scans = {wc: np.geomspace(min(1e-3 / wc, 0.5 * t_max), t_max, max(int(grid_size), 64))
+             for wc in set(cutoffs)}
+    grids = [scans[wc] for wc in cutoffs]
     optima, refining = [], {}
-    for i, vals in enumerate(qfi(range(n), [ts] * n)):
+    for i, (ts, vals) in enumerate(zip(grids, qfi(range(len(grids)), grids))):
         k = int(np.argmax(vals))
         if not np.any(vals > 0.0):
             optima.append(FisherOptimum(float(ts[0]), 0.0, False, flat=True))
@@ -392,21 +395,32 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
     maximizer at t_max (typical in regimes where the information keeps
     accumulating); ``flat`` marks an information-free curve (such as G = 0).
     """
-    return _optimize(1, sd, t_max, grid_size, rel_time_tol, lambda _, times: [
+    return _optimize([sd.cutoff], t_max, grid_size, rel_time_tol, lambda _, times: [
         qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, times[0], rel_tol))])[0]
 
 
-def optimize_variants(cfgs, sd, bath, estimand, t_max, grid_size=128,
+def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128,
                       rel_time_tol=1e-6, rel_tol=spectral.GAMMA_TH_RTOL):
-    """optimize_qfi_over_time for each probe of ``cfgs``, in lockstep: the
-    scans are one factor assembly over the shared (sd, bath), and so is
-    each later round over every bracket still open.  Same optima."""
+    """optimize_qfi_over_time for each probe of ``cfgs`` at each (sd, bath)
+    of ``pairs``, all in lockstep: the scans are one factor assembly, and so
+    is each later round over every bracket still open.  Same optima, as one
+    list over ``cfgs`` per pair."""
     estimand = Estimand(estimand)
-    _validate_estimand(estimand, sd, bath)
+    for sd, bath in pairs:
+        _validate_estimand(estimand, sd, bath)
+    tasks = [(cfg, sd, bath) for sd, bath in pairs for cfg in cfgs]
 
-    def qfi(tasks, times):
-        fields_of_each, _ = dynamics._assemble([cfgs[i] for i in tasks], sd, bath,
-                                               times, estimand, rel_tol)
-        return [qfi_from_bundle(FactorBundle(*fields)) for fields in fields_of_each]
+    def qfi(live, times):
+        vals = [None] * len(times)
+        entries = dynamics._assemble([(*tasks[i], t) for i, t in zip(live, times)],
+                                     estimand, rel_tol)
+        while entries:  # each config's fields go once its QFI is taken
+            members, fields = entries.pop()
+            split = np.cumsum([times[k].size for k in members])[:-1]
+            for k, v in zip(members, np.split(qfi_from_bundle(FactorBundle(*fields)), split)):
+                vals[k] = v
+        return vals
 
-    return _optimize(len(cfgs), sd, t_max, grid_size, rel_time_tol, qfi)
+    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size,
+                       rel_time_tol, qfi)
+    return [optima[k:k + len(cfgs)] for k in range(0, len(optima), len(cfgs))]

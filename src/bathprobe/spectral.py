@@ -15,8 +15,10 @@ the temperature moves only the thermal exponent.
 
 The closed forms take the time as a scalar or as a 1-D array: an array
 returns the factor over the whole grid from one call, a scalar returns a
-float.  They are written so that in-domain inputs raise no floating-point
-warning; the one assembly that feeds them (``dynamics._assemble``, behind
+float.  In place of a SpectralDensity and a BathState they also read
+``Points``, the parameters of several tasks per time point.  They are
+written so that in-domain inputs raise no floating-point warning; the one
+assembly that feeds them (``dynamics._assemble``, behind
 ``dephasing_factors``, ``factor_bundle`` and ``optimize_variants``) runs
 under one ``np.errstate`` and checks the result for non-finite values.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "SpectralDensity",
     "BathState",
     "DephasingFactors",
+    "Points",
     "NumericalError",
     "MIN_OHMICITY",
     "MAX_OHMICITY",
@@ -111,6 +115,32 @@ class BathState:
         return math.inf if self.temperature == 0.0 else 1.0 / self.temperature
 
 
+class Points(NamedTuple):
+    """(G, s, w_c, T, beta) per time point, read by the forms below in place
+    of a SpectralDensity and a BathState: a value that every point shares,
+    or an array over the points of several (sd, bath) laid end to end.
+    Such an array is nowhere 0 (G) or infinite (beta); s never varies.
+    """
+
+    coupling: float
+    ohmicity: float
+    cutoff: float
+    temperature: float
+    beta: float
+
+    @classmethod
+    def of(cls, pairs, sizes=None):
+        """Points of (sd, bath) pairs, ``sizes[k]`` points for pair k."""
+        columns = zip(*((sd.coupling, sd.ohmicity, sd.cutoff, bath.temperature, bath.beta)
+                        for sd, bath in pairs))
+        return cls(*(c[0] if len(set(c)) == 1 else np.repeat(np.asarray(c, float), sizes)
+                     for c in columns))
+
+    @property
+    def zero_temperature(self):
+        return not isinstance(self.temperature, np.ndarray) and self.temperature == 0.0
+
+
 @dataclass(frozen=True)
 class DephasingFactors:
     """Dephasing exponents and phases of the probe at one instant or a grid."""
@@ -170,30 +200,43 @@ def _unpack(val, scalar):
     return float(val[0]) if scalar else val
 
 
-def _point(sd, bath, t):
-    """The (s, w_c, T, t) part of an error message; no T without a bath."""
-    T = "" if bath is None else f"T={bath.temperature!r}, "
-    return f"s={sd.ohmicity!r}, w_c={sd.cutoff!r}, {T}t={float(t)!r}"
+def _point(sd, bath, t, i):
+    """The (s, w_c, T, t) of point i of an error message; no T without a bath."""
+    def at(x):
+        return float(x[i]) if isinstance(x, np.ndarray) else x
+
+    T = "" if bath is None else f"T={at(bath.temperature)!r}, "
+    return f"s={sd.ohmicity!r}, w_c={at(sd.cutoff)!r}, {T}t={float(t[i])!r}"
 
 
-def _check_finite(fields, sd, bath, t):
-    """NumericalError naming the first time at which a field is not finite."""
-    if not np.isfinite(fields).all():
-        ok = np.isfinite(fields).all(axis=0)
-        raise NumericalError(f"non-finite dephasing factor at "
-                             f"{_point(sd, bath, t[np.argmin(ok)])}")
+def _shared(x, value):
+    """x is ``value`` at every point (no Points array is 0 or infinite)."""
+    return not isinstance(x, np.ndarray) and x == value
+
+
+def _each(fn, x):
+    """fn(x); for x per point, fn of each run of equal values in Python
+    floats, as for one task (numpy's power rounds otherwise)."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    starts = np.flatnonzero(np.diff(x, prepend=np.nan))
+    return np.repeat([fn(v) for v in x[starts].tolist()], np.diff(starts, append=x.size))
 
 
 def _last_call(fn):
-    """Memo of fn's last result, keyed on its arguments, of which the last is
-    a time grid (keyed by its bytes): the forms that one bundle evaluates on
-    one grid share one evaluation of fn."""
+    """Memo of fn's last result, keyed on its arguments, of which arrays (the
+    time grid, parameters per point) are keyed by their bytes: the forms
+    that one bundle evaluates on one grid share one evaluation of fn."""
     memo = {}
 
     @functools.wraps(fn)
     def cached(*args):
-        key = args[:-1] + (args[-1].tobytes(),)
-        hit = memo.get(key)
+        try:
+            key = args[:-1] + (args[-1].tobytes(),)
+            hit = memo.get(key)
+        except TypeError:  # a parameter per point
+            key = tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
+            hit = memo.get(key)
         if hit is None:
             hit = fn(*args)
             memo.clear()
@@ -258,14 +301,14 @@ def gamma_vac(sd, t):
     """Vacuum dephasing exponent G Gamma(s) Re K; >= 0, zero at t = 0."""
     t, scalar = _times(t)
     G, s = sd.coupling, sd.ohmicity
-    if G == 0.0:
+    if _shared(G, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
     val = G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[0]
     # the defining integral has a positive integrand
     if not (val >= 0.0).all():
         i = int(np.argmin(val >= 0.0))
         raise NumericalError(f"vacuum exponent came out {val[i]!r} at "
-                             f"{_point(sd, None, t[i])}")
+                             f"{_point(sd, None, t, i)}")
     return _unpack(val, scalar)
 
 
@@ -273,7 +316,7 @@ def phi_factor(sd, t):
     """Phase kernel -G Gamma(s) Im K feeding the initial-correlation level shift."""
     t, scalar = _times(t)
     G, s = sd.coupling, sd.ohmicity
-    if G == 0.0:
+    if _shared(G, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
     return _unpack(-G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[1], scalar)
 
@@ -288,7 +331,7 @@ def delta_factor(sd, t):
     """
     t, scalar = _times(t)
     G, s = sd.coupling, sd.ohmicity
-    if G == 0.0:
+    if _shared(G, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
     return _unpack(G * math.gamma(s) * _delta_shape(s, sd.cutoff, t), scalar)
 
@@ -466,7 +509,7 @@ def _em_tails(s, a, beta, t, n):
     """
     x = t / a
     alpha, theta = _log_atan(x)
-    power = a ** (1.0 - s)
+    power = _each(lambda v: v ** (1.0 - s), a)
     re, im = _kernel(s, alpha, theta)
     h = power * re
     # -(integral of h from a on) / a**(2-s) = Re[(1 - i x)**(2-s) - 1] /
@@ -494,8 +537,30 @@ def _em_tails(s, a, beta, t, n):
     return (t0, t1 - c1.sum(axis=0), tn), (c0[-1], c1[-1], cn[-1])
 
 
+#: most times of several tasks that one block of the Bose series takes: its
+#: (23, n) temporaries grow with n, which a lockstep would otherwise raise
+#: past what one task's grid needs
+_SERIES_BLOCK = 128
+
+
 @_last_call
 def _bose_series(s, wc, beta, t):
+    """_bose_block, with w_c or beta per point in blocks of at most
+    _SERIES_BLOCK times; every block has two or more, since numpy sums the
+    series of a single time in another order."""
+    n = -(-t.size // _SERIES_BLOCK)
+    if n < 2 or not any(isinstance(x, np.ndarray) for x in (wc, beta)):
+        return _bose_block(s, wc, beta, t)
+
+    def split(x):
+        return np.array_split(x, n) if isinstance(x, np.ndarray) else [x] * n
+
+    sums, bounds = zip(*(_bose_block(s, *args)
+                         for args in zip(split(wc), split(beta), split(t))))
+    return tuple(map(np.concatenate, zip(*sums))), np.concatenate(bounds)
+
+
+def _bose_block(s, wc, beta, t):
     """((sum h(a_n), sum h'(a_n), sum n h'(a_n)) over n >= 1, bound) on a grid.
 
     The bound is, per time, the largest B_8 correction relative to its sum;
@@ -525,7 +590,7 @@ def _bose_series(s, wc, beta, t):
 
 def _cold(bath):
     """True at T = 0 and wherever 1/T overflows: the exact cold limit."""
-    return math.isinf(bath.beta)
+    return _shared(bath.beta, math.inf)
 
 
 def _certified_sums(sd, bath, t, rel_tol):
@@ -537,8 +602,8 @@ def _certified_sums(sd, bath, t, rel_tol):
         what = ("overflows" if math.isinf(bound[worst])
                 else f"bound exceeds rel_tol={rel_tol!r}")
         raise QuadratureError(
-            f"thermal series {what} at {_point(sd, bath, t[worst])}",
-            float(_prefactor(sd) * sums[0][worst]),
+            f"thermal series {what} at {_point(sd, bath, t, worst)}",
+            float((_prefactor(sd) * sums[0])[worst]),
             float(bound[worst]))
     return sums
 
@@ -546,7 +611,7 @@ def _certified_sums(sd, bath, t, rel_tol):
 def _prefactor(sd):
     """2 G Gamma(s) w_c**(1-s), the factor in front of the Bose sums."""
     s = sd.ohmicity
-    return 2.0 * sd.coupling * math.gamma(s) * sd.cutoff ** (1.0 - s)
+    return 2.0 * sd.coupling * math.gamma(s) * _each(lambda wc: wc ** (1.0 - s), sd.cutoff)
 
 
 def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
@@ -556,7 +621,7 @@ def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     point that misses it raises QuadratureError naming that point.
     """
     t, scalar = _times(t)
-    if _cold(bath) or sd.coupling == 0.0:
+    if _cold(bath) or _shared(sd.coupling, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
     return _unpack(_prefactor(sd) * _certified_sums(sd, bath, t, rel_tol)[0], scalar)
 
@@ -602,7 +667,7 @@ def d_gamma_d_omega_c(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     t, scalar = _times(t)
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     d = d_gamma_vac_d_omega_c(sd, t)
-    if not (_cold(bath) or G == 0.0):
+    if not (_cold(bath) or _shared(G, 0.0)):
         s0, s1, _ = _certified_sums(sd, bath, t, rel_tol)
         d = d + _prefactor(sd) / wc * ((1.0 - s) * s0 - s1 / wc)
     return _unpack(d, scalar)
@@ -614,7 +679,7 @@ def d_gamma_th_d_temperature(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     Exactly 0 at T = 0, where gamma_th vanishes like T**(s+1).
     """
     t, scalar = _times(t)
-    if _cold(bath) or sd.coupling == 0.0:
+    if _cold(bath) or _shared(sd.coupling, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
     beta = bath.beta
     sn = _certified_sums(sd, bath, t, rel_tol)[2]

@@ -340,6 +340,37 @@ def test_quadrature_failure_in_the_lockstep_exit_code(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
+def test_one_failing_sweep_value_is_named(tmp_path, capsys):
+    # the whole sweep runs in one lockstep; only T = 1e300 overflows the
+    # thermal series, and the one-line error names that value
+    config = tmp_path / "scenario.cfg"
+    config.write_text("[spectral]\ncoupling = 0.5\nohmicity = 1\ncutoff = 2\n"
+                      "[bath]\ntemperature = 1\n[sweep]\nvariable = temperature\n"
+                      "start = 1\nstop = 1e300\npoints = 3\nspacing = log\n"
+                      "[time]\nt-max = 5\ngrid = 64\n")
+    out = tmp_path / "out"
+    assert main(["qfi-sweep", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("quadrature error:")
+    assert "s=1.0, w_c=2.0, T=1e+300, t=" in err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", [("--t-max", "inf"), ("--tol", "inf"), ("--tol", "nan")])
+def test_non_finite_overrides_are_config_errors(tmp_path, capsys, flag):
+    # a header such as "tolerance = inf" would not read back as a config
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text())
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(config), "--out", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert "must be finite" in err
+    assert not list(out.iterdir())
+    with pytest.raises(ValueError):
+        replace(QUICK, t_max=math.inf)
+
+
 @pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--tol", "1e-6")])
 def test_figure_rejects_scenario_flags(tmp_path, flag):
     # a preset pins its scenario; a flag it would ignore is an argument error

@@ -351,6 +351,15 @@ def test_non_finite_bundle_names_the_point():
         factor_bundle(cfg, huge, BathState(0.0), Estimand.CUTOFF_FREQUENCY,
                       np.array([1e-3, 1e4]))
     assert "s=1.0, w_c=1.0, T=0.0, t=10000.0" in str(err.value)
+    # in a lockstep over two (sd, bath), the error names the failing one's
+    # own w_c and one of its own times, as floats
+    pairs = [(SpectralDensity(0.5, 1.0, 2.0), BathState(0.0)), (huge, BathState(0.0))]
+    with pytest.raises(NumericalError) as err:
+        optimize_variants([cfg], pairs, Estimand.CUTOFF_FREQUENCY, 1e4, 64)
+    message = str(err.value)
+    assert "s=1.0, w_c=1.0, T=0.0, t=" in message and "\n" not in message
+    t = float(message.rsplit("t=", 1)[1])
+    assert t in np.geomspace(1e-3, 1e4, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -425,65 +434,147 @@ def test_tree_refinement_keeps_the_golden_section_iterates(figure_id):
 # the shared factor assembly and the lockstep optimizer
 # ---------------------------------------------------------------------------
 
-def field_bytes(fields_of_each):
-    return [tuple(np.asarray(v).tobytes() for v in fields) for fields in fields_of_each]
+def field_bytes(fields):
+    return tuple(np.asarray(v).tobytes() for v in fields)
+
+
+def fields_by_task(entries, tasks):
+    # split each entry's fields over the times of its members
+    out = {}
+    for members, fields in entries:
+        sizes = np.cumsum([np.size(tasks[k][3]) for k in members])[:-1]
+        parts = [np.split(np.asarray(v), sizes) for v in fields]
+        for k, *values in zip(members, *parts):
+            out[k] = field_bytes(values)
+    return [out[k] for k in range(len(tasks))]
+
+
+def valid_for(est, sd, bath):
+    return not ((est is Estimand.TEMPERATURE and bath.zero_temperature)
+                or (est is Estimand.COUPLING_STRENGTH and sd.coupling == 0.0))
 
 
 def test_shared_assembly_equals_the_per_config_assemblies():
-    # every spectral form is elementwise, so evaluating it once on the union
-    # of the configs' grids gives each config its own values bit for bit.
-    # Only grids of >= 2 points: numpy sums the thermal series of a 1-point
-    # grid in another order, so at T > 0 a lone time can differ from the
-    # same time inside a grid in the last bits (about 1e-15 relative in the
-    # factors, more in a field whose terms cancel).
+    # every spectral form is elementwise, so evaluating it once on the
+    # unions of the tasks' grids, laid end to end with (G, w_c, T) per point,
+    # gives each task its own values bit for bit.  Pairs at G = 0, in the
+    # cold limit or at another s are assembled apart; a -0 where a task
+    # alone has 0 would show in the bytes.  Only grids of >= 2 points: numpy
+    # sums the thermal series of a 1-point grid in another order, so at
+    # T > 0 a lone time can differ from the same time inside a grid in the
+    # last bits (about 1e-15 relative in the factors, more in a field whose
+    # terms cancel).
     rng = np.random.default_rng(2024)
     cfgs = [ProbeConfig(float(rng.choice([1.0, 1.7])), scheme, initial)
             for scheme in SCHEMES for initial in INITIALS]
     for draw in range(40):
         s = float(rng.choice([rng.uniform(0.05, 4.0),
                               rng.integers(1, 4) + rng.choice([-1e-9, 0.0, 1e-9])]))
-        sd = SpectralDensity(float(np.exp(rng.uniform(math.log(0.01), math.log(2.0)))),
-                             s, float(rng.uniform(0.5, 5.0)))
-        bath = BathState(float(rng.choice([0.0, rng.uniform(0.2, 3.0)])))
+        pairs = []
+        for _ in range(int(rng.integers(2, 6))):
+            g = float(np.exp(rng.uniform(math.log(0.01), math.log(2.0))))
+            pairs.append((SpectralDensity(g if rng.random() < 0.9 else 0.0,
+                                          s if rng.random() < 0.9 else s + 0.5,
+                                          float(rng.uniform(0.5, 5.0))),
+                          BathState(float(rng.choice([0.0, 1e-320, *rng.uniform(0.2, 3.0, 6)])))))
         shared = np.sort(np.exp(rng.uniform(math.log(1e-3), math.log(30.0), 9)))
-        picked = [cfgs[i] for i in rng.permutation(4)[:int(rng.integers(2, 5))]]
-        # shared grids, and distinct grids that overlap the shared one
-        grids = [shared if rng.random() < 0.4 else np.concatenate(
-                     [shared[:int(rng.integers(0, 9))],
-                      np.exp(rng.uniform(math.log(1e-3), math.log(30.0),
-                                         int(rng.integers(2, 12))))])
-                 for _ in picked]
+        tasks = []
+        for sd, bath in pairs:
+            for i in rng.permutation(4)[:int(rng.integers(1, 5))]:
+                # shared grids, and distinct grids that overlap the shared one
+                grid = shared if rng.random() < 0.4 else np.concatenate(
+                    [shared[:int(rng.integers(0, 9))],
+                     np.exp(rng.uniform(math.log(1e-3), math.log(30.0),
+                                        int(rng.integers(2, 12))))])
+                tasks.append((cfgs[i], sd, bath, grid))
+        # a config whose times are those of every pair, but not in pair order
+        tasks.append((cfgs[0], *pairs[-1], shared))
+        tasks += [(cfgs[0], sd, bath, shared) for sd, bath in pairs[:-1]]
         for est in (None, *Estimand):
-            if est is Estimand.TEMPERATURE and bath.zero_temperature:
+            picked = [task for task in tasks if valid_for(est, *task[1:3])]
+            together = fields_by_task(dynamics._assemble(picked, est), picked)
+            alone = [field_bytes(dynamics._assemble([task], est)[0][1]) for task in picked]
+            assert together == alone, (draw, est)
+
+
+def sweep_pairs(variable, sd, bath, values):
+    if variable == "cutoff":
+        return [(SpectralDensity(sd.coupling, sd.ohmicity, v), bath) for v in values]
+    if variable == "coupling":
+        return [(SpectralDensity(v, sd.ohmicity, sd.cutoff), bath) for v in values]
+    return [(sd, BathState(v)) for v in values]
+
+
+def seeded_sweeps():
+    # cutoff and coupling sweeps at T = 0 and T > 0 and temperature sweeps,
+    # every estimand each admits, s at integers +- 1e-9 and in between
+    rng = np.random.default_rng(77)
+    cases = []
+    for variable, lo, hi in (("cutoff", 0.5, 4.0), ("coupling", 0.05, 1.5),
+                             ("temperature", 0.2, 3.0)):
+        for warm in (False, True):
+            if variable == "temperature" and not warm:
                 continue
-            together, _ = dynamics._assemble(picked, sd, bath, grids, est)
-            alone = [dynamics._assemble([c], sd, bath, [g], est)[0][0]
-                     for c, g in zip(picked, grids)]
-            assert field_bytes(together) == field_bytes(alone), (draw, sd, bath, est)
+            for est in Estimand:
+                if est is Estimand.TEMPERATURE and not warm:
+                    continue
+                s = float(rng.choice([rng.integers(1, 4) + rng.choice([-1e-9, 1e-9]),
+                                      rng.uniform(0.2, 3.0)]))
+                sd = SpectralDensity(float(rng.uniform(0.05, 1.0)), s,
+                                     float(rng.uniform(0.5, 4.0)))
+                bath = BathState(float(rng.uniform(0.2, 2.0)) if warm else 0.0)
+                values = np.sort(rng.uniform(lo, hi, 3)).tolist()
+                cases.append((f"{variable}-T{int(warm)}-{est.value}",
+                              sweep_pairs(variable, sd, bath, values), est,
+                              float(rng.uniform(5.0, 30.0))))
+    return cases
 
 
-@pytest.mark.parametrize("figure_id", [f"fig{i}" for i in range(1, 9)])
-def test_lockstep_optimizer_equals_one_optimization_per_variant(figure_id):
+def sweep_cases():
+    # (sweeps, whether one sweep value mixes boundary hits and refined optima)
+    for figure_id in [f"fig{i}" for i in range(1, 9)]:
+        sweeps = [([sc.at_sweep_value(v) for v in sc.sweep_values().tolist()],
+                   sc.estimand, sc.t_max, sc.opt_grid, sc.tolerance)
+                  for _name, _command, sc in FIGURE_PRESETS[figure_id]]
+        yield pytest.param(sweeps, figure_id == "fig4", id=figure_id)
+    for case_id, pairs, est, t_max in seeded_sweeps():
+        yield pytest.param([(pairs, est, t_max, 64, 1e-10)], False, id=case_id)
+
+
+@pytest.mark.parametrize("sweeps,mixed", sweep_cases())
+def test_lockstep_optimizer_equals_one_optimization_per_variant(sweeps, mixed):
+    # a whole sweep, every value and variant in one lockstep, gives the
+    # optima of one optimization per value and variant
+    cfgs = [ProbeConfig(1.0, *variant) for variant in VARIANTS]
     hits = set()
-    for _name, _command, sc in FIGURE_PRESETS[figure_id]:
-        cfgs = [ProbeConfig(sc.probe.omega_0, *variant) for variant in VARIANTS]
-        for value in sc.sweep_values().tolist():
-            sd, bath = sc.at_sweep_value(value)
-            args = (sd, bath, sc.estimand, sc.t_max, sc.opt_grid)
-            together = optimize_variants(cfgs, *args, rel_tol=sc.tolerance)
-            alone = [optimize_qfi_over_time(cfg, *args, rel_tol=sc.tolerance)
-                     for cfg in cfgs]
-            assert together == alone, (figure_id, value)
-            hits.add(tuple(opt.boundary_hit for opt in together))
-    if figure_id == "fig4":
-        # one call that mixes boundary hits with refined optima
-        assert any(len(set(h)) == 2 for h in hits)
+    for pairs, est, t_max, grid, tol in sweeps:
+        together = optimize_variants(cfgs, pairs, est, t_max, grid, rel_tol=tol)
+        alone = [[optimize_qfi_over_time(cfg, sd, bath, est, t_max, grid, rel_tol=tol)
+                  for cfg in cfgs] for sd, bath in pairs]
+        assert together == alone
+        hits |= {tuple(opt.boundary_hit for opt in opts) for opts in together}
+    # fig4 has a sweep value that mixes boundary hits with refined optima
+    assert any(len(set(h)) == 2 for h in hits) or not mixed
+
+
+def test_zero_coupling_sweep_equals_the_per_value_runs():
+    # a cutoff sweep at G = 0 carries no information: flat optima, each the
+    # per-value optimization's, and no -0 anywhere
+    cfgs = [ProbeConfig(1.0, *variant) for variant in VARIANTS]
+    for bath in (BathState(0.0), BathState(0.8)):
+        pairs = sweep_pairs("cutoff", SpectralDensity(0.0, 0.5, 1.0), bath, [0.5, 1.5, 3.0])
+        together = optimize_variants(cfgs, pairs, Estimand.CUTOFF_FREQUENCY, 10.0, 64)
+        assert together == [[optimize_qfi_over_time(cfg, sd, b, Estimand.CUTOFF_FREQUENCY,
+                                                    10.0, 64) for cfg in cfgs]
+                            for sd, b in pairs]
+        assert all(opt.flat and math.copysign(1.0, opt.f_star) == 1.0
+                   for opts in together for opt in opts)
 
 
 def test_an_error_in_a_later_round_leaves_the_lockstep(monkeypatch):
     # the scans pass, the first refinement round raises: the error reaches
     # the caller, as it would from one optimization at a time
-    sd, bath = SpectralDensity(0.5, 1.0, 2.0), BathState(0.7)
+    pairs = [(SpectralDensity(0.5, 1.0, 2.0), BathState(0.7))]
     cfgs = [ProbeConfig(1.0, *variant) for variant in VARIANTS]
     assemble, calls = dynamics._assemble, []
 
@@ -495,5 +586,5 @@ def test_an_error_in_a_later_round_leaves_the_lockstep(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_assemble", failing)
     with pytest.raises(QuadratureError):
-        optimize_variants(cfgs, sd, bath, Estimand.CUTOFF_FREQUENCY, 20.0, 64)
+        optimize_variants(cfgs, pairs, Estimand.CUTOFF_FREQUENCY, 20.0, 64)
     assert calls == [4, 4]
