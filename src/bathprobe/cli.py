@@ -489,18 +489,19 @@ def build_parser():
     def add_out(p):
         p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
 
-    def add_common(p):
+    def add_common(p, optimizes=False):
         p.add_argument("--config", required=True, help="scenario config file")
         add_out(p)
         p.add_argument("--t-max", type=float, dest="t_max")
-        p.add_argument("--grid", type=int,
-                       help="coarse optimization grid size; at least 64 points are used")
+        if optimizes:  # only the time optimization reads the coarse grid
+            p.add_argument("--grid", type=int,
+                           help="coarse optimization grid size; at least 64 points are used")
         p.add_argument("--tol", type=float)
 
     add_common(sub.add_parser("factors", help="time-resolved dephasing factors"))
-    add_common(sub.add_parser("qfi-sweep", help="optimized QFI across a sweep"))
+    add_common(sub.add_parser("qfi-sweep", help="optimized QFI across a sweep"), True)
     add_common(sub.add_parser("cfi", help="optimal-measurement CFI vs QFI"))
-    add_common(sub.add_parser("optimize", help="single QFI time optimization"))
+    add_common(sub.add_parser("optimize", help="single QFI time optimization"), True)
 
     # a preset pins its scenario, so only the output directory applies
     fig = sub.add_parser("figure", help="run a pinned figure preset")

@@ -16,11 +16,12 @@ family.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _unpack
+from .spectral import _shared, _unpack
 
 __all__ = [
     "TWO_QUBIT",
@@ -47,29 +48,29 @@ class CorrelationFactors:
 
 
 def _scaled_parts(c_shift, phi, beta, omega_0, scheme):
-    """(e, tau, u): residual weight, phase contrast, and bare phase.
+    """(e, tau, q, u): residual weight, phase contrast, its sech weight, and
+    bare phase.
 
     e is the preparation sum's subdominant weight relative to the leading
     exp(beta*C)*cosh(beta*w0) term (two-qubit; identically 0 for one qubit),
-    tau the sinh/cosh contrast, u the winding phase.  beta = inf is the
-    exact zero-temperature member: e = 0, tau = 1.  e and tau are floats,
-    u follows phi (a float or an array over time).
+    tau = tanh(beta w) the sinh/cosh contrast, w = w0 (one qubit: w0 / 2),
+    q = exp(-2 beta w), u the winding phase.  beta = inf is the exact
+    zero-temperature member: e = q = 0, tau = 1.  e, tau and q follow C and
+    beta (values, or finite arrays over phi's points), u follows phi.
     """
-    if scheme == TWO_QUBIT:
-        u = 2.0 * phi
-        if math.isinf(beta):
-            return 0.0, 1.0, u
-        y = beta * omega_0
-        log_cosh = abs(y) - math.log(2.0) + math.log1p(math.exp(-2.0 * abs(y)))
-        big = beta * c_shift + log_cosh
-        e = math.exp(-big) if big < 700.0 else 0.0
-        return e, math.tanh(y), u
-    if scheme == SINGLE_QUBIT:
-        u = phi
-        if math.isinf(beta):
-            return 0.0, 1.0, u
-        return 0.0, math.tanh(0.5 * beta * omega_0), u
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme not in (TWO_QUBIT, SINGLE_QUBIT):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    two_qubit = scheme == TWO_QUBIT
+    u = 2.0 * phi if two_qubit else phi
+    if _shared(beta, math.inf):
+        return 0.0, 1.0, 0.0, u
+    y = beta * omega_0 if two_qubit else 0.5 * beta * omega_0
+    q = np.exp(-2.0 * abs(y))
+    e = 0.0
+    if two_qubit:
+        log_cosh = abs(y) - math.log(2.0) + np.log1p(q)
+        e = np.exp(-(beta * c_shift + log_cosh))
+    return e, np.tanh(y), q, u
 
 
 def _wrap_pm_pi(x):
@@ -83,29 +84,30 @@ def _as_array(phi):
 
 
 def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
-    """Correlation factors from raw (C, phi) values.
+    """Correlation factors from raw (C, phi, beta) values.
 
     Shared by the continuum route and the discrete-mode oracle; ``phi`` is
-    a float or an array over time, and the factors follow it.  chi is
+    a float or an array over time, and the factors follow it; C and beta
+    are values or arrays over its points, each with the bits of its own
+    call (numpy ufuncs round alike alone and in an array).  chi is
     unwrapped against the winding phase u: the preparation phasor
     (cos u + e, tau sin u) encircles the origin in step with u whenever
     e < 1, so chi = u + wrap(atan2 - u) is the exact continuous branch.
     """
     phi, scalar = _as_array(phi)
-    e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
-    if math.isinf(beta):
+    e, tau, _, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
+    if _shared(beta, math.inf):
         # exact zero-temperature member: the phasor lies on the unit circle
         gamma_corr, chi = np.zeros(u.shape), u
     else:
         cos_u = np.cos(u)
         A = cos_u + e
         B = tau * np.sin(u)
-        gamma_corr = math.log1p(e) - 0.5 * np.log(A * A + B * B)
+        gamma_corr = np.log1p(e) - 0.5 * np.log(A * A + B * B)
         wrapped = np.arctan2(B, A)
-        if e < 1.0:
-            chi = u + _wrap_pm_pi(wrapped - u)
-        else:
-            chi = wrapped  # beta = 0 edge: phasor never leaves the right half plane
+        chi = u + _wrap_pm_pi(wrapped - u)
+        # e = 1 is the beta = 0 edge: the phasor never leaves the right half plane
+        np.copyto(chi, wrapped, where=e >= 1.0)
         # phasor sits on the leading weight (t = 0, G = 0, full rephasings)
         leading = (B == 0.0) & (cos_u == 1.0)
         if leading.any():
@@ -121,14 +123,15 @@ def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, d_beta, omega_0, sch
     One rule for every estimand x: ``d_beta`` = d beta/dx is -beta**2 for
     the temperature and 0 for the cutoff and the coupling, which leaves
     the arithmetic of the fixed-beta rule as it is.  ``phi`` and ``d_phi``
-    are floats or arrays over time.  At beta = inf the rescaled weight
-    vanishes and the pair reduces to (0, du/dx) exactly.
+    are floats or arrays over time, C, beta and their slopes values or
+    arrays over its points.  At beta = inf the rescaled weight vanishes
+    and the pair reduces to (0, du/dx) exactly.
     """
     phi, scalar = _as_array(phi)
-    e, tau, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
+    e, tau, q, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
     two_qubit = scheme == TWO_QUBIT
     du = (2.0 if two_qubit else 1.0) * np.asarray(d_phi, dtype=float)
-    if math.isinf(beta):
+    if _shared(beta, math.inf):
         # the phasor turns on the unit circle; the general form below
         # leaves a rounding residue in d gamma_corr
         zero = np.zeros(u.shape)
@@ -139,17 +142,15 @@ def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, d_beta, omega_0, sch
     B = tau * sin_u
     de = -beta * d_c_shift * e if two_qubit else 0.0
     dB = tau * cos_u * du
-    if d_beta:
-        # e = exp(-beta C) / cosh(beta w0) and tau = tanh(beta w), w = w0 (one
-        # qubit: w0 / 2), move with beta too; sech(beta w)**2 = 4 q / (1 + q)**2
-        # with q = exp(-2 beta w) keeps what 1 - tau**2 would cancel.  A weight
-        # that has underflowed to 0 adds nothing, also where d_beta overflows.
+    if not _shared(d_beta, 0.0):  # x moves beta: the temperature
+        # e = exp(-beta C) / cosh(beta w0) and tau = tanh(beta w) move with
+        # beta too; sech(beta w)**2 = 4 q / (1 + q)**2 keeps what 1 - tau**2
+        # would cancel.  Where -beta**2 overflows, the clamp and the weights
+        # taken first leave a weight that has underflowed to 0 adding nothing.
         w = omega_0 if two_qubit else 0.5 * omega_0
-        q = math.exp(-2.0 * beta * w)
-        if e:
-            de -= d_beta * (c_shift + omega_0 * tau) * e
-        if q:
-            dB = dB + w * 4.0 * q / (1.0 + q) ** 2 * d_beta * sin_u
+        d_beta = np.maximum(d_beta, -sys.float_info.max)
+        de = de - d_beta * ((c_shift + omega_0 * tau) * e)
+        dB = dB + d_beta * (w * 4.0 * q / (1.0 + q) ** 2) * sin_u
     dA = -sin_u * du + de
     norm = A * A + B * B
     d_chi = (A * dB - B * dA) / norm
@@ -166,7 +167,7 @@ def element_phase_factor(m, c_shift, phi, beta, omega_0):
     """
     if m == 0:
         return complex(1.0, 0.0)
-    e, tau, _ = _scaled_parts(c_shift, phi, beta, omega_0, TWO_QUBIT)
+    e, tau, _, _ = _scaled_parts(c_shift, phi, beta, omega_0, TWO_QUBIT)
     # the dominant preparation weight sits on the spin-down sector, which
     # carries e^{+2 i m phi}
     u = 2.0 * m * phi

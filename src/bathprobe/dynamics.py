@@ -234,8 +234,6 @@ def _assemble(tasks, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
             d_gamma = spectral.d_gamma_th_d_temperature(p, p, t, rel_tol=rel_tol)
         forms = (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)
         scalars = _scalars(p, estimand) if correlated else ()
-        varies = (correlated and not spectral._cold(p)
-                  and any(isinstance(x, np.ndarray) for x in scalars))
         for cfg, members in by_cfg:
             (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = forms, scalars
             if len(tasks) > 1:
@@ -251,14 +249,8 @@ def _assemble(tasks, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
                 delta = d_delta = zero
             g_corr = chi = d_chi = zero
             if cfg.initial_state == CORRELATED:
-                if varies:  # at T > 0 they read the scalars of one (sd, bath)
-                    g_corr, chi, dg_corr, d_chi = map(np.concatenate, zip(*(
-                        _correlation_factors(cfg, phi[lo:hi], d_phi[lo:hi], _scalars(
-                            spectral.Points.of([tasks[k][1:3]]), estimand), estimand)
-                        for k, lo, hi in _runs(members, grids))))
-                else:
-                    g_corr, chi, dg_corr, d_chi = _correlation_factors(cfg, phi, d_phi,
-                                                                       sc, estimand)
+                g_corr, chi, dg_corr, d_chi = _correlation_factors(cfg, phi, d_phi,
+                                                                   sc, estimand)
                 d_gamma = d_gamma + dg_corr
             fields = ((g_vac, g_th, g_corr, delta, phi, chi) if estimand is None else
                       (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi))

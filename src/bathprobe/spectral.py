@@ -116,10 +116,11 @@ class BathState:
 
 
 class Points(NamedTuple):
-    """(G, s, w_c, T, beta) per time point, read by the forms below in place
-    of a SpectralDensity and a BathState: a value that every point shares,
-    or an array over the points of several (sd, bath) laid end to end.
-    Such an array is nowhere 0 (G) or infinite (beta); s never varies.
+    """(G, s, w_c, T, beta) per time point, read by the forms below and the
+    correlation factors in place of a SpectralDensity and a BathState: a
+    value that every point shares, or an array over the points of several
+    (sd, bath) laid end to end, each point with the bits of its own (sd,
+    bath).  Such an array is nowhere 0 (G) or infinite (beta); s never varies.
     """
 
     coupling: float
@@ -212,15 +213,6 @@ def _point(sd, bath, t, i):
 def _shared(x, value):
     """x is ``value`` at every point (no Points array is 0 or infinite)."""
     return not isinstance(x, np.ndarray) and x == value
-
-
-def _each(fn, x):
-    """fn(x); for x per point, fn of each run of equal values in Python
-    floats, as for one task (numpy's power rounds otherwise)."""
-    if not isinstance(x, np.ndarray):
-        return fn(x)
-    starts = np.flatnonzero(np.diff(x, prepend=np.nan))
-    return np.repeat([fn(v) for v in x[starts].tolist()], np.diff(starts, append=x.size))
 
 
 def _last_call(fn):
@@ -509,7 +501,7 @@ def _em_tails(s, a, beta, t, n):
     """
     x = t / a
     alpha, theta = _log_atan(x)
-    power = _each(lambda v: v ** (1.0 - s), a)
+    power = np.power(a, 1.0 - s)
     re, im = _kernel(s, alpha, theta)
     h = power * re
     # -(integral of h from a on) / a**(2-s) = Re[(1 - i x)**(2-s) - 1] /
@@ -611,7 +603,7 @@ def _certified_sums(sd, bath, t, rel_tol):
 def _prefactor(sd):
     """2 G Gamma(s) w_c**(1-s), the factor in front of the Bose sums."""
     s = sd.ohmicity
-    return 2.0 * sd.coupling * math.gamma(s) * _each(lambda wc: wc ** (1.0 - s), sd.cutoff)
+    return 2.0 * sd.coupling * math.gamma(s) * np.power(sd.cutoff, 1.0 - s)
 
 
 def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):

@@ -379,6 +379,18 @@ def test_figure_rejects_scenario_flags(tmp_path, flag):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["factors", "cfi"])
+def test_grid_is_only_for_the_optimizing_commands(tmp_path, command):
+    # factors and cfi never optimize over time, so --grid would be ignored
+    # yet recorded in the output header
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text())
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(config), "--out", str(tmp_path / "out"), "--grid", "3"])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_quadrature_failure_exit_code(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
     config.write_text("[spectral]\ncoupling = 1\nohmicity = 0.5\ncutoff = 5\n"

@@ -305,3 +305,31 @@ def test_temperature_chain_rule_at_extreme_temperatures(scheme, sd, omega_0):
         assert np.all(np.isfinite(dg)) and np.all(np.isfinite(dc))
         if T < 1.0:
             assert np.all(dg == 0.0) and np.all(dc == 0.0)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("x", ["omega_c", "G", "T"])
+def test_per_point_parameters_match_the_per_temperature_calls(scheme, x):
+    # C, beta and their slopes as arrays over the points of five baths laid
+    # end to end, from where beta**2 overflows (1e-300, 1e-160) and e and q
+    # underflow (1e-3) to where e is almost 1 (1e8): each bath's slice has
+    # the bits of a call of its own, signed zeros included
+    ts = np.array([0.0, 0.3, 2.0, 40.0])
+    parts = []
+    for k, T in enumerate((1e-300, 1e-160, 1e-3, 0.7, 1e8)):
+        sd = SpectralDensity(0.4 + 0.3 * k, 0.73, 1.0 + 0.5 * k)
+        beta = BathState(T).beta
+        d_c = {"omega_c": sd.coupling, "G": sd.cutoff, "T": 0.0}[x] * math.gamma(sd.ohmicity)
+        d_beta = -beta * beta if x == "T" else 0.0  # Python floats: -inf, no warning
+        parts.append((c_shift(sd), phi_factor(sd, ts), d_c, d_phi(sd, ts, x), beta, d_beta))
+    c, phi, d_c, d_ph, beta, d_beta = (
+        np.concatenate([np.broadcast_to(v, ts.shape) for v in column]) for column in zip(*parts))
+    together = corr_factors_from_parts(c, phi, beta, 1.3, scheme)
+    d_together = d_corr_from_parts(c, phi, d_c, d_ph, beta, d_beta, 1.3, scheme)
+    for k, (ck, phik, d_ck, d_phk, bk, d_bk) in enumerate(parts):
+        alone = corr_factors_from_parts(ck, phik, bk, 1.3, scheme)
+        d_alone = d_corr_from_parts(ck, phik, d_ck, d_phk, bk, d_bk, 1.3, scheme)
+        part = slice(k * ts.size, (k + 1) * ts.size)
+        for got, ref in ((together.gamma_corr, alone.gamma_corr), (together.chi, alone.chi),
+                         *zip(d_together, d_alone)):
+            assert got[part].tobytes() == ref.tobytes(), (k, x)

@@ -490,11 +490,24 @@ def test_shared_assembly_equals_the_per_config_assemblies():
         # a config whose times are those of every pair, but not in pair order
         tasks.append((cfgs[0], *pairs[-1], shared))
         tasks += [(cfgs[0], sd, bath, shared) for sd, bath in pairs[:-1]]
-        for est in (None, *Estimand):
-            picked = [task for task in tasks if valid_for(est, *task[1:3])]
-            together = fields_by_task(dynamics._assemble(picked, est), picked)
-            alone = [field_bytes(dynamics._assemble([task], est)[0][1]) for task in picked]
-            assert together == alone, (draw, est)
+        assert_assembled_alike(tasks, draw)
+    # one fixed draw: at T = 1e-3 (beta w0 > 700) the correlation weights e
+    # and q underflow, at T = 1e-160 beta**2 overflows; both sit in one
+    # lockstep with ordinary temperatures, and their phases wind through
+    # every quadrant, where a zero slope takes either sign
+    pairs = [(SpectralDensity(g, 0.73, wc), BathState(T)) for g, wc, T in (
+        (1.2, 2.0, 1e-160), (0.4, 1.0, 0.4), (1.5, 3.0, 1e-3), (0.8, 1.5, 2.5))]
+    grids = (np.array([0.0, 0.2, 1.5, 4.0, 9.0, 25.0]), np.array([0.2, 3.0, 12.0]))
+    assert_assembled_alike([(cfg, sd, bath, grids[i % 2]) for sd, bath in pairs
+                            for i, cfg in enumerate(cfgs)], "extremes")
+
+
+def assert_assembled_alike(tasks, draw):
+    for est in (None, *Estimand):
+        picked = [task for task in tasks if valid_for(est, *task[1:3])]
+        together = fields_by_task(dynamics._assemble(picked, est), picked)
+        alone = [field_bytes(dynamics._assemble([task], est)[0][1]) for task in picked]
+        assert together == alone, (draw, est)
 
 
 def sweep_pairs(variable, sd, bath, values):
