@@ -431,9 +431,9 @@ def run_optimize(scenario, out_path):
     return rows
 
 
-def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0,
-                          omega_0=1.0):
-    """Discrete-mode validation run; nonzero exit on any failed check."""
+def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0):
+    """Discrete-mode validation run at omega_0 = 1; nonzero exit on any
+    failed check."""
     if fixture_id not in oracle.FIXTURES:
         raise ConfigError(f"unknown fixture {fixture_id!r}; "
                           f"known: {sorted(oracle.FIXTURES)}")
@@ -454,7 +454,7 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0,
     if n_max is not None:
         db = db.with_n_max(n_max)
     t_grid = [0.5, 1.0, 2.0, 4.0]
-    report = oracle.compare_report(db, bath, omega_0, t_grid, fixture_id)
+    report = oracle.compare_report(db, bath, 1.0, t_grid, fixture_id)
     Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 

@@ -351,13 +351,12 @@ class EigenDecomposition:
     degenerate: bool
 
 
-def eigendecompose(state, degeneracy_tol=0.0):
-    """Eigenvalues and equatorial eigenvectors of a diagonal-1/2 state."""
+def eigendecompose(state):
+    """Eigenvalues and equatorial eigenvectors of a diagonal-1/2 state;
+    degenerate where the populations coincide (F = 0)."""
     if abs(state.rho00 - 0.5) > 1e-12 or abs(state.rho11 - 0.5) > 1e-12:
         raise ValueError("eigendecompose expects a pure-dephasing state with diagonal 1/2")
     f = 2.0 * abs(state.rho01)
     xi = -np.angle(state.rho01) if f > 0.0 else 0.0
-    degenerate = f <= degeneracy_tol
     return EigenDecomposition(populations=(0.5 * (1.0 - f), 0.5 * (1.0 + f)),
-                              azimuths=(xi + math.pi, xi),
-                              degenerate=degenerate)
+                              azimuths=(xi + math.pi, xi), degenerate=f == 0.0)

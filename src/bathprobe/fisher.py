@@ -281,86 +281,66 @@ _INV_GR = (math.sqrt(5.0) - 1.0) / 2.0
 #: factor bundle
 _TREE_DEPTH = 5
 
+#: a bracket [a, b] is refined while b - a > _TIME_TOL * b
+_TIME_TOL = 1e-6
 
-def _tree_points(a, b, c, d, first, depth, tol):
-    """Every point the next ``depth`` steps from (a, b, c, d) may evaluate.
 
-    ``first`` is the outcome of the first comparison when it is known (the
-    values at c and d are), or None; every later step follows both
-    outcomes.  A path that meets the tolerance adds its final midpoint.
-    Paths that reach the same bracket are followed once.
+def _needed(a, b, c, d, known):
+    """The times that the next _TREE_DEPTH golden-section steps from (a, b,
+    c, d), a < c < d < b, may evaluate: c and d only while ``known`` (time
+    -> QFI) lacks them, deeper points even where an earlier round had them.
+
+    A step keeps [a, d] where f(c) > f(d), else [c, b]; it follows that
+    outcome where both values are known, else both.  A bracket that meets
+    the tolerance adds its midpoint; paths that reach the same bracket are
+    followed once.
     """
-    points = []
-    level = [(a, b, c, d)]
-    for k in range(depth + 1):
-        left, right = k or first is not False, k or not first
+    points, level = [t for t in (c, d) if t not in known], [(a, b, c, d)]
+    for _ in range(_TREE_DEPTH):
         nxt = []
         for a, b, c, d in level:
-            if not (b - a) > tol * b:
+            if not (b - a) > _TIME_TOL * b:
                 points.append(0.5 * (a + b))
-            elif k < depth:
-                # the two golden-section steps of _golden_section's walk
-                if left:
-                    p = d - _INV_GR * (d - a)
-                    points.append(p)
-                    nxt.append((a, d, p, c))
-                if right:
-                    p = c + _INV_GR * (b - c)
-                    points.append(p)
-                    nxt.append((c, b, d, p))
+                continue
+            both = c not in known or d not in known
+            if both or known[c] > known[d]:
+                p = d - _INV_GR * (d - a)
+                points.append(p)
+                nxt.append((a, d, p, c))
+            if both or not known[c] > known[d]:
+                p = c + _INV_GR * (b - c)
+                points.append(p)
+                nxt.append((c, b, d, p))
         level = dict.fromkeys(nxt)
-    return points
+    points += [0.5 * (a + b) for a, b, _, _ in level if not (b - a) > _TIME_TOL * b]
+    return list(dict.fromkeys(points))
 
 
-def _golden_section(lo, hi, tol):
-    """Golden-section maximization on [lo, hi], a decision tree at a time.
-
-    Takes the same steps as the one-point-at-a-time loop: from the state
-    (a, b, c, d, fc, fd), each of the next _TREE_DEPTH steps places its
-    point by the earlier fc > fd outcomes alone, so all candidate points
-    are known up front.  A generator: it yields them as one array (paths
-    often share points), is sent their values, and walks the real path with
-    the same comparisons.  Returns (t_star, f_star, c, fc, d, fd).
-    """
-    a, b = lo, hi
-    c = b - _INV_GR * (b - a)
-    d = a + _INV_GR * (b - a)
-    fc = fd = None
-    while True:
-        first = None if fc is None else fc > fd
-        points = (([c, d] if fc is None else [])
-                  + _tree_points(a, b, c, d, first, _TREE_DEPTH, tol))
-        points = list(dict.fromkeys(points))
-        known = dict(zip(points, (yield np.array(points)).tolist()))
-        if fc is None:
-            fc, fd = known[c], known[d]
-        for _ in range(_TREE_DEPTH):
-            if not (b - a) > tol * b:
-                break
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - _INV_GR * (b - a)
-                fc = known[c]
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INV_GR * (b - a)
-                fd = known[d]
-        if not (b - a) > tol * b:
-            t_star = 0.5 * (a + b)
-            return t_star, known[t_star], c, fc, d, fd
+def _walk(a, b, c, d, known):
+    """At most _TREE_DEPTH steps from (a, b, c, d), placed as _needed places
+    them and compared by ``known``, until the bracket meets the tolerance."""
+    for _ in range(_TREE_DEPTH):
+        if not (b - a) > _TIME_TOL * b:
+            break
+        if known[c] > known[d]:
+            a, b, c, d = a, d, d - _INV_GR * (d - a), c
+        else:
+            a, b, c, d = c, b, d, c + _INV_GR * (b - c)
+    return a, b, c, d
 
 
-def _optimize(cutoffs, t_max, grid_size, rel_time_tol, qfi):
+def _optimize(cutoffs, t_max, grid_size, qfi):
     """Time optimizations in lockstep, one per cutoff of ``cutoffs``, which
     sets the start of its scan; ``qfi(tasks, times)`` returns the QFIs of
     tasks (by index) over their time arrays.  One call scans every task,
-    then one per round refines every bracket still open."""
+    then one per round sends every open task the times _needed lists and
+    moves its bracket by _walk, so its iterates are the point-by-point loop's."""
     if t_max <= 0.0:
         raise ValueError("t_max must be > 0")
     scans = {wc: np.geomspace(min(1e-3 / wc, 0.5 * t_max), t_max, max(int(grid_size), 64))
              for wc in set(cutoffs)}
     grids = [scans[wc] for wc in cutoffs]
-    optima, refining = [], {}
+    optima, brackets, known = [], {}, {}
     for i, (ts, vals) in enumerate(zip(grids, qfi(range(len(grids)), grids))):
         k = int(np.argmax(vals))
         if not np.any(vals > 0.0):
@@ -369,25 +349,29 @@ def _optimize(cutoffs, t_max, grid_size, rel_time_tol, qfi):
             optima.append(FisherOptimum(float(ts[-1]), float(vals[-1]), True))
         else:  # the scan's best (f, t) until the refinement returns
             optima.append((vals[k], ts[k]))
-            refining[i] = _golden_section(float(ts[max(k - 1, 0)]), float(ts[k + 1]),
-                                          rel_time_tol)
-    wanted = {i: next(task) for i, task in refining.items()}
-    while wanted:
-        live = list(wanted)
-        for i, vals in zip(live, qfi(live, [wanted[i] for i in live])):
-            try:
-                wanted[i] = refining[i].send(vals)
-            except StopIteration as done:
-                t_star, f_star, c, fc, d, fd = done.value
-                best = max((f_star, t_star), (fc, c), (fd, d), optima[i])
-                optima[i] = FisherOptimum(float(best[1]), float(best[0]), False)
-                del wanted[i]
+            a, b = float(ts[max(k - 1, 0)]), float(ts[k + 1])
+            brackets[i] = a, b, b - _INV_GR * (b - a), a + _INV_GR * (b - a)
+            known[i] = {}
+    while brackets:
+        live = list(brackets)
+        needed = [_needed(*brackets[i], known[i]) for i in live]
+        for i, times, vals in zip(live, needed, qfi(live, [np.array(t) for t in needed])):
+            seen = known[i]
+            seen.update(zip(times, vals.tolist()))
+            a, b, c, d = _walk(*brackets[i], seen)
+            if (b - a) > _TIME_TOL * b:
+                brackets[i] = a, b, c, d
+                continue
+            t = 0.5 * (a + b)
+            best = max((seen[t], t), (seen[c], c), (seen[d], d), optima[i])
+            optima[i] = FisherOptimum(float(best[1]), float(best[0]), False)
+            del brackets[i], known[i]
     return optima
 
 
 def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
-                           rel_time_tol=1e-6, rel_tol=spectral.GAMMA_TH_RTOL):
-    """Maximize the QFI over t in [1e-3 / w_c, t_max].
+                           rel_tol=spectral.GAMMA_TH_RTOL):
+    """Maximize the QFI over t in [min(1e-3 / w_c, t_max / 2), t_max].
 
     Coarse log-spaced scan of max(grid_size, 64) points followed by
     golden-section refinement inside the best bracketing interval; both
@@ -395,12 +379,12 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
     maximizer at t_max (typical in regimes where the information keeps
     accumulating); ``flat`` marks an information-free curve (such as G = 0).
     """
-    return _optimize([sd.cutoff], t_max, grid_size, rel_time_tol, lambda _, times: [
+    return _optimize([sd.cutoff], t_max, grid_size, lambda _, times: [
         qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, times[0], rel_tol))])[0]
 
 
 def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128,
-                      rel_time_tol=1e-6, rel_tol=spectral.GAMMA_TH_RTOL):
+                      rel_tol=spectral.GAMMA_TH_RTOL):
     """optimize_qfi_over_time for each probe of ``cfgs`` at each (sd, bath)
     of ``pairs``, all in lockstep: the scans are one factor assembly, and so
     is each later round over every bracket still open.  Same optima, as one
@@ -421,6 +405,5 @@ def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128,
                 vals[k] = v
         return vals
 
-    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size,
-                       rel_time_tol, qfi)
+    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size, qfi)
     return [optima[k:k + len(cfgs)] for k in range(0, len(optima), len(cfgs))]

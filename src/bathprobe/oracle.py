@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlations
-from .dynamics import BASIS_LABELS, QubitState, _trace_second_qubit
+from .dynamics import (BASIS_LABELS, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED, QubitState,
+                       _trace_second_qubit)
 
 __all__ = [
     "DiscreteBath",
@@ -125,15 +126,16 @@ def _sectors(n_qubits):
 MAX_N_MAX = 1000
 
 
-def required_n_max(db, bath, margin=1.3):
-    """Smallest truncation meeting the displacement and thermal tail rules."""
+def required_n_max(db, bath):
+    """Smallest truncation meeting the displacement and thermal tail rules,
+    with a 30 % margin."""
     n = 2
     for (w, g) in db.modes:
         disp = (4.0 * g / w) ** 2  # peak |alpha|^2 over time
         n = max(n, int(math.ceil(8.0 * disp)) + 8)
         if not bath.zero_temperature:
             n = max(n, int(math.ceil(12.0 * math.log(10.0) / (bath.beta * w))) + 1)
-    return int(math.ceil(margin * n))
+    return int(math.ceil(1.3 * n))
 
 
 @dataclass(frozen=True)
@@ -253,18 +255,18 @@ def dense_unitary(db, omega_0, t, n_qubits=2):
     return _hermitian_exp(h, t)
 
 
-def _certified_columns(omega, g, sector, n, t, leak_tol=1e-10, pad=40):
-    """Columns of the n-level mode space with truncation leakage under tol.
+def _certified_columns(omega, g, sector, n, t):
+    """Columns of the n-level mode space with truncation leakage under 1e-10.
 
-    Certification is empirical: evolve in a padded space and measure the
-    probability each column sends above the n-level boundary.
+    Certification is empirical: evolve in a space padded by 40 levels and
+    measure the probability each column sends above the n-level boundary.
     """
-    big = _mode_unitary_dense(omega, g, sector, n + pad, t)
+    big = _mode_unitary_dense(omega, g, sector, n + 40, t)
     leak = np.sum(np.abs(big[n:, :n]) ** 2, axis=0)
-    return np.flatnonzero(leak < leak_tol ** 2), big[:n, :n]
+    return np.flatnonzero(leak < 1e-10 ** 2), big[:n, :n]
 
 
-def compare_unitaries(db, omega_0, t, n_qubits=2, leak_tol=1e-10, pad=40):
+def compare_unitaries(db, omega_0, t, n_qubits=2):
     """Entrywise product-form vs dense-exponential check, per sector and mode.
 
     Only truncation-certified columns enter the comparison; columns whose
@@ -277,7 +279,7 @@ def compare_unitaries(db, omega_0, t, n_qubits=2, leak_tol=1e-10, pad=40):
     certified_any = True
     for c in sorted(set(charges)):
         for r, (w, g) in enumerate(db.modes):
-            cols, ref = _certified_columns(w, g, c, db.n_max, t, leak_tol, pad)
+            cols, ref = _certified_columns(w, g, c, db.n_max, t)
             dense = _mode_unitary_dense(w, g, c, db.n_max, t)
             mag = _mode_unitary_magnus(w, g, c, db.n_max, t)
             if cols.size == 0:
@@ -517,7 +519,7 @@ _REPORT_TOL = {("factorized", True): 1e-8,   # zero temperature
                ("correlated", False): 1e-6}
 
 
-def compare_report(db, bath, omega_0, t_grid, fixture_id="custom"):
+def compare_report(db, bath, omega_0, t_grid, fixture_id):
     """Exact-vs-closed-form discrepancies for all scheme/preparation pairs.
 
     JSON-ready: one record per (scheme, initial state, t) with the absolute
@@ -527,7 +529,7 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id="custom"):
     records = []
     overall = True
     preps = {}
-    for n_qubits, scheme in ((2, "two-qubit-traced"), (1, "single-qubit")):
+    for n_qubits, scheme in ((2, TWO_QUBIT_TRACED), (1, SINGLE_QUBIT_PROBE)):
         eigs = _block_eigs(db, n_qubits)
         prep = preps[n_qubits] = _prepare_correlated(db, omega_0, bath, n_qubits,
                                                      eigs)

@@ -9,7 +9,7 @@ from bathprobe import dynamics
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
                                 dephasing_factors, reduced_qubit_state)
-from bathprobe.cli import FIGURE_PRESETS, VARIANTS
+from bathprobe.cli import FIGURE_PRESETS, VARIANTS, run_figure
 from bathprobe.correlations import d_corr_from_parts
 from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
                               cfi, cfi_born, cfi_from_bundle, factor_bundle,
@@ -568,6 +568,23 @@ def test_lockstep_optimizer_equals_one_optimization_per_variant(sweeps, mixed):
         hits |= {tuple(opt.boundary_hit for opt in opts) for opts in together}
     # fig4 has a sweep value that mixes boundary hits with refined optima
     assert any(len(set(h)) == 2 for h in hits) or not mixed
+
+
+@pytest.mark.parametrize("figure_id", [f"fig{i}" for i in range(1, 10)])
+def test_a_figure_refines_many_steps_per_assembly(figure_id, tmp_path, monkeypatch):
+    # a qfi-sweep scans in one assembly, then takes five golden-section
+    # steps of every open optimization per assembly (6 assemblies for a
+    # fig1-fig7 file, 7 for each fig8 file); one step per assembly would
+    # take about four times as many, with every optimum the same
+    assemble, calls = dynamics._assemble, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_assemble", counting)
+    paths = run_figure(figure_id, tmp_path)
+    assert 0 < len(calls) <= 7 * len(paths)
 
 
 def test_zero_coupling_sweep_equals_the_per_value_runs():
