@@ -56,7 +56,6 @@ _CONFIG_KEYS = (
     ("time", "grid", "opt_grid", None),
     ("time", "points", "time_points", None),
     ("time", "spacing", "time_spacing", None),
-    ("run", "tolerance", "tolerance", None),
 )
 
 _KEY_FIELDS = {(section, key): (name, sub) for section, key, name, sub in _CONFIG_KEYS}
@@ -79,7 +78,6 @@ class Scenario:
     opt_grid: int = 128
     time_points: int = 100
     time_spacing: str = "linear"
-    tolerance: float = 1e-8
 
     def __post_init__(self):
         for section, key, name, sub in _CONFIG_KEYS:
@@ -100,8 +98,6 @@ class Scenario:
             raise ValueError(f"t-max must be > 0, got {self.t_max}")
         if self.time_points < 1:
             raise ValueError(f"time grid needs at least 1 point, got {self.time_points}")
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
     # -- config round trip ---------------------------------------------------
 
@@ -348,8 +344,6 @@ def _apply_overrides(scenario, args):
         changes["t_max"] = args.t_max
     if getattr(args, "grid", None) is not None:
         changes["opt_grid"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        changes["tolerance"] = args.tol
     if not changes:
         return scenario
     try:
@@ -365,8 +359,7 @@ def _apply_overrides(scenario, args):
 def run_factors(scenario, out_path):
     """Time-resolved dephasing factors and coherence envelope."""
     t = scenario.time_grid()
-    fac = dephasing_factors(scenario.probe, scenario.spectral, scenario.bath, t,
-                            rel_tol=scenario.tolerance)
+    fac = dephasing_factors(scenario.probe, scenario.spectral, scenario.bath, t)
     envelope = np.cos(fac.delta) * np.exp(-fac.gamma_total)
     rows = list(zip(*(col.tolist() for col in (
         t, fac.gamma_vac, fac.gamma_th, fac.gamma_corr, fac.delta, fac.phi,
@@ -384,7 +377,7 @@ def run_qfi_sweep(scenario, out_path):
     values = scenario.sweep_values().tolist()
     optima = fisher.optimize_variants(cfgs, [scenario.at_sweep_value(v) for v in values],
                                       scenario.estimand, scenario.t_max,
-                                      scenario.opt_grid, rel_tol=scenario.tolerance)
+                                      scenario.opt_grid)
     rows = [(value, cfg.scheme, cfg.initial_state, opt.t_star, opt.f_star, opt.boundary_hit)
             for value, opts in zip(values, optima) for cfg, opt in zip(cfgs, opts)]
     write_csv(out_path, scenario,
@@ -400,7 +393,7 @@ def run_cfi(scenario, out_path):
     cfg = scenario.probe
     t = scenario.time_grid()
     bundle = fisher.factor_bundle(cfg, scenario.spectral, scenario.bath,
-                                  scenario.estimand, t, rel_tol=scenario.tolerance)
+                                  scenario.estimand, t)
     if cfg.initial_state == FACTORIZED:
         angle = cfg.omega_0 * t
     else:
@@ -422,8 +415,7 @@ def run_optimize(scenario, out_path):
         cfg = ProbeConfig(scenario.probe.omega_0, scheme, initial)
         opt = fisher.optimize_qfi_over_time(cfg, scenario.spectral, scenario.bath,
                                             scenario.estimand, scenario.t_max,
-                                            scenario.opt_grid,
-                                            rel_tol=scenario.tolerance)
+                                            scenario.opt_grid)
         rows.append((scheme, initial, opt.t_star, opt.f_star, opt.boundary_hit))
     write_csv(out_path, scenario,
               ("scheme", "initial_state", "t_star", "f_star", "boundary_hit"),
@@ -496,7 +488,6 @@ def build_parser():
         if optimizes:  # only the time optimization reads the coarse grid
             p.add_argument("--grid", type=int,
                            help="coarse optimization grid size; at least 64 points are used")
-        p.add_argument("--tol", type=float)
 
     add_common(sub.add_parser("factors", help="time-resolved dephasing factors"))
     add_common(sub.add_parser("qfi-sweep", help="optimized QFI across a sweep"), True)

@@ -24,16 +24,17 @@ import numpy as np
 from .spectral import _shared, _unpack
 
 __all__ = [
-    "TWO_QUBIT",
-    "SINGLE_QUBIT",
+    "TWO_QUBIT_TRACED",
+    "SINGLE_QUBIT_PROBE",
     "CorrelationFactors",
     "corr_factors_from_parts",
     "d_corr_from_parts",
     "element_phase_factor",
 ]
 
-TWO_QUBIT = "two-qubit"
-SINGLE_QUBIT = "single-qubit"
+#: probe schemes: two qubits read out on the first, or a single qubit
+TWO_QUBIT_TRACED = "two-qubit-traced"
+SINGLE_QUBIT_PROBE = "single-qubit"
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,9 @@ def _scaled_parts(c_shift, phi, beta, omega_0, scheme):
     zero-temperature member: e = q = 0, tau = 1.  e, tau and q follow C and
     beta (values, or finite arrays over phi's points), u follows phi.
     """
-    if scheme not in (TWO_QUBIT, SINGLE_QUBIT):
+    if scheme not in (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE):
         raise ValueError(f"unknown scheme {scheme!r}")
-    two_qubit = scheme == TWO_QUBIT
+    two_qubit = scheme == TWO_QUBIT_TRACED
     u = 2.0 * phi if two_qubit else phi
     if _shared(beta, math.inf):
         return 0.0, 1.0, 0.0, u
@@ -129,7 +130,7 @@ def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, d_beta, omega_0, sch
     """
     phi, scalar = _as_array(phi)
     e, tau, q, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
-    two_qubit = scheme == TWO_QUBIT
+    two_qubit = scheme == TWO_QUBIT_TRACED
     du = (2.0 if two_qubit else 1.0) * np.asarray(d_phi, dtype=float)
     if _shared(beta, math.inf):
         # the phasor turns on the unit circle; the general form below
@@ -167,7 +168,7 @@ def element_phase_factor(m, c_shift, phi, beta, omega_0):
     """
     if m == 0:
         return complex(1.0, 0.0)
-    e, tau, _, _ = _scaled_parts(c_shift, phi, beta, omega_0, TWO_QUBIT)
+    e, tau, _, _ = _scaled_parts(c_shift, phi, beta, omega_0, TWO_QUBIT_TRACED)
     # the dominant preparation weight sits on the spin-down sector, which
     # carries e^{+2 i m phi}
     u = 2.0 * m * phi

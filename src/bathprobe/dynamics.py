@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import correlations, spectral
-from .correlations import SINGLE_QUBIT, TWO_QUBIT
+from .correlations import SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED
 from .spectral import DephasingFactors, NumericalError, _point, _times
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "eigendecompose",
 ]
 
-TWO_QUBIT_TRACED = "two-qubit-traced"
-SINGLE_QUBIT_PROBE = "single-qubit"
 FACTORIZED = "factorized"
 CORRELATED = "correlated"
 
@@ -80,10 +78,6 @@ class ProbeConfig:
         if self.initial_state not in (FACTORIZED, CORRELATED):
             raise ValueError(f"unknown initial state {self.initial_state!r}")
 
-    @property
-    def correlation_scheme(self):
-        return TWO_QUBIT if self.scheme == TWO_QUBIT_TRACED else SINGLE_QUBIT
-
 
 @dataclass(frozen=True)
 class QubitState:
@@ -116,11 +110,11 @@ class TwoQubitState:
     matrix: np.ndarray
 
 
-def _factors(p, t, rel_tol, two_qubit, phases):
+def _factors(p, t, two_qubit, phases):
     """(gamma_vac, gamma_th, Delta, phi) over t at the Points p; Delta only
     for the two-qubit scheme, phi only if ``phases``, a factor left out 0."""
     zero = np.zeros(t.shape)
-    return (spectral.gamma_vac(p, t), spectral.gamma_th(p, p, t, rel_tol=rel_tol),
+    return (spectral.gamma_vac(p, t), spectral.gamma_th(p, p, t),
             spectral.delta_factor(p, t) if two_qubit else zero,
             spectral.phi_factor(p, t) if phases else zero)
 
@@ -162,89 +156,80 @@ def _correlation_factors(cfg, phi, d_phi, scalars, estimand):
     """(gamma_corr, chi) of a correlated probe and their estimand slopes."""
     shift, d_shift, beta, d_beta = scalars
     corr = correlations.corr_factors_from_parts(
-        shift, phi, beta, cfg.omega_0, cfg.correlation_scheme)
+        shift, phi, beta, cfg.omega_0, cfg.scheme)
     if estimand is None:
         zero = np.zeros(np.shape(phi))
         return corr.gamma_corr, corr.chi, zero, zero
     return (corr.gamma_corr, corr.chi, *correlations.d_corr_from_parts(
-        shift, phi, d_shift, d_phi, beta, d_beta, cfg.omega_0, cfg.correlation_scheme))
+        shift, phi, d_shift, d_phi, beta, d_beta, cfg.omega_0, cfg.scheme))
 
 
-def _assemble(tasks, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
+def _assemble(tasks, estimand=None):
     """[(members, fields)]: the factors of tasks (cfg, sd, bath, t), by config.
 
-    Tasks that share (sd, bath) share the sorted union of their grids (a
-    lone task keeps its grid), and each spectral form is evaluated once
-    over the unions laid end to end, with (G, w_c, T) per point
-    (``spectral.Points``; tasks at another s, at G = 0 or in the cold limit
-    are assembled apart).  The forms are elementwise, so a task gets the
-    values of an assembly of its own.  Then, once per config over the times
-    of its members laid end to end, the one place that decides which
-    factors a probe has (Delta for the two-qubit scheme only, the
-    correlation factors for the correlated preparation only, zero
-    otherwise) and how each moves with the estimand.  Without an estimand
+    Tasks that share (sd, bath) share the sorted union of their grids, and
+    each spectral form is evaluated once over the unions laid end to end,
+    with (G, w_c, T) per point (``spectral.Points``; tasks at another s, at
+    G = 0 or in the cold limit are assembled apart).  The forms are
+    elementwise, so a task gets the values of an assembly of its own.
+    Then, once per config over the times of its members laid end to end,
+    the one place that decides which factors a probe has (Delta for the
+    two-qubit scheme only, the correlation factors for the correlated
+    preparation only, zero otherwise) and how each moves with the
+    estimand.  Without an estimand
     the fields are the state's (gamma_vac, gamma_th, gamma_corr, Delta, phi,
     chi); with one, the Fisher bundle's (Gamma, Delta, chi) and their
     slopes.  A lone task at a scalar time gets floats.
     """
-    if len(tasks) == 1:
-        ((cfg, sd, bath, t),) = tasks
-        t, scalar = _times(t)
-        grids, by_cfg = [t], [(cfg, [0])]
-        p = spectral.Points(sd.coupling, sd.ohmicity, sd.cutoff, bath.temperature, bath.beta)
-    else:
-        grids = [_times(t)[0] for *_, t in tasks]
-        classes = {}
-        for i, (_, sd, bath, _) in enumerate(tasks):
-            key = (sd.ohmicity, sd.coupling == 0.0, spectral._cold(bath))
-            classes.setdefault(key, []).append(i)
-        if len(classes) != 1:
-            return [([part[k] for k in members], fields) for part in classes.values()
-                    for members, fields in _assemble([tasks[i] for i in part],
-                                                     estimand, rel_tol)]
-        by_cfg, pairs = {}, {}
-        for i, (cfg, sd, bath, _) in enumerate(tasks):
-            by_cfg.setdefault(cfg, []).append(i)
-            pairs.setdefault((sd, bath), len(pairs))
-        by_cfg = list(by_cfg.items())
-        order = [i for _, members in by_cfg for i in members]
-        t, sizes, inverse = _unions([grids[i] for i in order],
-                                    [pairs[tasks[i][1:3]] for i in order], len(pairs))
-        p = spectral.Points.of(list(pairs), sizes)
+    grids = [_times(t)[0] for *_, t in tasks]
+    classes = {}
+    for i, (_, sd, bath, _) in enumerate(tasks):
+        key = (sd.ohmicity, sd.coupling == 0.0, spectral._cold(bath))
+        classes.setdefault(key, []).append(i)
+    if len(classes) != 1:
+        return [([part[k] for k in members], fields) for part in classes.values()
+                for members, fields in _assemble([tasks[i] for i in part], estimand)]
+    by_cfg, pairs = {}, {}
+    for i, (cfg, sd, bath, _) in enumerate(tasks):
+        by_cfg.setdefault(cfg, []).append(i)
+        pairs.setdefault((sd, bath), len(pairs))
+    by_cfg = list(by_cfg.items())
+    order = [i for _, members in by_cfg for i in members]
+    t, sizes, inverse = _unions([grids[i] for i in order],
+                                [pairs[tasks[i][1:3]] for i in order], len(pairs))
+    p = spectral.Points.of(list(pairs), sizes)
     two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg, _ in by_cfg)
     correlated = any(cfg.initial_state == CORRELATED for cfg, _ in by_cfg)
     zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
     out, done = [], 0
     with np.errstate(all="ignore"):
-        g_vac, g_th, delta, phi = _factors(p, t, rel_tol, two_qubit,
-                                           correlated or estimand is None)
+        g_vac, g_th, delta, phi = _factors(p, t, two_qubit, correlated or estimand is None)
         if estimand is Estimand.COUPLING_STRENGTH:
             # every factor is linear in G: its slope is its value at G = 1
             dg_vac, dg_th, d_delta, d_phi = _factors(p._replace(coupling=1.0), t,
-                                                     rel_tol, two_qubit, correlated)
+                                                     two_qubit, correlated)
             d_gamma = dg_vac + dg_th
         elif estimand is Estimand.CUTOFF_FREQUENCY:
-            d_gamma = spectral.d_gamma_d_omega_c(p, p, t, rel_tol)
+            d_gamma = spectral.d_gamma_d_omega_c(p, p, t)
             if two_qubit:
                 d_delta = spectral.d_delta_d_omega_c(p, t)
             if correlated:
                 d_phi = spectral.d_phi_d_omega_c(p, t)
         elif estimand is not None:
             # only gamma_th and beta = 1/T move with T
-            d_gamma = spectral.d_gamma_th_d_temperature(p, p, t, rel_tol=rel_tol)
+            d_gamma = spectral.d_gamma_th_d_temperature(p, p, t)
         forms = (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)
         scalars = _scalars(p, estimand) if correlated else ()
         for cfg, members in by_cfg:
             (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = forms, scalars
-            if len(tasks) > 1:
-                pick = inverse[done:done + sum(grids[k].size for k in members)]
-                done += pick.size
-                # a config whose times are the whole union in order reads the
-                # forms as they are (the scans of a sweep)
-                if not (pick.size == t.size and (np.diff(pick) > 0).all()):
-                    (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = (
-                        [x[pick] if isinstance(x, np.ndarray) else x for x in y]
-                        for y in (forms, scalars))
+            pick = inverse[done:done + sum(grids[k].size for k in members)]
+            done += pick.size
+            # a config whose times are the whole union in order reads the
+            # forms as they are (the scans of a sweep, a sorted lone grid)
+            if not (pick.size == t.size and (pick[1:] > pick[:-1]).all()):
+                (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = (
+                    [x[pick] if isinstance(x, np.ndarray) else x for x in y]
+                    for y in (forms, scalars))
             if cfg.scheme != TWO_QUBIT_TRACED:
                 delta = d_delta = zero
             g_corr = chi = d_chi = zero
@@ -255,7 +240,7 @@ def _assemble(tasks, estimand=None, rel_tol=spectral.GAMMA_TH_RTOL):
             fields = ((g_vac, g_th, g_corr, delta, phi, chi) if estimand is None else
                       (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi))
             _check_finite(fields, tasks, grids, members)
-            if len(tasks) == 1 and scalar:
+            if len(tasks) == 1 and np.ndim(tasks[0][3]) == 0:
                 fields = tuple(float(v[0]) for v in fields)
             out.append((members, fields))
     return out
@@ -272,13 +257,13 @@ def _check_finite(fields, tasks, grids, members):
                              f"{_point(sd, bath, grids[k], i - lo)}")
 
 
-def dephasing_factors(cfg, sd, bath, t, rel_tol=spectral.GAMMA_TH_RTOL):
+def dephasing_factors(cfg, sd, bath, t):
     """All dephasing exponents/phases of the probe at time t, bundled.
 
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
     A non-finite factor raises NumericalError naming its (s, w_c, T, t).
     """
-    ((_, fields),) = _assemble([(cfg, sd, bath, t)], rel_tol=rel_tol)
+    ((_, fields),) = _assemble([(cfg, sd, bath, t)])
     return DephasingFactors(*fields, c_shift=spectral.c_shift(sd))
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dynamics, spectral
+from . import dynamics
 from .dynamics import Estimand, reduced_qubit_state
 from .spectral import BathState, _ratio, _times, _unpack
 
@@ -66,7 +66,7 @@ def _validate_estimand(estimand, sd, bath):
         raise ValueError("coupling estimation requires G > 0")
 
 
-def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
+def factor_bundle(cfg, sd, bath, estimand, t):
     """Assemble (Gamma, Delta, chi) and their derivatives for one estimand.
 
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
@@ -74,7 +74,7 @@ def factor_bundle(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
     """
     estimand = Estimand(estimand)
     _validate_estimand(estimand, sd, bath)
-    ((_, fields),) = dynamics._assemble([(cfg, sd, bath, t)], estimand, rel_tol)
+    ((_, fields),) = dynamics._assemble([(cfg, sd, bath, t)], estimand)
     return FactorBundle(*fields)
 
 
@@ -111,14 +111,13 @@ def qfi_from_bundle(b):
     return _value(w * (_positive_ratio(n1 * n1, d) + n2 * n2))
 
 
-def qfi_closed(cfg, sd, bath, estimand, t, rel_tol=spectral.GAMMA_TH_RTOL):
+def qfi_closed(cfg, sd, bath, estimand, t):
     """Closed-form QFI; 0 at t = 0 where the state carries no information."""
     t, scalar = _times(t)
     val = np.zeros(t.shape)
     live = t > 0.0
     if live.any():
-        val[live] = qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand,
-                                                  t[live], rel_tol))
+        val[live] = qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, t[live]))
     return _unpack(val, scalar)
 
 
@@ -369,8 +368,7 @@ def _optimize(cutoffs, t_max, grid_size, qfi):
     return optima
 
 
-def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
-                           rel_tol=spectral.GAMMA_TH_RTOL):
+def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128):
     """Maximize the QFI over t in [min(1e-3 / w_c, t_max / 2), t_max].
 
     Coarse log-spaced scan of max(grid_size, 64) points followed by
@@ -380,11 +378,10 @@ def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128,
     accumulating); ``flat`` marks an information-free curve (such as G = 0).
     """
     return _optimize([sd.cutoff], t_max, grid_size, lambda _, times: [
-        qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, times[0], rel_tol))])[0]
+        qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, times[0]))])[0]
 
 
-def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128,
-                      rel_tol=spectral.GAMMA_TH_RTOL):
+def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128):
     """optimize_qfi_over_time for each probe of ``cfgs`` at each (sd, bath)
     of ``pairs``, all in lockstep: the scans are one factor assembly, and so
     is each later round over every bracket still open.  Same optima, as one
@@ -397,7 +394,7 @@ def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128,
     def qfi(live, times):
         vals = [None] * len(times)
         entries = dynamics._assemble([(*tasks[i], t) for i, t in zip(live, times)],
-                                     estimand, rel_tol)
+                                     estimand)
         while entries:  # each config's fields go once its QFI is taken
             members, fields = entries.pop()
             split = np.cumsum([times[k].size for k in members])[:-1]

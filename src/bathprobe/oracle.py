@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlations
-from .dynamics import (BASIS_LABELS, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED, QubitState,
-                       _trace_second_qubit)
+from .dynamics import (BASIS_LABELS, CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
+                       TWO_QUBIT_TRACED, QubitState, _trace_second_qubit)
 
 __all__ = [
     "DiscreteBath",
@@ -505,7 +505,7 @@ def closed_form_coherence(db, omega_0, bath, t, n_qubits=2, correlated=False):
     cos_part = math.cos(fac.delta_d) if n_qubits == 2 else 1.0
     x = 1.0 + 0.0j
     if correlated:
-        scheme = correlations.TWO_QUBIT if n_qubits == 2 else correlations.SINGLE_QUBIT
+        scheme = TWO_QUBIT_TRACED if n_qubits == 2 else SINGLE_QUBIT_PROBE
         corr = correlations.corr_factors_from_parts(fac.c_d, fac.phi_d, bath.beta,
                                                     omega_0, scheme)
         gamma += corr.gamma_corr
@@ -513,10 +513,10 @@ def closed_form_coherence(db, omega_0, bath, t, n_qubits=2, correlated=False):
     return 0.5 * np.exp(-1j * omega_0 * t) * x * math.exp(-gamma) * cos_part
 
 
-_REPORT_TOL = {("factorized", True): 1e-8,   # zero temperature
-               ("factorized", False): 1e-6,
-               ("correlated", True): 1e-6,
-               ("correlated", False): 1e-6}
+_REPORT_TOL = {(FACTORIZED, True): 1e-8,   # zero temperature
+               (FACTORIZED, False): 1e-6,
+               (CORRELATED, True): 1e-6,
+               (CORRELATED, False): 1e-6}
 
 
 def compare_report(db, bath, omega_0, t_grid, fixture_id):
@@ -533,7 +533,7 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id):
         eigs = _block_eigs(db, n_qubits)
         prep = preps[n_qubits] = _prepare_correlated(db, omega_0, bath, n_qubits,
                                                      eigs)
-        for initial, correlated in (("factorized", False), ("correlated", True)):
+        for initial, correlated in ((FACTORIZED, False), (CORRELATED, True)):
             tol = _REPORT_TOL[(initial, bath.zero_temperature)]
             if correlated:
                 env_mats, log_weights = prep.env_mats, prep.log_weights

@@ -7,7 +7,8 @@ The bath is an exponentially cut off power-law spectral density
 with coupling strength G, Ohmicity s (s < 1 sub-Ohmic, s = 1 Ohmic,
 s > 1 super-Ohmic) and cutoff frequency w_c, all in units of the probe
 splitting.  Every factor below is a closed form, the thermal exponent a
-Bose series of vacuum-type terms; each has an independent quadrature route
+Bose series of vacuum-type terms that certifies its own truncation error to
+the fixed GAMMA_TH_RTOL; each has an independent quadrature route
 (``quadrature_factor``) evaluating the defining integral directly, and the
 tests pin the two against each other.  Every factor is linear in G, so its
 coupling slope is the factor itself at G = 1 and needs no form of its own;
@@ -55,7 +56,9 @@ __all__ = [
 #: integral kinds exposed by the quadrature verification route
 QUAD_KINDS = ("gamma_vac", "gamma_th", "delta", "phi", "c_shift")
 
-#: default certified relative error of the thermal exponent's series
+#: relative error that the thermal exponent's series certifies at every
+#: point; the finite bound stays near 1e-13 or below except on baths near
+#: T = 1e-160, whose Bose terms underflow (README, notes on numerics)
 GAMMA_TH_RTOL = 1e-10
 
 #: largest accepted Ohmicity; Gamma(s) overflows a double past s = 171.6, and
@@ -462,7 +465,7 @@ def quadrature_factor(kind, sd, bath=None, t=0.0, rel_tol=1e-8):
 # - a**(1-s-j)] is a Laplace transform with a single-signed integrand, so
 # the Euler-Maclaurin tail stopped before its B_8 correction errs by at most
 # that correction.  The series includes the correction and reports it,
-# relative to the sum, as the bound that rel_tol must meet.
+# relative to the sum, as the bound that must meet GAMMA_TH_RTOL.
 
 #: first Bose term left to the Euler-Maclaurin tail; those before it are
 #: summed as the rows of one array
@@ -585,14 +588,14 @@ def _cold(bath):
     return _shared(bath.beta, math.inf)
 
 
-def _certified_sums(sd, bath, t, rel_tol):
-    """The Bose sums at (s, w_c, T) over t; QuadratureError past rel_tol."""
+def _certified_sums(sd, bath, t):
+    """The Bose sums at (s, w_c, T) over t; QuadratureError past GAMMA_TH_RTOL."""
     s, wc = sd.ohmicity, sd.cutoff
     sums, bound = _bose_series(s, wc, bath.beta, t)
-    if bound.size and not bound.max() <= rel_tol:
+    if bound.size and not bound.max() <= GAMMA_TH_RTOL:
         worst = int(np.argmax(bound))
         what = ("overflows" if math.isinf(bound[worst])
-                else f"bound exceeds rel_tol={rel_tol!r}")
+                else f"bound exceeds {GAMMA_TH_RTOL!r}")
         raise QuadratureError(
             f"thermal series {what} at {_point(sd, bath, t, worst)}",
             float((_prefactor(sd) * sums[0])[worst]),
@@ -606,16 +609,17 @@ def _prefactor(sd):
     return 2.0 * sd.coupling * math.gamma(s) * np.power(sd.cutoff, 1.0 - s)
 
 
-def gamma_th(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
+def gamma_th(sd, bath, t):
     """Thermal dephasing exponent; exactly 0 at zero temperature.
 
-    ``rel_tol`` bounds the series' relative truncation error; a grid with a
-    point that misses it raises QuadratureError naming that point.
+    The series certifies its relative truncation error to GAMMA_TH_RTOL; a
+    grid with a point where the bound is larger or infinite (the sums
+    overflow) raises QuadratureError naming that point.
     """
     t, scalar = _times(t)
     if _cold(bath) or _shared(sd.coupling, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
-    return _unpack(_prefactor(sd) * _certified_sums(sd, bath, t, rel_tol)[0], scalar)
+    return _unpack(_prefactor(sd) * _certified_sums(sd, bath, t)[0], scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +654,7 @@ def d_delta_d_omega_c(sd, t):
     return _unpack(val, scalar)
 
 
-def d_gamma_d_omega_c(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
+def d_gamma_d_omega_c(sd, bath, t):
     """Cutoff derivative of the uncorrelated exponent gamma_vac + gamma_th.
 
     The thermal part differentiates its Bose series through w_c**(1-s) and
@@ -660,12 +664,12 @@ def d_gamma_d_omega_c(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     d = d_gamma_vac_d_omega_c(sd, t)
     if not (_cold(bath) or _shared(G, 0.0)):
-        s0, s1, _ = _certified_sums(sd, bath, t, rel_tol)
+        s0, s1, _ = _certified_sums(sd, bath, t)
         d = d + _prefactor(sd) / wc * ((1.0 - s) * s0 - s1 / wc)
     return _unpack(d, scalar)
 
 
-def d_gamma_th_d_temperature(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
+def d_gamma_th_d_temperature(sd, bath, t):
     """Temperature derivative of the thermal exponent, -beta**2 d/d beta.
 
     Exactly 0 at T = 0, where gamma_th vanishes like T**(s+1).
@@ -674,5 +678,5 @@ def d_gamma_th_d_temperature(sd, bath, t, rel_tol=GAMMA_TH_RTOL):
     if _cold(bath) or _shared(sd.coupling, 0.0):
         return _unpack(np.zeros(t.shape), scalar)
     beta = bath.beta
-    sn = _certified_sums(sd, bath, t, rel_tol)[2]
+    sn = _certified_sums(sd, bath, t)[2]
     return _unpack(_prefactor(sd) * beta * (beta * -sn), scalar)

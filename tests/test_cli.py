@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bathprobe
+from bathprobe import spectral
 from bathprobe.cli import (_CONFIG_KEYS, FIGURE_PRESETS, ConfigError, Scenario,
                            _header_block, main, run_cfi, run_factors, run_optimize,
                            run_oracle_validation, run_qfi_sweep)
@@ -166,8 +167,7 @@ def test_oracle_validate_rejects_bad_inputs(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("section,key,raw", [("spectral", "coupling", "nan"),
                                              ("bath", "temperature", "inf"),
-                                             ("sweep", "stop", "-inf"),
-                                             ("run", "tolerance", "NaN")])
+                                             ("sweep", "stop", "-inf")])
 def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, raw):
     config = tmp_path / "scenario.cfg"
     config.write_text(f"[{section}]\n{key} = {raw}\n")
@@ -186,8 +186,7 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, section, key, raw):
     ("spectral", "ohmicity", "1e-9", "optimize"),
     ("sweep", "points", "1", "qfi-sweep"),
     ("time", "t-max", "-5", "optimize"),
-    ("time", "points", "0", "factors"),
-    ("run", "tolerance", "0", "cfi")])
+    ("time", "points", "0", "factors")])
 def test_config_out_of_range_values_are_config_errors(tmp_path, capsys, section,
                                                       key, raw, command):
     config = tmp_path / "scenario.cfg"
@@ -199,7 +198,7 @@ def test_config_out_of_range_values_are_config_errors(tmp_path, capsys, section,
     assert err.count("\n") == 1 and err.startswith("config error:")
 
 
-@pytest.mark.parametrize("flag", [("--t-max", "-5"), ("--tol", "-1")])
+@pytest.mark.parametrize("flag", [("--t-max", "-5"), ("--t-max", "0")])
 def test_out_of_range_overrides_are_config_errors(tmp_path, capsys, flag):
     config = tmp_path / "scenario.cfg"
     config.write_text(QUICK.to_config_text())
@@ -210,7 +209,7 @@ def test_out_of_range_overrides_are_config_errors(tmp_path, capsys, flag):
 
 def test_threads_key_and_flag_are_gone(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
-    config.write_text(QUICK.to_config_text() + "threads = 2\n")
+    config.write_text(QUICK.to_config_text() + "[run]\nthreads = 2\n")
     assert "threads" not in QUICK.to_config_text()
     assert main(["qfi-sweep", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "[run] threads" in capsys.readouterr().err
@@ -218,6 +217,28 @@ def test_threads_key_and_flag_are_gone(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["qfi-sweep", "--config", str(config), "--threads", "2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["factors", "qfi-sweep", "cfi", "optimize"])
+def test_tolerance_key_and_flag_are_gone(tmp_path, capsys, command):
+    # the thermal series certifies the fixed spectral.GAMMA_TH_RTOL, so a
+    # tolerance could only make a run fail; both spellings are refused
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text() + "[run]\ntolerance = 1e-08\n")
+    assert "tolerance" not in QUICK.to_config_text()
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: [run] tolerance: unknown key\n"
+    assert not list(out.iterdir())
+    config.write_text(QUICK.to_config_text())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--out", str(out), "--tol", "1e-6"])
+    assert exc.value.code == 2
+    # argparse prints its usage, then one error line
+    errors = [l for l in capsys.readouterr().err.splitlines() if "error" in l]
+    assert errors == ["bathprobe: error: unrecognized arguments: --tol 1e-6"]
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("line,where", [("[spectral]\ncutof = 3", "[spectral] cutof"),
@@ -323,17 +344,17 @@ def test_sweep_over_the_estimand_starts_from_a_zero_base(tmp_path, variable, zer
     assert all(float(r[4]) > 0.0 for r in rows)
 
 
-def test_quadrature_failure_in_the_lockstep_exit_code(tmp_path, capsys):
+def test_quadrature_failure_in_the_lockstep_exit_code(tmp_path, capsys, monkeypatch):
     # the four variants of a sweep value are optimized together; a thermal
-    # series that misses the tolerance still stops the run with exit 3
+    # series whose bound exceeds the tolerance still stops the run with exit 3
+    monkeypatch.setattr(spectral, "GAMMA_TH_RTOL", 1e-20)
     config = tmp_path / "scenario.cfg"
     config.write_text("[spectral]\ncoupling = 0.5\nohmicity = 0.5\ncutoff = 2\n"
                       "[bath]\ntemperature = 1\n[estimand]\nparameter = temperature\n"
                       "[sweep]\nvariable = temperature\nstart = 0.5\nstop = 1\n"
                       "points = 2\n[time]\nt-max = 5\ngrid = 64\n")
     out = tmp_path / "out"
-    assert main(["qfi-sweep", "--config", str(config), "--out", str(out),
-                 "--tol", "1e-20"]) == 3
+    assert main(["qfi-sweep", "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("quadrature error:") and "achieved error=" in err
@@ -356,9 +377,9 @@ def test_one_failing_sweep_value_is_named(tmp_path, capsys):
     assert not list(out.iterdir())
 
 
-@pytest.mark.parametrize("flag", [("--t-max", "inf"), ("--tol", "inf"), ("--tol", "nan")])
+@pytest.mark.parametrize("flag", [("--t-max", "inf"), ("--t-max", "nan"), ("--t-max", "1e999")])
 def test_non_finite_overrides_are_config_errors(tmp_path, capsys, flag):
-    # a header such as "tolerance = inf" would not read back as a config
+    # a header such as "t-max = inf" would not read back as a config
     config = tmp_path / "scenario.cfg"
     config.write_text(QUICK.to_config_text())
     out = tmp_path / "out"
@@ -371,7 +392,7 @@ def test_non_finite_overrides_are_config_errors(tmp_path, capsys, flag):
         replace(QUICK, t_max=math.inf)
 
 
-@pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--tol", "1e-6")])
+@pytest.mark.parametrize("flag", [("--t-max", "5"), ("--grid", "64"), ("--config", "x.cfg")])
 def test_figure_rejects_scenario_flags(tmp_path, flag):
     # a preset pins its scenario; a flag it would ignore is an argument error
     with pytest.raises(SystemExit) as err:
@@ -392,15 +413,18 @@ def test_grid_is_only_for_the_optimizing_commands(tmp_path, command):
 
 
 def test_quadrature_failure_exit_code(tmp_path, capsys):
+    # at T = 1e300 the Bose sums overflow: no certified value, exit 3
     config = tmp_path / "scenario.cfg"
     config.write_text("[spectral]\ncoupling = 1\nohmicity = 0.5\ncutoff = 5\n"
-                      "[bath]\ntemperature = 1\n"
-                      "[time]\nt-max = 200\npoints = 3\n"
-                      "[run]\ntolerance = 1e-16\n")
-    assert main(["factors", "--config", str(config), "--out", str(tmp_path)]) == 3
+                      "[bath]\ntemperature = 1e300\n"
+                      "[time]\nt-max = 200\npoints = 3\n")
+    out = tmp_path / "out"
+    assert main(["factors", "--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("quadrature error:") and "achieved error=" in err
+    assert err.startswith("quadrature error: thermal series overflows at ")
+    assert "s=0.5, w_c=5.0, T=1e+300, t=" in err and "achieved error=inf" in err
+    assert not list(out.iterdir())
 
 
 def test_main_factors_and_overrides(tmp_path):
@@ -420,14 +444,6 @@ def test_main_runs_every_config_command(tmp_path):
                           ("optimize", "optimize.csv")):
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
         assert (tmp_path / name).exists()
-
-
-def test_tolerance_override_is_recorded(tmp_path):
-    config = tmp_path / "scenario.cfg"
-    config.write_text(QUICK.to_config_text())
-    assert main(["factors", "--config", str(config), "--out", str(tmp_path),
-                 "--tol", "1e-6"]) == 0
-    assert "tolerance = 1e-06" in (tmp_path / "factors.csv").read_text()
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):

@@ -7,26 +7,26 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from bathprobe.correlations import (SINGLE_QUBIT, TWO_QUBIT,
+from bathprobe.correlations import (SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
                                     corr_factors_from_parts, d_corr_from_parts,
                                     element_phase_factor)
-from bathprobe.dynamics import (CORRELATED, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
-                                ProbeConfig, dephasing_factors)
+from bathprobe.dynamics import CORRELATED, ProbeConfig, dephasing_factors
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
                                 d_phi_d_omega_c, phi_factor)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
-SCHEMES = (TWO_QUBIT, SINGLE_QUBIT)
-PROBES = {TWO_QUBIT: TWO_QUBIT_TRACED, SINGLE_QUBIT: SINGLE_QUBIT_PROBE}
+SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)
+#: short test ids of SCHEMES
+SCHEME_IDS = ("two-qubit", "single-qubit")
 
 
 def rel_diff(a, b, floor=1e-12):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def corr(sd, bath, t, scheme=TWO_QUBIT, omega_0=1.0):
+def corr(sd, bath, t, scheme=TWO_QUBIT_TRACED, omega_0=1.0):
     """(gamma_corr, chi) of the correlated probe, through the factor assembly."""
-    cfg = ProbeConfig(omega_0, PROBES[scheme], CORRELATED)
+    cfg = ProbeConfig(omega_0, scheme, CORRELATED)
     fac = dephasing_factors(cfg, sd, bath, t)
     return fac.gamma_corr, fac.chi
 
@@ -40,7 +40,7 @@ def d_phi(sd, t, x):
     return 0.0
 
 
-def d_corr(sd, bath, t, x, scheme=TWO_QUBIT, omega_0=1.0):
+def d_corr(sd, bath, t, x, scheme=TWO_QUBIT_TRACED, omega_0=1.0):
     """(d gamma_corr/dx, d chi/dx) by the chain rule, d beta/dT = -beta**2."""
     beta = bath.beta
     d_beta = -beta * beta if x == "T" else 0.0
@@ -58,7 +58,8 @@ def preparation_sum(c, phi, beta, omega_0, scheme, exp=cmath.exp):
     picks the arithmetic: cmath.exp for doubles, mpmath's exp for the
     high-precision reference.
     """
-    spins = [p + q for p in (1, -1) for q in (1, -1)] if scheme == TWO_QUBIT else [1, -1]
+    spins = ([p + q for p in (1, -1) for q in (1, -1)] if scheme == TWO_QUBIT_TRACED
+             else [1, -1])
     num = den = 0
     for m in spins:
         w = exp(-0.5 * beta * omega_0 * m + 0.25 * beta * m * m * c)
@@ -104,12 +105,12 @@ def test_zero_coupling_is_inert():
 
 
 def test_single_qubit_examples():
-    g0, chi0 = corr(OHMIC, BathState(0.9), 0.0, SINGLE_QUBIT)
+    g0, chi0 = corr(OHMIC, BathState(0.9), 0.0, SINGLE_QUBIT_PROBE)
     assert (g0, chi0) == (pytest.approx(0.0, abs=1e-14), 0.0)
-    gz, chiz = corr(OHMIC, BathState(0.0), 1.0, SINGLE_QUBIT)
+    gz, chiz = corr(OHMIC, BathState(0.0), 1.0, SINGLE_QUBIT_PROBE)
     assert chiz == pytest.approx(math.pi / 4.0, rel=1e-14)
     assert gz == 0.0
-    _, chi_hot = corr(OHMIC, BathState(1e8), 1.0, SINGLE_QUBIT)
+    _, chi_hot = corr(OHMIC, BathState(1e8), 1.0, SINGLE_QUBIT_PROBE)
     assert abs(chi_hot) < 1e-7
 
 
@@ -125,7 +126,7 @@ def test_gamma_corr_nonnegative():
             assert corr(sd, bath, t, scheme)[0] >= -1e-14
 
 
-@pytest.mark.parametrize("scheme", [TWO_QUBIT, SINGLE_QUBIT])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 def test_preparation_sum_identity(scheme):
     # |X| = exp(-gamma_corr) and arg X = -chi against the literal sector sum
     rng = np.random.default_rng(5)
@@ -150,7 +151,7 @@ def test_element_phase_factor_matches_coherence_convention():
     bath = BathState(0.7)
     t = 1.9
     c, phi = c_shift(sd), phi_factor(sd, t)
-    f = corr_factors_from_parts(c, phi, bath.beta, 1.0, TWO_QUBIT)
+    f = corr_factors_from_parts(c, phi, bath.beta, 1.0, TWO_QUBIT_TRACED)
     x = element_phase_factor(-1, c, phi, bath.beta, 1.0)
     ref = cmath.exp(-f.gamma_corr - 1j * f.chi)
     assert abs(x - ref) < 1e-13
@@ -186,7 +187,7 @@ def test_chi_unwrapping_is_continuous():
     assert chis.max() > 2.0 * math.pi  # actually wound past a full wrap
 
 
-@pytest.mark.parametrize("scheme", [TWO_QUBIT, SINGLE_QUBIT])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 @pytest.mark.parametrize("x", ["omega_c", "G"])
 def test_chain_rule_derivatives_match_fd(scheme, x):
     sd = SpectralDensity(0.9, 0.7, 1.8)
@@ -229,8 +230,8 @@ def test_zero_temperature_derivatives_reduce_to_phase_kernel():
     zero = BathState(0.0)
     for t in (0.3, 1.4, 2.2, 5.1):
         for x in ("omega_c", "G"):
-            dg2, dc2 = d_corr(sd, zero, t, x, TWO_QUBIT)
-            dg1, dc1 = d_corr(sd, zero, t, x, SINGLE_QUBIT)
+            dg2, dc2 = d_corr(sd, zero, t, x, TWO_QUBIT_TRACED)
+            dg1, dc1 = d_corr(sd, zero, t, x, SINGLE_QUBIT_PROBE)
             assert dg2 == 0.0 and dg1 == 0.0
             assert dc2 == pytest.approx(2.0 * d_phi(sd, t, x), rel=1e-13)
             assert dc1 == pytest.approx(d_phi(sd, t, x), rel=1e-13)
@@ -256,7 +257,7 @@ def random_point(rng):
     return c_shift(sd), phi_factor(sd, ts), float(rng.uniform(0.5, 2.0))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 def test_temperature_chain_rule_matches_mpmath(scheme):
     # reference: the literal preparation sum X at 50 digits, differentiated
     # in T by mpmath; gamma_corr = -log|X| and chi = -arg X
@@ -280,7 +281,7 @@ def test_temperature_chain_rule_matches_mpmath(scheme):
     assert worst <= 1e-9
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 def test_temperature_chain_rule_matches_richardson(scheme):
     rng = np.random.default_rng(44)
     for T in np.geomspace(0.05, 20.0, 40).tolist():
@@ -292,7 +293,7 @@ def test_temperature_chain_rule_matches_richardson(scheme):
         assert np.all(np.abs(got - ref) <= 1e-7 * np.maximum(1.0, np.abs(got)))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 @pytest.mark.parametrize("sd,omega_0", [(OHMIC, 1.0), (SpectralDensity(0.0, 1.0, 1.0), 0.5),
                                         (SpectralDensity(2.0, 0.5, 3.0), 1.0)])
 def test_temperature_chain_rule_at_extreme_temperatures(scheme, sd, omega_0):
@@ -307,7 +308,7 @@ def test_temperature_chain_rule_at_extreme_temperatures(scheme, sd, omega_0):
             assert np.all(dg == 0.0) and np.all(dc == 0.0)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", SCHEMES, ids=SCHEME_IDS)
 @pytest.mark.parametrize("x", ["omega_c", "G", "T"])
 def test_per_point_parameters_match_the_per_temperature_calls(scheme, x):
     # C, beta and their slopes as arrays over the points of five baths laid

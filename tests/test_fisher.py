@@ -314,7 +314,7 @@ def test_coupling_slopes_are_unit_coupling_factors(temperature):
             if initial == CORRELATED:
                 dg_corr, d_chi = d_corr_from_parts(
                     c_shift(sd), phi_factor(sd, ts), c_shift(unit), phi_factor(unit, ts),
-                    bath.beta, 0.0, cfg.omega_0, cfg.correlation_scheme)
+                    bath.beta, 0.0, cfg.omega_0, cfg.scheme)
                 d_gamma = d_gamma + dg_corr
             assert np.array_equal(b.d_gamma, d_gamma), (scheme, initial)
             assert np.array_equal(b.d_chi, d_chi), (scheme, initial)
@@ -366,17 +366,16 @@ def test_non_finite_bundle_names_the_point():
 # the optimizer's tree-evaluated golden section against the point-by-point loop
 # ---------------------------------------------------------------------------
 
-def reference_optimum(cfg, sd, bath, estimand, t_max, grid_size, rel_tol,
-                      rel_time_tol=1e-6):
+def reference_optimum(cfg, sd, bath, estimand, t_max, grid_size, rel_time_tol=1e-6):
     """The optimizer with a one-point-at-a-time golden-section loop, one
     scalar QFI per step: the reference whose iterates the tree-evaluated
     refinement keeps."""
     ts = np.geomspace(min(1e-3 / sd.cutoff, 0.5 * t_max), t_max, max(grid_size, 64))
 
     def f(t):
-        return qfi_closed(cfg, sd, bath, estimand, t, rel_tol=rel_tol)
+        return qfi_closed(cfg, sd, bath, estimand, t)
 
-    vals = qfi_closed(cfg, sd, bath, estimand, ts, rel_tol=rel_tol)
+    vals = qfi_closed(cfg, sd, bath, estimand, ts)
     i = int(np.argmax(vals))
     if not np.any(vals > 0.0):
         return FisherOptimum(float(ts[0]), 0.0, False, flat=True)
@@ -421,8 +420,8 @@ def test_tree_refinement_keeps_the_golden_section_iterates(figure_id):
     refined = 0
     for cfg, sd, bath, sc in figure_tasks(figure_id):
         args = (cfg, sd, bath, sc.estimand, sc.t_max, sc.opt_grid)
-        got = optimize_qfi_over_time(*args, rel_tol=sc.tolerance)
-        want = reference_optimum(*args, rel_tol=sc.tolerance)
+        got = optimize_qfi_over_time(*args)
+        want = reference_optimum(*args)
         assert got.boundary_hit == want.boundary_hit and got.flat == want.flat
         assert abs(got.t_star - want.t_star) <= t_tol * want.t_star, (cfg, sd, bath)
         assert rel_diff(got.f_star, want.f_star, floor=0.0) <= f_tol, (cfg, sd, bath)
@@ -547,11 +546,11 @@ def sweep_cases():
     # (sweeps, whether one sweep value mixes boundary hits and refined optima)
     for figure_id in [f"fig{i}" for i in range(1, 9)]:
         sweeps = [([sc.at_sweep_value(v) for v in sc.sweep_values().tolist()],
-                   sc.estimand, sc.t_max, sc.opt_grid, sc.tolerance)
+                   sc.estimand, sc.t_max, sc.opt_grid)
                   for _name, _command, sc in FIGURE_PRESETS[figure_id]]
         yield pytest.param(sweeps, figure_id == "fig4", id=figure_id)
     for case_id, pairs, est, t_max in seeded_sweeps():
-        yield pytest.param([(pairs, est, t_max, 64, 1e-10)], False, id=case_id)
+        yield pytest.param([(pairs, est, t_max, 64)], False, id=case_id)
 
 
 @pytest.mark.parametrize("sweeps,mixed", sweep_cases())
@@ -560,9 +559,9 @@ def test_lockstep_optimizer_equals_one_optimization_per_variant(sweeps, mixed):
     # optima of one optimization per value and variant
     cfgs = [ProbeConfig(1.0, *variant) for variant in VARIANTS]
     hits = set()
-    for pairs, est, t_max, grid, tol in sweeps:
-        together = optimize_variants(cfgs, pairs, est, t_max, grid, rel_tol=tol)
-        alone = [[optimize_qfi_over_time(cfg, sd, bath, est, t_max, grid, rel_tol=tol)
+    for pairs, est, t_max, grid in sweeps:
+        together = optimize_variants(cfgs, pairs, est, t_max, grid)
+        alone = [[optimize_qfi_over_time(cfg, sd, bath, est, t_max, grid)
                   for cfg in cfgs] for sd, bath in pairs]
         assert together == alone
         hits |= {tuple(opt.boundary_hit for opt in opts) for opts in together}
@@ -611,7 +610,7 @@ def test_an_error_in_a_later_round_leaves_the_lockstep(monkeypatch):
     def failing(*args, **kwargs):
         calls.append(len(args[0]))
         if len(calls) == 2:
-            raise QuadratureError("thermal series bound exceeds rel_tol", 1.0, 1.0)
+            raise QuadratureError("thermal series bound exceeds 1e-10", 1.0, 1.0)
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_assemble", failing)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from bathprobe import spectral
 from bathprobe.dynamics import (SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED, Estimand,
                                 ProbeConfig)
 from bathprobe.fisher import factor_bundle
@@ -388,18 +389,50 @@ def test_thermal_derivatives_match_quadrature_differences(s):
                 assert rel_diff(got, fd, floor=0.0) < 1e-6, ("omega_c", s, wc, T, t)
 
 
-def test_series_bound_past_tolerance_raises_with_point():
+def test_series_bound_past_tolerance_raises_with_point(monkeypatch):
     sd = SpectralDensity(0.7, 0.5, 5.0)
     bath = BathState(1.0)
     value = gamma_th(sd, bath, 200.0)
-    for call in (lambda: gamma_th(sd, bath, 200.0, rel_tol=1e-16),
-                 lambda: d_gamma_th_d_temperature(sd, bath, 200.0, rel_tol=1e-16),
-                 lambda: d_gamma_d_omega_c(sd, bath, 200.0, rel_tol=1e-16)):
+    monkeypatch.setattr(spectral, "GAMMA_TH_RTOL", 1e-16)
+    for call in (lambda: gamma_th(sd, bath, 200.0),
+                 lambda: d_gamma_th_d_temperature(sd, bath, 200.0),
+                 lambda: d_gamma_d_omega_c(sd, bath, 200.0)):
         with pytest.raises(QuadratureError) as err:
             call()
         assert err.value.value == value
         assert 1e-16 < err.value.achieved_error <= 1e-10
-        assert "s=0.5, w_c=5.0, T=1.0, t=200.0" in str(err.value)
+        assert ("thermal series bound exceeds 1e-16 at s=0.5, w_c=5.0, T=1.0, t=200.0"
+                in str(err.value))
+
+
+def test_series_bound_is_far_below_the_fixed_tolerance():
+    # at these Ohmicities over the README's ranges every finite bound is
+    # under 1e-12, so GAMMA_TH_RTOL = 1e-10 refuses only the overflowing sums
+    # of a hot bath; the cold window near s = 0.09 is the test below
+    t = np.geomspace(1e-9, 1e9, 37)
+    finite = 0
+    for s in (1e-6, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 5.0, 100.0):
+        for wc in np.geomspace(1e-8, 1e8, 9).tolist():
+            for T in np.geomspace(1e-300, 1e300, 13).tolist():
+                bound = spectral._bose_series(s, wc, 1.0 / T, t)[1]
+                ok = np.isfinite(bound)
+                assert (bound[ok] <= 1e-12).all(), (s, wc, T)
+                assert ok.all() or T > 1.0, (s, wc, T)
+                finite += int(ok.sum())
+    # the sums overflow only from T = 1e10 on (s = 100, w_c >= 1e3) or 1e150
+    assert finite > 0.7 * 8 * 9 * 13 * t.size
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True,
+                   reason="on a bath this cold x = t / a_n is so small that the "
+                          "Bose terms' x**2 is a subnormal number")
+def test_series_keeps_its_sign_on_the_coldest_baths():
+    # gamma_th is about 1e-172 here, against a vacuum exponent of 1e3, but
+    # it must not change sign; at t = 1957944.87 the same window drives the
+    # series bound to 4.4e-8, and gamma_th refuses that time
+    sd = SpectralDensity(1.0, 0.0898567217, 8.299882419966535e-4)
+    bath = BathState(1.1914779238886422e-167)
+    assert gamma_th(sd, bath, 1762150.3863389278) >= 0.0
 
 
 def test_gamma_un_combines_parts():
