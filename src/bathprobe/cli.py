@@ -431,6 +431,10 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0):
                           f"known: {sorted(oracle.FIXTURES)}")
     if not (math.isfinite(temperature) and temperature >= 0.0):
         raise ConfigError(f"temperature must be finite and >= 0, got {temperature!r}")
+    if 0.0 < temperature < oracle.MIN_TEMPERATURE:
+        raise ConfigError(f"temperature {temperature!r} is below {oracle.MIN_TEMPERATURE}, "
+                          "too cold for the oracle's partition-function check; use 0 "
+                          "for the ground state")
     if n_max is not None and not 1 <= n_max <= oracle.MAX_N_MAX:
         raise ConfigError(f"n_max must be in [1, {oracle.MAX_N_MAX}], got {n_max}")
     db = oracle.FIXTURES[fixture_id]
@@ -447,7 +451,8 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0):
         db = db.with_n_max(n_max)
     t_grid = [0.5, 1.0, 2.0, 4.0]
     report = oracle.compare_report(db, bath, 1.0, t_grid, fixture_id)
-    Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    Path(out_path).write_text(text + "\n")
     return report
 
 

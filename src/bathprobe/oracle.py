@@ -11,9 +11,9 @@ into (spin sector) x (mode) blocks:
 
     H | sector c  =  sum_r [ w_r n_r + c (g_r b_r + g_r b_r^+) ] + w0 c / 2
 
-with c the total spin projection.  Per-sector, per-mode matrices are all
-the oracle ever diagonalizes, which keeps three thermal modes at large
-truncation cheap.  Kronecker assembly of the full matrices is exact (the
+with c the total spin projection.  A report diagonalizes one block per mode
+and qubit count, as the c = 0 block is diagonal and the -c block is P H_c P
+(P = diag((-1)^n)).  Kronecker assembly of the full matrices is exact (the
 blocks commute by construction); tests/test_oracle.py checks it against a
 literal matrix exponential of the full Hamiltonian on small fixtures.
 
@@ -43,6 +43,7 @@ __all__ = [
     "mode_hamiltonian",
     "required_n_max",
     "MAX_N_MAX",
+    "MIN_TEMPERATURE",
     "truncation_info",
     "magnus_unitary",
     "dense_unitary",
@@ -121,9 +122,13 @@ def _sectors(n_qubits):
 
 
 #: largest Fock truncation the validation command runs: a report costs
-#: O(n_max**3) per (sector, mode) block, about 8 s at 800 levels on three
-#: modes (2-vCPU VM, Python 3.11.7), so this keeps a run within minutes
+#: O(n_max**3) per mode, 3-4 s at 800 levels on three modes and 5 s at 1000
+#: (2-vCPU VM, Python 3.11.7, numpy 2.4.6), so a run stays within seconds
 MAX_N_MAX = 1000
+
+#: coldest T > 0 the validation command runs: the rounding of log Z ~ beta E
+#: fails the 1e-8 Z check from T = 1.6e-8 on three-mode; T = 0 is exact
+MIN_TEMPERATURE = 1e-6
 
 
 def required_n_max(db, bath):
@@ -313,12 +318,18 @@ def _block_eigs(db, n_qubits):
     """Eigenpairs (E, V) of every (sector charge, mode) block of ``n_qubits``.
 
     Each block is real symmetric, so U_c(t) = V e^{-iEt} V^T: one
-    diagonalization serves every time and every preparation.
+    diagonalization serves every time and every preparation.  Only the top
+    charge c takes an ``eigh``: the -c block is P H_c P, with pairs
+    (E_c, P V_c), and the charge-0 block is its diagonal, with V = 1.
     """
-    _, charges = _sectors(n_qubits)
-    return {c: [np.linalg.eigh(mode_hamiltonian(w, g, c, db.n_max))
-                for (w, g) in db.modes]
-            for c in sorted(set(charges))}
+    c, n = max(_sectors(n_qubits)[1]), db.n_max
+    eigs = {c: [np.linalg.eigh(mode_hamiltonian(w, g, c, n)) for (w, g) in db.modes]}
+    eigs[-c] = [(e, ((-1.0) ** np.arange(n))[:, None] * v) for (e, v) in eigs[c]]
+    if n_qubits == 2:  # np.diag would keep all of H_0 alive as a view
+        eye = np.eye(n)
+        eigs[0] = [(mode_hamiltonian(w, g, 0, n).diagonal().copy(), eye)
+                   for (w, g) in db.modes]
+    return eigs
 
 
 def _trace_tables(times, env_mats, log_weights, eigs):
@@ -328,41 +339,55 @@ def _trace_tables(times, env_mats, log_weights, eigs):
     ``env_mats`` maps a preparation sector charge to its per-mode (positive)
     matrices, ``log_weights`` to the log of its scalar prefactor.  Per mode
     the trace is e_b(t)^T W e_k(t)^*, with phase vectors e_c(t) = e^{-iE_c t}
-    and the real, time-independent W = (V_b^T m V_k) o (V_b^T V_k); each W
-    meets the phases of all times in one product and is then dropped.  The
-    (k, b) entry is the conjugate of the (b, k) one, since m is Hermitian.
+    and the real, time-independent W = (V_b^T m V_k) o (V_b^T V_k).  Modes
+    run outermost; within one, V_b^T V_k is formed once per pair, V_b^T m
+    once per (bra, preparation charge), and no product with V_0 = 1.  A pair
+    (c, c) traces U m U^+, so its ratio is 1 for every m; (c, c, pc) takes
+    that of (-c, -c, -pc), which has the same W bit for bit where
+    m_-pc = P m_pc P (a thermal m, a correlated one at T > 0).  The (k, b)
+    entry is the conjugate of the (b, k) one, since m is Hermitian.
     Returns {(c_bra, c_ket): complex array over ``times``}.
     """
     times = np.asarray(times, dtype=float)
-    phases = {c: [np.exp(-1j * np.outer(times, evals)) for (evals, _) in blocks]
-              for c, blocks in eigs.items()}
     prep_charges = sorted(env_mats.keys())
-    log_norms = []
-    for pc in prep_charges:
-        log_norm = log_weights[pc]
-        for m in env_mats[pc]:
-            log_norm += math.log(float(np.real(np.trace(m))))
-        log_norms.append(log_norm)
-    log_norms = np.asarray(log_norms)
+    log_norms = np.asarray([_log_norm(log_weights[pc], env_mats[pc])
+                            for pc in prep_charges])
     probs = np.exp(log_norms - _logsumexp(log_norms))
 
     distinct = sorted(eigs)
+    pairs = [(b, k) for i, b in enumerate(distinct) for k in distinct[i:]]
+    todo = [(b, k, pc) for (b, k) in pairs for pc in prep_charges
+            if not (b == k and -pc in env_mats and (b, pc) > (-b, -pc))]
+    ratios = {}
+    for r in range(len(eigs[distinct[0]])):
+        vecs = {c: eigs[c][r][1] for c in distinct}
+        phases = {c: np.exp(-1j * np.outer(times, eigs[c][r][0])) for c in distinct}
+        overlaps, lefts = {}, {}
+        for (b, k, pc) in todo:
+            m = env_mats[pc][r]
+            if (b, k) not in overlaps:
+                overlaps[(b, k)] = (vecs[k] if b == 0 else vecs[b].T if k == 0
+                                    else vecs[b].T @ vecs[k])
+            if (b, pc) not in lefts:
+                lefts[(b, pc)] = m if b == 0 else vecs[b].T @ m
+            left = lefts[(b, pc)]
+            w = (left if k == 0 else left @ vecs[k]) * overlaps[(b, k)]
+            num = np.sum((phases[b] @ w) * phases[k].conj(), axis=1)
+            ratios[(b, k, pc)] = ratios.get((b, k, pc), 1.0) * (num / np.trace(m))
     table = {}
-    for i, c_bra in enumerate(distinct):
-        for c_ket in distinct[i:]:
-            acc = np.zeros(times.size, dtype=complex)
-            for pc, prob in zip(prep_charges, probs):
-                ratio = np.ones(times.size, dtype=complex)
-                for r, m in enumerate(env_mats[pc]):
-                    v_bra, v_ket = eigs[c_bra][r][1], eigs[c_ket][r][1]
-                    w = (v_bra.T @ m @ v_ket) * (v_bra.T @ v_ket)
-                    num = np.sum((phases[c_bra][r] @ w) * phases[c_ket][r].conj(),
-                                 axis=1)
-                    ratio *= num / np.trace(m)
-                acc += prob * ratio
-            table[(c_ket, c_bra)] = acc.conj()
-            table[(c_bra, c_ket)] = acc
+    for (b, k) in pairs:  # a mirrored ratio is read from its mirror
+        acc = sum(prob * ratios.get((b, k, pc), ratios.get((-b, -k, -pc)))
+                  for pc, prob in zip(prep_charges, probs))
+        table[(k, b)] = acc.conj()
+        table[(b, k)] = acc
     return table
+
+
+def _log_norm(log_weight, mats):
+    """``log_weight`` plus the log of the trace of each of ``mats``."""
+    for m in mats:
+        log_weight += math.log(float(np.real(np.trace(m))))
+    return log_weight
 
 
 def _logsumexp(values):
@@ -446,32 +471,27 @@ def _prepare_correlated(db, omega_0, bath, n_qubits, eigs):
     n = db.n_max
     if bath.zero_temperature:
         c_min = min(mult)  # w0 c/2 - c^2 C/4 is minimized by the bottom sector
-        ground = []
-        for (_, vecs) in eigs[c_min]:
-            gs = vecs[:, 0]
-            ground.append(np.outer(gs, gs.conj()))
-        env_mats = {c_min: ground}
-        log_weights = {c_min: 0.0}
-        return CorrelatedPreparation(env_mats=env_mats, log_weights=log_weights,
+        ground = [np.outer(vecs[:, 0], vecs[:, 0].conj()) for (_, vecs) in eigs[c_min]]
+        return CorrelatedPreparation(env_mats={c_min: ground}, log_weights={c_min: 0.0},
                                      log_z=math.inf, log_z_closed=math.inf)
-    beta = bath.beta
+    beta, parity = bath.beta, (-1.0) ** np.arange(n)
     env_mats = {}
     log_weights = {}
     log_terms = []
     for c, m in mult.items():
         mats = []
         log_w = math.log(m) - 0.5 * beta * omega_0 * c
-        for (evals, vecs) in eigs[c]:
-            shifted = (vecs * np.exp(-beta * (evals - evals[0]))) @ vecs.conj().T
-            shifted = 0.5 * (shifted + shifted.conj().T)
+        for r, (evals, vecs) in enumerate(eigs[c]):
+            if -c in env_mats:  # (P V) f (P V)^T = P m P: only signs flip
+                shifted = parity[:, None] * env_mats[-c][r] * parity
+            else:
+                shifted = (vecs * np.exp(-beta * (evals - evals[0]))) @ vecs.conj().T
+                shifted = 0.5 * (shifted + shifted.conj().T)
             mats.append(shifted)
             log_w += -beta * evals[0]
         env_mats[c] = mats
         log_weights[c] = log_w
-        log_z_term = log_w
-        for mat in mats:
-            log_z_term += math.log(float(np.real(np.trace(mat))))
-        log_terms.append(log_z_term)
+        log_terms.append(_log_norm(log_w, mats))
     log_z = _logsumexp(log_terms)
 
     # displaced-mode closed form with the truncated free partition function
@@ -528,18 +548,16 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id):
     trunc = truncation_info(db, bath)
     records = []
     overall = True
-    preps = {}
+    z_ratios = {}  # the matrices of a preparation die with its qubit count
     for n_qubits, scheme in ((2, TWO_QUBIT_TRACED), (1, SINGLE_QUBIT_PROBE)):
         eigs = _block_eigs(db, n_qubits)
-        prep = preps[n_qubits] = _prepare_correlated(db, omega_0, bath, n_qubits,
-                                                     eigs)
+        prep = _prepare_correlated(db, omega_0, bath, n_qubits, eigs)
+        z_ratios[n_qubits] = prep.z_ratio
         for initial, correlated in ((FACTORIZED, False), (CORRELATED, True)):
             tol = _REPORT_TOL[(initial, bath.zero_temperature)]
-            if correlated:
-                env_mats, log_weights = prep.env_mats, prep.log_weights
-            else:
-                env_mats, log_weights = _factorized_preparation(db, bath)
-            states = _evolve(omega_0, t_grid, n_qubits, env_mats, log_weights, eigs)
+            env = ((prep.env_mats, prep.log_weights) if correlated
+                   else _factorized_preparation(db, bath))
+            states = _evolve(omega_0, t_grid, n_qubits, *env, eigs)
             for t, state in zip(t_grid, states):
                 exact = state.reduced.rho01
                 closed = closed_form_coherence(db, omega_0, bath, t, n_qubits,
@@ -558,7 +576,7 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id):
                 })
     z_check = None
     if not bath.zero_temperature:
-        z_err = abs(preps[2].z_ratio - 1.0)
+        z_err = abs(z_ratios[2] - 1.0)
         z_pass = bool(z_err <= 1e-8 and trunc.ok)
         z_check = {"relative_error": float(z_err), "tolerance": 1e-8, "pass": z_pass}
         overall = overall and z_pass

@@ -9,10 +9,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bathprobe
-from bathprobe import spectral
+from bathprobe import oracle, spectral
 from bathprobe.cli import (_CONFIG_KEYS, FIGURE_PRESETS, ConfigError, Scenario,
                            _header_block, main, run_cfi, run_factors, run_optimize,
                            run_oracle_validation, run_qfi_sweep)
@@ -156,13 +157,32 @@ def test_main_oracle_exit_codes(tmp_path):
                  "--temperature", "1.0", "--out", out]) == 1
 
 
+# below oracle.MIN_TEMPERATURE the Boltzmann exponents overflowed into a NaN
+# report (1e-308 and colder), or the rounding of log Z ~ beta E failed the
+# partition-function check
 @pytest.mark.parametrize("flags", [("--temperature", "nan"), ("--temperature", "inf"),
-                                   ("--temperature", "-1"), ("--n-max", "0")])
+                                   ("--temperature", "-1"), ("--n-max", "0"),
+                                   ("--temperature", "1e-308"), ("--temperature", "6e-309"),
+                                   ("--temperature", "5e-309"), ("--temperature", "1e-320"),
+                                   ("--temperature", "9.9e-07")])
 def test_oracle_validate_rejects_bad_inputs(tmp_path, capsys, flags):
     assert main(["oracle-validate", "one-mode", *flags, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error:")
-    assert not list(tmp_path.iterdir())
+    assert flags[1] in err and not list(tmp_path.iterdir())
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fixture", ["g-zero", "one-mode", "three-mode"])
+def test_oracle_validate_passes_from_its_coldest_temperature(tmp_path, fixture):
+    for temperature in np.geomspace(oracle.MIN_TEMPERATURE, 0.1, 6):
+        assert main(["oracle-validate", fixture, "--temperature",
+                     repr(float(temperature)), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"oracle_{fixture}.json").read_text()
+        assert json.loads(text, parse_constant=_no_constant)["pass"]
 
 
 @pytest.mark.parametrize("section,key,raw", [("spectral", "coupling", "nan"),

@@ -318,6 +318,22 @@ def test_eigenbasis_traces_match_dense_unitaries(fixture, n_qubits, temperature,
             assert abs(table[pair][k] - value) < 1e-12
 
 
+def test_trace_tables_hold_for_a_preparation_that_is_not_a_parity_mirror():
+    # the -2 matrices below are not P m_2 P, so (2, 2, 2) and (-2, -2, -2)
+    # no longer share W bit for bit, but both trace U m U^+ / Tr m = 1
+    db = THREE_MODE.with_n_max(10)
+    prep = prepare_correlated(db, 1.0, WARM, 2)
+    env_mats = dict(prep.env_mats)
+    env_mats[-2] = env_mats[2]
+    times = [0.5, 4.0]
+    table = oracle._trace_tables(times, env_mats, prep.log_weights,
+                                 oracle._block_eigs(db, 2))
+    for k, t in enumerate(times):
+        ref = _reference_trace_table(db, 2, t, env_mats, prep.log_weights)
+        for pair, value in ref.items():
+            assert abs(table[pair][k] - value) < 1e-12
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_batched_evolution_equals_single_time_calls(n_qubits):
     # same arithmetic; only the BLAS kernel for one row or several may round
@@ -336,6 +352,155 @@ def test_batched_evolution_equals_single_time_calls(n_qubits):
             assert np.max(np.abs(state.full - single.full)) < 1e-15
             assert state.reduced.rho01 == pytest.approx(single.reduced.rho01,
                                                         abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the block symmetry: P H_c P = H_-c with the parity P = diag((-1)^n)
+# ---------------------------------------------------------------------------
+
+def _parity(n):
+    return (-1.0) ** np.arange(n)
+
+
+def _bits(a):
+    """The bytes of ``a`` with -0.0 read as 0.0 (adding 0.0 changes nothing else)."""
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 40, 333])
+@pytest.mark.parametrize("charge", [1, 2])
+def test_minus_charge_block_is_the_parity_mirror(n, charge):
+    p = _parity(n)
+    for db in oracle.FIXTURES.values():
+        for (w, g) in db.modes:
+            h = oracle.mode_hamiltonian(w, g, charge, n)
+            mirror = oracle.mode_hamiltonian(w, g, -charge, n)
+            assert _bits(mirror) == _bits(p[:, None] * h * p)
+
+
+@pytest.mark.parametrize("fixture", sorted(oracle.FIXTURES))
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_block_eigs_diagonalize_the_top_charge_only(fixture, n_qubits):
+    db = oracle.FIXTURES[fixture]
+    n, top = db.n_max, n_qubits
+    eigs = oracle._block_eigs(db, n_qubits)
+    assert sorted(eigs) == ([-2, 0, 2] if n_qubits == 2 else [-1, 1])
+    for r, (w, g) in enumerate(db.modes):
+        evals, vecs = np.linalg.eigh(oracle.mode_hamiltonian(w, g, top, n))
+        assert np.array_equal(eigs[top][r][0], evals)
+        assert np.array_equal(eigs[top][r][1], vecs)
+        assert np.array_equal(eigs[-top][r][0], evals)
+        assert np.array_equal(eigs[-top][r][1], _parity(n)[:, None] * vecs)
+        if n_qubits == 2:
+            assert np.array_equal(eigs[0][r][0],
+                                  np.diag(oracle.mode_hamiltonian(w, g, 0, n)))
+            assert np.array_equal(eigs[0][r][1], np.eye(n))
+        for c, blocks in eigs.items():  # each pair diagonalizes its own block
+            e, v = blocks[r]
+            h = oracle.mode_hamiltonian(w, g, c, n)
+            assert np.max(np.abs(v.T @ h @ v - np.diag(e))) < 1e-12
+
+
+def test_compare_report_makes_one_eigh_per_mode_and_qubit_count(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+    total = 0
+    for fixture, db in oracle.FIXTURES.items():
+        for bath in (ZERO, WARM):
+            calls.clear()
+            compare_report(db, bath, 1.0, [0.5, 1.0, 2.0, 4.0], fixture)
+            assert calls == [db.n_max] * (2 * len(db.modes))
+            total += len(calls)
+    assert total == 24  # the six default reports; one eigh per block made 60
+
+
+def _per_charge_eigs(db, n_qubits):
+    """One ``eigh`` per (sector charge, mode) block."""
+    _, charges = oracle._sectors(n_qubits)
+    return {c: [np.linalg.eigh(oracle.mode_hamiltonian(w, g, c, db.n_max))
+                for (w, g) in db.modes]
+            for c in sorted(set(charges))}
+
+
+def _per_sector_preparation(bath, eigs):
+    """Each sector's correlated Boltzmann matrices from its own eigenpairs."""
+    if bath.zero_temperature:
+        return {min(eigs): [np.outer(v[:, 0], v[:, 0]) for (_, v) in eigs[min(eigs)]]}
+    mats = {}
+    for c, blocks in eigs.items():
+        mats[c] = []
+        for (e, v) in blocks:
+            shifted = (v * np.exp(-bath.beta * (e - e[0]))) @ v.T
+            mats[c].append(0.5 * (shifted + shifted.T))
+    return mats
+
+
+def _per_pair_trace_tables(times, env_mats, log_weights, eigs):
+    """The trace tables pair by pair, then preparation charge by charge, then
+    mode by mode, with every W = (V_b^T m V_k) o (V_b^T V_k) formed in full."""
+    times = np.asarray(times, dtype=float)
+    phases = {c: [np.exp(-1j * np.outer(times, evals)) for (evals, _) in blocks]
+              for c, blocks in eigs.items()}
+    prep_charges = sorted(env_mats)
+    log_norms = []
+    for pc in prep_charges:
+        log_norm = log_weights[pc]
+        for m in env_mats[pc]:
+            log_norm += math.log(float(np.real(np.trace(m))))
+        log_norms.append(log_norm)
+    log_norms = np.asarray(log_norms)
+    probs = np.exp(log_norms - oracle._logsumexp(log_norms))
+    distinct = sorted(eigs)
+    table = {}
+    for i, c_bra in enumerate(distinct):
+        for c_ket in distinct[i:]:
+            acc = np.zeros(times.size, dtype=complex)
+            for pc, prob in zip(prep_charges, probs):
+                ratio = np.ones(times.size, dtype=complex)
+                for r, m in enumerate(env_mats[pc]):
+                    v_bra, v_ket = eigs[c_bra][r][1], eigs[c_ket][r][1]
+                    w = (v_bra.T @ m @ v_ket) * (v_bra.T @ v_ket)
+                    num = np.sum((phases[c_bra][r] @ w) * phases[c_ket][r].conj(),
+                                 axis=1)
+                    ratio *= num / np.trace(m)
+                acc += prob * ratio
+            table[(c_ket, c_bra)] = acc.conj()
+            table[(c_bra, c_ket)] = acc
+    return table
+
+
+@pytest.mark.parametrize("fixture", sorted(oracle.FIXTURES))
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+@pytest.mark.parametrize("correlated", [False, True])
+def test_symmetric_trace_tables_equal_the_per_pair_loop(fixture, n_qubits,
+                                                       temperature, correlated):
+    # the mirrored and identity-skipping products round exactly like the full
+    # ones, so the tables are equal, not just close
+    db = oracle.FIXTURES[fixture]
+    bath = BathState(temperature)
+    eigs, ref_eigs = oracle._block_eigs(db, n_qubits), _per_charge_eigs(db, n_qubits)
+    for c in ref_eigs:
+        for (e, _), (ref, _) in zip(eigs[c], ref_eigs[c]):
+            assert np.array_equal(e, ref)  # so both share the log weights
+    if correlated:
+        prep = oracle._prepare_correlated(db, 1.0, bath, n_qubits, eigs)
+        env_mats, log_weights = prep.env_mats, prep.log_weights
+        ref_mats = _per_sector_preparation(bath, ref_eigs)
+        assert env_mats.keys() == ref_mats.keys()
+        for c in ref_mats:
+            for m, ref in zip(env_mats[c], ref_mats[c], strict=True):
+                assert np.array_equal(m, ref)
+    else:
+        env_mats, log_weights = oracle._factorized_preparation(db, bath)
+        ref_mats = env_mats
+    times = [0.0, 0.5, 1.0, 2.0, 4.0]
+    table = oracle._trace_tables(times, env_mats, log_weights, eigs)
+    ref = _per_pair_trace_tables(times, ref_mats, log_weights, ref_eigs)
+    assert table.keys() == ref.keys()
+    for pair, value in ref.items():
+        assert np.array_equal(table[pair], value), pair
 
 
 def test_truncation_certification():
