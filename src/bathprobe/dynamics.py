@@ -119,18 +119,6 @@ def _factors(p, t, two_qubit, phases):
             spectral.phi_factor(p, t) if phases else zero)
 
 
-def _scalars(p, estimand):
-    """(C, dC/dx, beta, d beta/dx) at the Points p for the correlation factors."""
-    d_shift = d_beta = 0.0
-    if estimand is Estimand.COUPLING_STRENGTH:
-        d_shift = spectral.c_shift(p._replace(coupling=1.0))
-    elif estimand is Estimand.CUTOFF_FREQUENCY:
-        d_shift = p.coupling * math.gamma(p.ohmicity)  # C = G w_c Gamma(s)
-    elif estimand is not None:
-        d_beta = -(p.beta * p.beta)
-    return spectral.c_shift(p), d_shift, p.beta, d_beta
-
-
 def _unions(grids, pair_of, n_pairs):
     """(times, sizes, inverse): the sorted union of the grids of each pair,
     laid end to end in pair order, its size per pair, and the index in it
@@ -201,16 +189,20 @@ def _assemble(tasks, estimand=None):
     two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg, _ in by_cfg)
     correlated = any(cfg.initial_state == CORRELATED for cfg, _ in by_cfg)
     zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
+    d_shift = d_beta = 0.0  # the slopes of C and beta
     out, done = [], 0
     with np.errstate(all="ignore"):
         g_vac, g_th, delta, phi = _factors(p, t, two_qubit, correlated or estimand is None)
         if estimand is Estimand.COUPLING_STRENGTH:
             # every factor is linear in G: its slope is its value at G = 1
-            dg_vac, dg_th, d_delta, d_phi = _factors(p._replace(coupling=1.0), t,
-                                                     two_qubit, correlated)
+            unit = p._replace(coupling=1.0)
+            dg_vac, dg_th, d_delta, d_phi = _factors(unit, t, two_qubit, correlated)
             d_gamma = dg_vac + dg_th
+            if correlated:
+                d_shift = spectral.c_shift(unit)
         elif estimand is Estimand.CUTOFF_FREQUENCY:
             d_gamma = spectral.d_gamma_d_omega_c(p, p, t)
+            d_shift = p.coupling * math.gamma(p.ohmicity)  # C = G w_c Gamma(s)
             if two_qubit:
                 d_delta = spectral.d_delta_d_omega_c(p, t)
             if correlated:
@@ -218,8 +210,9 @@ def _assemble(tasks, estimand=None):
         elif estimand is not None:
             # only gamma_th and beta = 1/T move with T
             d_gamma = spectral.d_gamma_th_d_temperature(p, p, t)
+            d_beta = -(p.beta * p.beta)
         forms = (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)
-        scalars = _scalars(p, estimand) if correlated else ()
+        scalars = (spectral.c_shift(p), d_shift, p.beta, d_beta) if correlated else ()
         for cfg, members in by_cfg:
             (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = forms, scalars
             pick = inverse[done:done + sum(grids[k].size for k in members)]

@@ -11,11 +11,13 @@ into (spin sector) x (mode) blocks:
 
     H | sector c  =  sum_r [ w_r n_r + c (g_r b_r + g_r b_r^+) ] + w0 c / 2
 
-with c the total spin projection.  A report diagonalizes one block per mode
-and qubit count, as the c = 0 block is diagonal and the -c block is P H_c P
-(P = diag((-1)^n)).  Kronecker assembly of the full matrices is exact (the
-blocks commute by construction); tests/test_oracle.py checks it against a
-literal matrix exponential of the full Hamiltonian on small fixtures.
+with c the total spin projection.  Every route (the report, the evolutions,
+the unitary comparison and its truncation certificate) diagonalizes one
+block per mode and qubit count, as the c = 0 block is diagonal and the -c
+block is P H_c P (P = diag((-1)^n)).  Kronecker assembly of the full
+matrices is exact (the blocks commute by construction); tests/test_oracle.py
+checks it against a literal matrix exponential of the full Hamiltonian on
+small fixtures.
 
 Truncation is certified at runtime: coherent displacement and thermal
 occupation bounds, plus an empirical per-column leakage measure used to
@@ -171,19 +173,36 @@ def truncation_info(db, bath):
                           suggested_n_max=required_n_max(db, bath))
 
 
+def _block_eigs(db, n_qubits):
+    """Eigenpairs (E, V) of every (sector charge, mode) block of ``n_qubits``.
+
+    Each block is real symmetric, so U_c(t) = V e^{-iEt} V^T: one
+    diagonalization serves every time and every preparation.  Only the top
+    charge c takes an ``eigh``: the -c block is P H_c P, with pairs
+    (E_c, P V_c), and the charge-0 block is its diagonal, with V = 1.
+    """
+    c, n = max(_sectors(n_qubits)[1]), db.n_max
+    eigs = {c: [np.linalg.eigh(mode_hamiltonian(w, g, c, n)) for (w, g) in db.modes]}
+    eigs[-c] = [(e, ((-1.0) ** np.arange(n))[:, None] * v) for (e, v) in eigs[c]]
+    if n_qubits == 2:  # np.diag would keep all of H_0 alive as a view
+        eye = np.eye(n)
+        eigs[0] = [(mode_hamiltonian(w, g, 0, n).diagonal().copy(), eye)
+                   for (w, g) in db.modes]
+    return eigs
+
+
 # ---------------------------------------------------------------------------
 # unitaries
 # ---------------------------------------------------------------------------
 
-def _hermitian_exp(h, t):
-    """exp(-i h t) of a Hermitian h via its diagonalization."""
-    evals, vecs = np.linalg.eigh(h)
+def _unitary(evals, vecs, t):
+    """V e^{-iEt} V^+ from the eigenpairs (E, V) of a Hermitian matrix."""
     return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
 
-def _mode_unitary_dense(omega, g, sector, n, t):
-    """exp(-i h t) for one mode and sector."""
-    return _hermitian_exp(mode_hamiltonian(omega, g, sector, n), t)
+def _hermitian_exp(h, t):
+    """exp(-i h t) of a Hermitian h via its diagonalization."""
+    return _unitary(*np.linalg.eigh(h), t)
 
 
 def _mode_unitary_magnus(omega, g, sector, n, t):
@@ -260,33 +279,27 @@ def dense_unitary(db, omega_0, t, n_qubits=2):
     return _hermitian_exp(h, t)
 
 
-def _certified_columns(omega, g, sector, n, t):
-    """Columns of the n-level mode space with truncation leakage under 1e-10.
-
-    Certification is empirical: evolve in a space padded by 40 levels and
-    measure the probability each column sends above the n-level boundary.
-    """
-    big = _mode_unitary_dense(omega, g, sector, n + 40, t)
-    leak = np.sum(np.abs(big[n:, :n]) ** 2, axis=0)
-    return np.flatnonzero(leak < 1e-10 ** 2), big[:n, :n]
-
-
 def compare_unitaries(db, omega_0, t, n_qubits=2):
     """Entrywise product-form vs dense-exponential check, per sector and mode.
 
-    Only truncation-certified columns enter the comparison; columns whose
-    evolution reaches the Fock boundary differ by design in any finite
-    truncation.  Returns per-sector-mode rows plus the global maximum.
+    Only truncation-certified columns enter the comparison: those that leak
+    under 1e-10 in amplitude past the n-level boundary of a space padded by
+    40 levels; the others differ by design in any finite truncation.
+    Returns per-sector-mode rows plus the global maximum.
     """
-    _, charges = _sectors(n_qubits)
+    n = db.n_max
+    eigs = _block_eigs(db, n_qubits)
+    padded = _block_eigs(db.with_n_max(n + 40), n_qubits)
     rows = []
     worst = 0.0
     certified_any = True
-    for c in sorted(set(charges)):
+    for c in sorted(eigs):
         for r, (w, g) in enumerate(db.modes):
-            cols, ref = _certified_columns(w, g, c, db.n_max, t)
-            dense = _mode_unitary_dense(w, g, c, db.n_max, t)
-            mag = _mode_unitary_magnus(w, g, c, db.n_max, t)
+            big = _unitary(*padded[c][r], t)
+            leak = np.sum(np.abs(big[n:, :n]) ** 2, axis=0)
+            cols, ref = np.flatnonzero(leak < 1e-10 ** 2), big[:n, :n]
+            dense = _unitary(*eigs[c][r], t)
+            mag = _mode_unitary_magnus(w, g, c, n, t)
             if cols.size == 0:
                 certified_any = False
                 rows.append({"sector": c, "mode": r, "columns": 0,
@@ -312,24 +325,6 @@ def _thermal_mode_matrix(omega, n, beta):
         return rho
     occ = np.exp(-beta * omega * np.arange(n))
     return np.diag(occ / occ.sum())
-
-
-def _block_eigs(db, n_qubits):
-    """Eigenpairs (E, V) of every (sector charge, mode) block of ``n_qubits``.
-
-    Each block is real symmetric, so U_c(t) = V e^{-iEt} V^T: one
-    diagonalization serves every time and every preparation.  Only the top
-    charge c takes an ``eigh``: the -c block is P H_c P, with pairs
-    (E_c, P V_c), and the charge-0 block is its diagonal, with V = 1.
-    """
-    c, n = max(_sectors(n_qubits)[1]), db.n_max
-    eigs = {c: [np.linalg.eigh(mode_hamiltonian(w, g, c, n)) for (w, g) in db.modes]}
-    eigs[-c] = [(e, ((-1.0) ** np.arange(n))[:, None] * v) for (e, v) in eigs[c]]
-    if n_qubits == 2:  # np.diag would keep all of H_0 alive as a view
-        eye = np.eye(n)
-        eigs[0] = [(mode_hamiltonian(w, g, 0, n).diagonal().copy(), eye)
-                   for (w, g) in db.modes]
-    return eigs
 
 
 def _trace_tables(times, env_mats, log_weights, eigs):

@@ -131,6 +131,46 @@ def test_single_qubit_unitaries():
     assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
 
 
+UNITARY_TIMES = (0.5, 1.0, 2.0)
+
+
+def test_compare_unitaries_makes_one_eigh_per_mode_and_padding(monkeypatch):
+    # per mode: one eigh of the n-level and one of the padded top-charge
+    # block, plus the product form's displacement of every sector; three
+    # eigh per (sector, mode) block made 270
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(len(h)) or eigh(h))
+    total = 0
+    for db in oracle.FIXTURES.values():
+        n, n_modes = db.n_max, len(db.modes)
+        for n_qubits, n_charges in ((2, 3), (1, 2)):
+            for t in UNITARY_TIMES:
+                calls.clear()
+                compare_unitaries(db, 1.0, t, n_qubits)
+                assert sorted(calls) == ([n] * (n_modes * (1 + n_charges))
+                                         + [n + 40] * n_modes)
+                total += len(calls)
+    assert total == 162
+
+
+@pytest.mark.parametrize("fixture", sorted(oracle.FIXTURES))
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_truncation_certificate_is_parity_symmetric(fixture, n_qubits):
+    # the padded -c unitary is P U_c P, so it leaks what U_c does; the
+    # charge-0 block is diagonal, so none of its columns leaks at all
+    db = oracle.FIXTURES[fixture]
+    for t in UNITARY_TIMES:
+        rep = compare_unitaries(db, 1.0, t, n_qubits)
+        assert rep["certified"] and rep["max_diff"] <= 1e-8
+        columns = {(r["sector"], r["mode"]): r["columns"] for r in rep["rows"]}
+        assert len(columns) == len(db.modes) * (3 if n_qubits == 2 else 2)
+        for (c, mode), count in columns.items():
+            assert count == columns[(-c, mode)]
+            if c == 0:
+                assert count == db.n_max
+
+
 @pytest.mark.parametrize("bath,tol", [(ZERO, 1e-8), (WARM, 1e-6)])
 def test_factorized_coherence_matches_closed_form(bath, tol):
     db = ONE_MODE.with_n_max(required_n_max(ONE_MODE, bath))
@@ -272,7 +312,7 @@ def test_evolved_states_are_physical():
 def _reference_trace_table(db, n_qubits, t, env_mats, log_weights):
     """Literal per-t traces Tr[U_b m U_k^+] from dense per-mode unitaries."""
     _, charges = oracle._sectors(n_qubits)
-    unitaries = {c: [oracle._mode_unitary_dense(w, g, c, db.n_max, t)
+    unitaries = {c: [oracle._hermitian_exp(oracle.mode_hamiltonian(w, g, c, db.n_max), t)
                      for (w, g) in db.modes] for c in set(charges)}
     log_norms = {pc: log_weights[pc] + sum(math.log(np.trace(m).real) for m in mats)
                  for pc, mats in env_mats.items()}
