@@ -394,10 +394,7 @@ def run_cfi(scenario, out_path):
     t = scenario.time_grid()
     bundle = fisher.factor_bundle(cfg, scenario.spectral, scenario.bath,
                                   scenario.estimand, t)
-    if cfg.initial_state == FACTORIZED:
-        angle = cfg.omega_0 * t
-    else:
-        angle = fisher.optimal_angle_from_bundle(bundle, cfg.omega_0, t)
+    angle = fisher.optimal_angle_from_bundle(bundle, cfg.omega_0, t)
     qfi_val = fisher.qfi_from_bundle(bundle)
     cfi_val = fisher.cfi_from_bundle(bundle, cfg.omega_0, t, angle)
     gap = np.abs(cfi_val - qfi_val) / np.maximum(qfi_val, 1e-300)

@@ -98,10 +98,6 @@ class QubitState:
         m = np.asarray(m, dtype=complex)
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
-    @property
-    def coherence(self):
-        return self.rho01
-
 
 @dataclass(frozen=True)
 class TwoQubitState:

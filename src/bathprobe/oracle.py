@@ -279,9 +279,10 @@ def dense_unitary(db, omega_0, t, n_qubits=2):
     return _hermitian_exp(h, t)
 
 
-def compare_unitaries(db, omega_0, t, n_qubits=2):
+def compare_unitaries(db, t, n_qubits=2):
     """Entrywise product-form vs dense-exponential check, per sector and mode.
 
+    Both forms share the sector phase e^{-i w0 c t/2}, so the blocks omit it.
     Only truncation-certified columns enter the comparison: those that leak
     under 1e-10 in amplitude past the n-level boundary of a space padded by
     40 levels; the others differ by design in any finite truncation.
@@ -332,15 +333,15 @@ def _trace_tables(times, env_mats, log_weights, eigs):
     ``eigs`` and every time.
 
     ``env_mats`` maps a preparation sector charge to its per-mode (positive)
-    matrices, ``log_weights`` to the log of its scalar prefactor.  Per mode
-    the trace is e_b(t)^T W e_k(t)^*, with phase vectors e_c(t) = e^{-iE_c t}
-    and the real, time-independent W = (V_b^T m V_k) o (V_b^T V_k).  Modes
-    run outermost; within one, V_b^T V_k is formed once per pair, V_b^T m
-    once per (bra, preparation charge), and no product with V_0 = 1.  A pair
-    (c, c) traces U m U^+, so its ratio is 1 for every m; (c, c, pc) takes
-    that of (-c, -c, -pc), which has the same W bit for bit where
-    m_-pc = P m_pc P (a thermal m, a correlated one at T > 0).  The (k, b)
-    entry is the conjugate of the (b, k) one, since m is Hermitian.
+    matrices, ``log_weights`` to the log of its scalar prefactor.  A pair
+    (c, c) is exactly 1: U_c = V_c e^{-iE_c t} V_c^T is unitary in the
+    truncated space, so Tr[U_c m U_c^+] = Tr m for every m.  For b < k, per
+    mode the trace is e_b(t)^T W e_k(t)^*, with phase vectors
+    e_c(t) = e^{-iE_c t} and the real, time-independent
+    W = (V_b^T m V_k) o (V_b^T V_k).  Modes run outermost; within one,
+    V_b^T V_k is formed once per pair, V_b^T m once per (bra, preparation
+    charge), and no product with V_0 = 1.  The (k, b) entry is the
+    conjugate of the (b, k) one, since m is Hermitian.
     Returns {(c_bra, c_ket): complex array over ``times``}.
     """
     times = np.asarray(times, dtype=float)
@@ -350,29 +351,25 @@ def _trace_tables(times, env_mats, log_weights, eigs):
     probs = np.exp(log_norms - _logsumexp(log_norms))
 
     distinct = sorted(eigs)
-    pairs = [(b, k) for i, b in enumerate(distinct) for k in distinct[i:]]
-    todo = [(b, k, pc) for (b, k) in pairs for pc in prep_charges
-            if not (b == k and -pc in env_mats and (b, pc) > (-b, -pc))]
+    pairs = [(b, k) for i, b in enumerate(distinct) for k in distinct[i + 1:]]
     ratios = {}
     for r in range(len(eigs[distinct[0]])):
         vecs = {c: eigs[c][r][1] for c in distinct}
         phases = {c: np.exp(-1j * np.outer(times, eigs[c][r][0])) for c in distinct}
-        overlaps, lefts = {}, {}
-        for (b, k, pc) in todo:
-            m = env_mats[pc][r]
-            if (b, k) not in overlaps:
-                overlaps[(b, k)] = (vecs[k] if b == 0 else vecs[b].T if k == 0
-                                    else vecs[b].T @ vecs[k])
-            if (b, pc) not in lefts:
-                lefts[(b, pc)] = m if b == 0 else vecs[b].T @ m
-            left = lefts[(b, pc)]
-            w = (left if k == 0 else left @ vecs[k]) * overlaps[(b, k)]
-            num = np.sum((phases[b] @ w) * phases[k].conj(), axis=1)
-            ratios[(b, k, pc)] = ratios.get((b, k, pc), 1.0) * (num / np.trace(m))
-    table = {}
-    for (b, k) in pairs:  # a mirrored ratio is read from its mirror
-        acc = sum(prob * ratios.get((b, k, pc), ratios.get((-b, -k, -pc)))
-                  for pc, prob in zip(prep_charges, probs))
+        lefts = {}
+        for (b, k) in pairs:
+            overlap = vecs[k] if b == 0 else vecs[b].T if k == 0 else vecs[b].T @ vecs[k]
+            for pc in prep_charges:
+                m = env_mats[pc][r]
+                if (b, pc) not in lefts:
+                    lefts[(b, pc)] = m if b == 0 else vecs[b].T @ m
+                left = lefts[(b, pc)]
+                w = (left if k == 0 else left @ vecs[k]) * overlap
+                num = np.sum((phases[b] @ w) * phases[k].conj(), axis=1)
+                ratios[(b, k, pc)] = ratios.get((b, k, pc), 1.0) * (num / np.trace(m))
+    table = {(c, c): np.ones(times.size, dtype=complex) for c in distinct}
+    for (b, k) in pairs:
+        acc = sum(prob * ratios[(b, k, pc)] for pc, prob in zip(prep_charges, probs))
         table[(k, b)] = acc.conj()
         table[(b, k)] = acc
     return table
@@ -404,12 +401,9 @@ def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs):
             for j, c_ket in enumerate(charges):
                 phase = np.exp(-0.5j * omega_0 * (c_bra - c_ket) * t)
                 rho[i, j] = weight * phase * table[(c_bra, c_ket)][k]
-        states.append(EvolvedState(reduced=_reduce(rho, n_qubits), full=rho))
+        reduced = rho if n_qubits == 1 else _trace_second_qubit(rho)
+        states.append(EvolvedState(reduced=QubitState.from_matrix(reduced), full=rho))
     return states
-
-
-def _reduce(rho, n_qubits):
-    return QubitState.from_matrix(rho if n_qubits == 1 else _trace_second_qubit(rho))
 
 
 @dataclass(frozen=True)

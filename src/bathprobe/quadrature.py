@@ -76,6 +76,10 @@ _WG = np.zeros(15)
 _WG[1:-1:2] = np.concatenate([_WG_HALF, _WG_HALF[:-1][::-1]])      # Gauss weights on odd slots
 
 
+_ABS_TOL = 1e-300   # absolute error floor, far below any bath integral
+_MAX_NODES = 4096   # oscillation nodes past this many are thinned out
+
+
 def _gk15_batch(f, lo, hi):
     """Apply the GK15 pair to each cell [lo_i, hi_i]; return (values, errors)."""
     lo = np.asarray(lo, dtype=float)
@@ -89,10 +93,10 @@ def _gk15_batch(f, lo, hi):
     return vals, np.abs(vals - gauss)
 
 
-def adaptive_quadrature(f, edges, rel_tol=1e-8, abs_tol=1e-300, max_cells=16384):
+def adaptive_quadrature(f, edges, rel_tol=1e-8, max_cells=16384):
     """Integrate vectorized ``f`` over the union of cells given by ``edges``.
 
-    Bisects the worst cells until sum(error) <= max(abs_tol, rel_tol*|I|).
+    Bisects the worst cells until sum(error) <= max(_ABS_TOL, rel_tol*|I|).
     Returns (value, error_estimate); raises QuadratureError on cell overflow.
     """
     edges = np.asarray(edges, dtype=float)
@@ -106,7 +110,7 @@ def adaptive_quadrature(f, edges, rel_tol=1e-8, abs_tol=1e-300, max_cells=16384)
     while True:
         total = float(vals.sum())
         err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
+        tol = max(_ABS_TOL, rel_tol * abs(total))
         if err <= tol:
             return total, err
         if lo.size >= max_cells:
@@ -127,7 +131,7 @@ def adaptive_quadrature(f, edges, rel_tol=1e-8, abs_tol=1e-300, max_cells=16384)
         lo, hi = new_lo, new_hi
 
 
-def _oscillation_edges(t, w_lo, w_hi, max_nodes=4096):
+def _oscillation_edges(t, w_lo, w_hi):
     """Cell edges splitting [w_lo, w_hi] at the oscillation nodes k*pi/t."""
     if t <= 0.0 or w_hi <= w_lo:
         return np.array([w_lo, w_hi])
@@ -137,13 +141,12 @@ def _oscillation_edges(t, w_lo, w_hi, max_nodes=4096):
     if k_hi < k_lo:
         return np.array([w_lo, w_hi])
     nodes = np.arange(k_lo, k_hi + 1) * period
-    if nodes.size > max_nodes:
-        nodes = nodes[:: int(np.ceil(nodes.size / max_nodes))]
+    if nodes.size > _MAX_NODES:
+        nodes = nodes[:: int(np.ceil(nodes.size / _MAX_NODES))]
     return np.concatenate([[w_lo], nodes, [w_hi]])
 
 
-def bath_integral(power, smooth, t, omega_max, rel_tol=1e-8, abs_tol=1e-300,
-                  max_cells=16384):
+def bath_integral(power, smooth, t, omega_max, rel_tol=1e-8, max_cells=16384):
     """Integrate w**power * smooth(w) over [0, omega_max].
 
     ``smooth`` must be vectorized and finite at w = 0.  For power < 0 the
@@ -170,7 +173,7 @@ def bath_integral(power, smooth, t, omega_max, rel_tol=1e-8, abs_tol=1e-300,
             return smooth(w)
 
         head_val, head_err = adaptive_quadrature(
-            head_integrand, [0.0, u_max], rel_tol, abs_tol, max_cells)
+            head_integrand, [0.0, u_max], rel_tol, max_cells)
         lo = b0
     else:
         lo = 0.0
@@ -183,11 +186,10 @@ def bath_integral(power, smooth, t, omega_max, rel_tol=1e-8, abs_tol=1e-300,
     tail_err = 0.0
     if omega_max > lo:
         edges = _oscillation_edges(t, lo, omega_max)
-        tail_val, tail_err = adaptive_quadrature(integrand, edges, rel_tol,
-                                                 abs_tol, max_cells)
+        tail_val, tail_err = adaptive_quadrature(integrand, edges, rel_tol, max_cells)
     value = head_val + tail_val
     err = head_err + tail_err
-    tol = max(abs_tol, rel_tol * abs(value))
+    tol = max(_ABS_TOL, rel_tol * abs(value))
     if err > tol:
         raise QuadratureError("bath integral did not reach requested tolerance",
                               value, err)

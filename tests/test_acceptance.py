@@ -136,7 +136,7 @@ def test_criterion_4_oracle_equivalence():
     worst_unitary = 0.0
     for name, db in fixtures.items():
         for t in (0.5, 1.0, 2.0):
-            rep = compare_unitaries(db, 1.0, t)
+            rep = compare_unitaries(db, t)
             worst_unitary = max(worst_unitary, rep["max_diff"])
             ok = ok and rep["certified"]
     ok = ok and worst_unitary <= 1e-8

@@ -110,6 +110,25 @@ def test_cfi_run_factorized_angles(tmp_path):
         assert gap <= 1e-8
 
 
+@pytest.mark.parametrize("scheme", [TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE])
+@pytest.mark.parametrize("estimand,s,temperature,spacing", [
+    (estimand, s, temperature, spacing)
+    for (s, temperature, spacing) in ((0.3, 0.05, "log"), (1.0, 0.0, "linear"),
+                                      (1.7, 3.0, "linear"), (3.4, 0.7, "log"))
+    for estimand in Estimand
+    if temperature > 0.0 or estimand is not Estimand.TEMPERATURE])
+def test_factorized_cfi_angle_is_the_free_precession(tmp_path, scheme, estimand,
+                                                     s, temperature, spacing):
+    # a factorized probe has chi = 0 and no phase information, so the angle
+    # the bundle optimizes is omega_0 t to the last bit
+    scenario = replace(QUICK, probe=ProbeConfig(1.3, scheme, FACTORIZED),
+                       spectral=SpectralDensity(0.5, s, 2.0),
+                       bath=BathState(temperature), estimand=estimand,
+                       time_spacing=spacing)
+    for (t, angle, *_) in run_cfi(scenario, tmp_path / "cfi.csv"):
+        assert angle == 1.3 * t
+
+
 def test_cfi_run_correlated_gap(tmp_path):
     rows = run_cfi(QUICK, tmp_path / "cfi.csv")
     assert all(gap <= 1e-8 for (*_, gap) in rows)

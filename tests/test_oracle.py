@@ -63,7 +63,7 @@ def test_magnus_unitarity():
 def test_magnus_matches_dense_exponential_one_mode():
     # certified columns of the n_max = 30 fixture agree to well under 1e-8;
     # edge columns are excluded because truncation injects O(1) flux there
-    rep = compare_unitaries(ONE_MODE, 1.0, 1.0)
+    rep = compare_unitaries(ONE_MODE, 1.0)
     assert rep["certified"]
     assert rep["max_diff"] < 1e-8
     assert all(r["columns"] >= 10 for r in rep["rows"])
@@ -125,7 +125,7 @@ def test_magnus_unitary_matches_literal_exponential_on_core(n_qubits, t):
 
 
 def test_single_qubit_unitaries():
-    rep = compare_unitaries(ONE_MODE, 1.0, 1.4, n_qubits=1)
+    rep = compare_unitaries(ONE_MODE, 1.4, n_qubits=1)
     assert rep["max_diff"] < 1e-8
     u = magnus_unitary(ONE_MODE, 1.0, 1.4, n_qubits=1)
     assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
@@ -147,7 +147,7 @@ def test_compare_unitaries_makes_one_eigh_per_mode_and_padding(monkeypatch):
         for n_qubits, n_charges in ((2, 3), (1, 2)):
             for t in UNITARY_TIMES:
                 calls.clear()
-                compare_unitaries(db, 1.0, t, n_qubits)
+                compare_unitaries(db, t, n_qubits)
                 assert sorted(calls) == ([n] * (n_modes * (1 + n_charges))
                                          + [n + 40] * n_modes)
                 total += len(calls)
@@ -161,7 +161,7 @@ def test_truncation_certificate_is_parity_symmetric(fixture, n_qubits):
     # charge-0 block is diagonal, so none of its columns leaks at all
     db = oracle.FIXTURES[fixture]
     for t in UNITARY_TIMES:
-        rep = compare_unitaries(db, 1.0, t, n_qubits)
+        rep = compare_unitaries(db, t, n_qubits)
         assert rep["certified"] and rep["max_diff"] <= 1e-8
         columns = {(r["sector"], r["mode"]): r["columns"] for r in rep["rows"]}
         assert len(columns) == len(db.modes) * (3 if n_qubits == 2 else 2)
@@ -359,8 +359,8 @@ def test_eigenbasis_traces_match_dense_unitaries(fixture, n_qubits, temperature,
 
 
 def test_trace_tables_hold_for_a_preparation_that_is_not_a_parity_mirror():
-    # the -2 matrices below are not P m_2 P, so (2, 2, 2) and (-2, -2, -2)
-    # no longer share W bit for bit, but both trace U m U^+ / Tr m = 1
+    # the -2 matrices below are not P m_2 P; the tables hold for any
+    # preparation, as a pair (c, c) traces U m U^+ / Tr m = 1 for every m
     db = THREE_MODE.with_n_max(10)
     prep = prepare_correlated(db, 1.0, WARM, 2)
     env_mats = dict(prep.env_mats)
@@ -477,8 +477,9 @@ def _per_sector_preparation(bath, eigs):
 
 
 def _per_pair_trace_tables(times, env_mats, log_weights, eigs):
-    """The trace tables pair by pair, then preparation charge by charge, then
-    mode by mode, with every W = (V_b^T m V_k) o (V_b^T V_k) formed in full."""
+    """The trace tables pair by pair, diagonal pairs included, then
+    preparation charge by charge, then mode by mode, with every
+    W = (V_b^T m V_k) o (V_b^T V_k) formed in full."""
     times = np.asarray(times, dtype=float)
     phases = {c: [np.exp(-1j * np.outer(times, evals)) for (evals, _) in blocks]
               for c, blocks in eigs.items()}
@@ -516,8 +517,9 @@ def _per_pair_trace_tables(times, env_mats, log_weights, eigs):
 @pytest.mark.parametrize("correlated", [False, True])
 def test_symmetric_trace_tables_equal_the_per_pair_loop(fixture, n_qubits,
                                                        temperature, correlated):
-    # the mirrored and identity-skipping products round exactly like the full
-    # ones, so the tables are equal, not just close
+    # the identity-skipping products round exactly like the full ones, so the
+    # off-diagonal tables are equal, not just close; a diagonal pair is 1 by
+    # unitarity, which the full products meet to the last bits
     db = oracle.FIXTURES[fixture]
     bath = BathState(temperature)
     eigs, ref_eigs = oracle._block_eigs(db, n_qubits), _per_charge_eigs(db, n_qubits)
@@ -539,8 +541,29 @@ def test_symmetric_trace_tables_equal_the_per_pair_loop(fixture, n_qubits,
     table = oracle._trace_tables(times, env_mats, log_weights, eigs)
     ref = _per_pair_trace_tables(times, ref_mats, log_weights, ref_eigs)
     assert table.keys() == ref.keys()
-    for pair, value in ref.items():
-        assert np.array_equal(table[pair], value), pair
+    for (b, k), value in ref.items():
+        if b == k:
+            assert np.array_equal(table[(b, k)], np.ones(len(times))), b
+            assert np.max(np.abs(value - 1.0)) <= 1e-14, b
+        else:
+            assert np.array_equal(table[(b, k)], value), (b, k)
+
+
+@pytest.mark.parametrize("fixture", sorted(oracle.FIXTURES))
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_evolved_states_keep_an_exact_flat_diagonal(fixture, n_qubits,
+                                                    temperature):
+    # the dynamics conserves every sigma_z, so the |+...+> populations stay
+    # 1/dim; the tables set them exactly instead of rounding U m U^+ / Tr m
+    db = oracle.FIXTURES[fixture]
+    bath = BathState(temperature)
+    dim = 2 ** n_qubits
+    for evolve in (evolve_factorized, evolve_correlated):
+        for t in (0.5, 1.0, 4.0):
+            full = evolve(db, 1.0, bath, t, n_qubits).full
+            assert np.array_equal(np.diag(full), np.full(dim, 1.0 / dim))
+            assert np.trace(full) == 1.0
 
 
 def test_truncation_certification():
