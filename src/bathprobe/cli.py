@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -301,19 +302,17 @@ def _header_block(scenario, extra=()):
     return "\n".join(lines) + "\n"
 
 
-def _format_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return _FMT % value
-    return str(value)
-
-
 def write_csv(path, scenario, columns, rows, extra_header=()):
-    text = [_header_block(scenario, extra_header)]
-    text.append(",".join(columns) + "\n")
+    # the first row's cell types fix one format for every row: floats at 17
+    # significant digits, bools as true/false, anything else as str
+    first = rows[0] if rows else ()
+    line = ",".join(_FMT if isinstance(v, float) else "%s" for v in first) + "\n"
+    bools = [i for i, v in enumerate(first) if isinstance(v, bool)]
+    text = [_header_block(scenario, extra_header), ",".join(columns) + "\n"]
     for row in rows:
-        text.append(",".join(_format_cell(v) for v in row) + "\n")
+        for i in bools:
+            row = (*row[:i], "true" if row[i] else "false", *row[i + 1:])
+        text.append(line % tuple(row))
     Path(path).write_text("".join(text))
 
 
@@ -473,6 +472,7 @@ def run_figure(figure_id, out_dir):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bathprobe",
@@ -503,9 +503,11 @@ def build_parser():
 
     orc = sub.add_parser("oracle-validate", help="discrete-mode validation run")
     orc.add_argument("fixture", choices=sorted(oracle.FIXTURES))
-    orc.add_argument("--n-max", type=int, dest="n_max")
-    orc.add_argument("--temperature", type=float, default=0.0)
-    orc.add_argument("--out")
+    orc.add_argument("--n-max", type=int, dest="n_max",
+                     help=f"Fock levels per mode, at most {oracle.MAX_N_MAX}")
+    orc.add_argument("--temperature", type=float, default=0.0,
+                     help="bath temperature; 0 for the ground state")
+    add_out(orc)
     return parser
 
 

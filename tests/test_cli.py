@@ -15,8 +15,9 @@ import pytest
 import bathprobe
 from bathprobe import oracle, spectral
 from bathprobe.cli import (_CONFIG_KEYS, FIGURE_PRESETS, ConfigError, Scenario,
-                           _header_block, main, run_cfi, run_factors, run_optimize,
-                           run_oracle_validation, run_qfi_sweep)
+                           _header_block, build_parser, main, run_cfi, run_factors,
+                           run_optimize, run_oracle_validation, run_qfi_sweep,
+                           write_csv)
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig)
 from bathprobe.fisher import Estimand
@@ -492,6 +493,86 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("BATHPROBE_OUT", str(target))
     assert main(["factors", "--config", str(config)]) == 0
     assert (target / "factors.csv").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text())
+    build_parser.cache_clear()
+    for command in ("factors", "cfi", "optimize"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["figure", "fig3", "--grid", "64"])
+    assert build_parser.cache_info().misses == 1
+    assert build_parser.cache_info().hits == 3
+
+
+def test_flags_do_not_carry_over_between_calls(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text())
+    build_parser.cache_clear()
+    argv = ["optimize", "--config", str(config), "--out"]
+    assert main([*argv, str(tmp_path / "first")]) == 0
+    assert main([*argv, str(tmp_path / "flags"), "--t-max", "7", "--grid", "100"]) == 0
+    assert main([*argv, str(tmp_path / "again")]) == 0
+    first, flags, again = ((tmp_path / name / "optimize.csv").read_bytes()
+                           for name in ("first", "flags", "again"))
+    assert b"# t-max = 7.0\n# grid = 100\n" in flags
+    assert b"# t-max = 5.0\n# grid = 64\n" in again and again == first
+
+
+def test_usage_errors_hold_after_a_successful_call(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(QUICK.to_config_text())
+    assert main(["factors", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for argv in (["optimize", "--config", str(config), "--tol", "1e-6"],
+                 ["figure", "fig3", "--grid", "64"]):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(tmp_path / "none")])
+        assert err.value.code == 2
+    assert not (tmp_path / "none").exists()
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: bathprobe")
+
+
+def per_cell_csv(scenario, columns, rows, extra_header=()):
+    """The CSV text of one formatting call per cell, the reference format."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return "%.17g" % value
+        return str(value)
+    return "".join([_header_block(scenario, extra_header), ",".join(columns) + "\n",
+                    *(",".join(cell(v) for v in row) + "\n" for row in rows)])
+
+
+@pytest.mark.parametrize("columns,rows,extra", [
+    (("a", "b", "c"), [(-0.0, 5e-324, 1e308), (1 / 3, math.nan, math.inf),
+                       (-math.inf, np.float64(2.5e-300), 0.1)], ()),
+    (("sweep_value", "scheme", "initial_state", "t_star", "f_star", "boundary_hit"),
+     [(0.5, TWO_QUBIT_TRACED, CORRELATED, 3.25, 1 / 7, False),
+      (2.0, SINGLE_QUBIT_PROBE, FACTORIZED, 5.0, 0.0, True)],
+     ("sweep variable: cutoff",)),
+    (("scheme", "initial_state", "t_star", "f_star", "boundary_hit"),
+     [(TWO_QUBIT_TRACED, FACTORIZED, 20.0, 1e-17, True),
+      (SINGLE_QUBIT_PROBE, CORRELATED, 0.1, -0.0, False)], ()),
+    (("t", "qfi"), [], ()),
+])
+def test_write_csv_bytes_equal_the_per_cell_format(tmp_path, columns, rows, extra):
+    path = tmp_path / "rows.csv"
+    write_csv(path, QUICK, columns, rows, extra)
+    assert path.read_bytes() == per_cell_csv(QUICK, columns, rows, extra).encode()
+    if not rows:
+        assert path.read_bytes() == (_header_block(QUICK) + "t,qfi\n").encode()
 
 
 def preset(figure_id, index=0):
