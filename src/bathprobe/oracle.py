@@ -69,11 +69,11 @@ class DiscreteBath:
     def __post_init__(self):
         if not 1 <= len(self.modes) <= 4:
             raise ValueError("oracle baths carry between 1 and 4 modes")
-        if self.n_max < 1:
-            raise ValueError("Fock truncation must be >= 1")
+        if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         for (w, g) in self.modes:
-            if w <= 0.0:
-                raise ValueError("mode frequencies must be > 0")
+            if not (math.isfinite(w) and w > 0.0 and math.isfinite(g)):
+                raise ValueError(f"modes need finite w > 0 and finite g, got {(w, g)}")
 
     def with_n_max(self, n_max):
         return DiscreteBath(self.modes, n_max)
@@ -110,9 +110,10 @@ def lowering_operator(n):
 
 
 def mode_hamiltonian(omega, g, sector, n):
-    """w b+b + c g (b + b+) on an n-level mode, sector charge c."""
+    """w b+b + c g (b + b+) on an n-level mode, sector charge c; b+b is
+    diag(sqrt(k)^2), the bits of b.T @ b without its n^3 product."""
     b = lowering_operator(n)
-    return omega * (b.conj().T @ b) + sector * g * (b + b.conj().T)
+    return omega * np.diag(np.sqrt(np.arange(n)) ** 2) + sector * g * (b + b.T)
 
 
 def _sectors(n_qubits):
@@ -124,8 +125,8 @@ def _sectors(n_qubits):
 
 
 #: largest Fock truncation the validation command runs: a report costs
-#: O(n_max**3) per mode, 3-4 s at 800 levels on three modes and 5 s at 1000
-#: (2-vCPU VM, Python 3.11.7, numpy 2.4.6), so a run stays within seconds
+#: O(n_max**3) per mode, 1.3-2 s at 800 levels on three modes and 1.8-3 s
+#: at 1000 (T = 0 and 0.5; 2-vCPU VM, Python 3.11.7, numpy 2.4.6)
 MAX_N_MAX = 1000
 
 #: coldest T > 0 the validation command runs: the rounding of log Z ~ beta E
@@ -328,8 +329,8 @@ def _thermal_mode_matrix(omega, n, beta):
     return np.diag(occ / occ.sum())
 
 
-def _trace_tables(times, env_mats, log_weights, eigs):
-    """Tr[U_b(t) rho_env U_k(t)^+] for every pair (b, k) of the charges of
+def _trace_tables(times, env_mats, log_weights, eigs, pairs=None):
+    """Tr[U_b(t) rho_env U_k(t)^+] for pairs (b, k) of the charges of
     ``eigs`` and every time.
 
     ``env_mats`` maps a preparation sector charge to its per-mode (positive)
@@ -338,10 +339,12 @@ def _trace_tables(times, env_mats, log_weights, eigs):
     truncated space, so Tr[U_c m U_c^+] = Tr m for every m.  For b < k, per
     mode the trace is e_b(t)^T W e_k(t)^*, with phase vectors
     e_c(t) = e^{-iE_c t} and the real, time-independent
-    W = (V_b^T m V_k) o (V_b^T V_k).  Modes run outermost; within one,
-    V_b^T V_k is formed once per pair, V_b^T m once per (bra, preparation
-    charge), and no product with V_0 = 1.  The (k, b) entry is the
-    conjugate of the (b, k) one, since m is Hermitian.
+    W = (V_b^T m V_k) o (V_b^T V_k), for the pairs b < k named by ``pairs``
+    (all by default).  Modes run outermost; within one, V_b^T V_k is formed
+    once per pair, V_b^T m once per (bra, preparation charge), no product
+    with V_0 = 1, and a diagonal m scales rows or columns: its n^3 product
+    adds only exact zeros.  The (k, b) entry is the conjugate of the (b, k)
+    one, since m is Hermitian.
     Returns {(c_bra, c_ket): complex array over ``times``}.
     """
     times = np.asarray(times, dtype=float)
@@ -351,7 +354,10 @@ def _trace_tables(times, env_mats, log_weights, eigs):
     probs = np.exp(log_norms - _logsumexp(log_norms))
 
     distinct = sorted(eigs)
-    pairs = [(b, k) for i, b in enumerate(distinct) for k in distinct[i + 1:]]
+    if pairs is None:
+        pairs = [(b, k) for i, b in enumerate(distinct) for k in distinct[i + 1:]]
+    diagonals = {pc: [m.diagonal() if np.count_nonzero(m) == np.count_nonzero(m.diagonal())
+                      else None for m in env_mats[pc]] for pc in prep_charges}
     ratios = {}
     for r in range(len(eigs[distinct[0]])):
         vecs = {c: eigs[c][r][1] for c in distinct}
@@ -360,11 +366,15 @@ def _trace_tables(times, env_mats, log_weights, eigs):
         for (b, k) in pairs:
             overlap = vecs[k] if b == 0 else vecs[b].T if k == 0 else vecs[b].T @ vecs[k]
             for pc in prep_charges:
-                m = env_mats[pc][r]
+                m, d = env_mats[pc][r], diagonals[pc][r]
                 if (b, pc) not in lefts:
-                    lefts[(b, pc)] = m if b == 0 else vecs[b].T @ m
+                    lefts[(b, pc)] = (m if b == 0 else vecs[b].T @ m if d is None
+                                      else vecs[b].T * d)
                 left = lefts[(b, pc)]
-                w = (left if k == 0 else left @ vecs[k]) * overlap
+                if k != 0:  # m V_k, a row scaling for a diagonal m
+                    left = (d[:, None] * vecs[k] if b == 0 and d is not None
+                            else left @ vecs[k])
+                w = left * overlap
                 num = np.sum((phases[b] @ w) * phases[k].conj(), axis=1)
                 ratios[(b, k, pc)] = ratios.get((b, k, pc), 1.0) * (num / np.trace(m))
     table = {(c, c): np.ones(times.size, dtype=complex) for c in distinct}
@@ -388,10 +398,12 @@ def _logsumexp(values):
     return float(peak + math.log(np.sum(np.exp(values - peak))))
 
 
-def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs):
-    """Exact states at every t of ``times`` from one bath preparation."""
+def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs, pairs=None):
+    """Exact states at every t of ``times`` from one bath preparation; an
+    entry of ``full`` whose charge pair ``pairs`` leaves out is NaN."""
     labels, charges = _sectors(n_qubits)
-    table = _trace_tables(times, env_mats, log_weights, eigs)
+    table = _trace_tables(times, env_mats, log_weights, eigs, pairs)
+    skipped = np.full(len(times), np.nan)
     dim = len(labels)
     weight = 1.0 / dim  # |+...+> has flat overlaps with every spin basis state
     states = []
@@ -400,7 +412,7 @@ def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs):
         for i, c_bra in enumerate(charges):
             for j, c_ket in enumerate(charges):
                 phase = np.exp(-0.5j * omega_0 * (c_bra - c_ket) * t)
-                rho[i, j] = weight * phase * table[(c_bra, c_ket)][k]
+                rho[i, j] = weight * phase * table.get((c_bra, c_ket), skipped)[k]
         reduced = rho if n_qubits == 1 else _trace_second_qubit(rho)
         states.append(EvolvedState(reduced=QubitState.from_matrix(reduced), full=rho))
     return states
@@ -456,6 +468,9 @@ def prepare_correlated(db, omega_0, bath, n_qubits=2):
 
 
 def _prepare_correlated(db, omega_0, bath, n_qubits, eigs):
+    """``prepare_correlated`` from the block eigenpairs ``eigs``.  At T > 0
+    only the top charge takes an n^3 product per mode: the charge-0 matrix
+    is diagonal, and the -c one is the sign flip P m_c P."""
     mult = Counter(_sectors(n_qubits)[1])  # charge -> number of basis states
     n = db.n_max
     if bath.zero_temperature:
@@ -471,11 +486,14 @@ def _prepare_correlated(db, omega_0, bath, n_qubits, eigs):
         mats = []
         log_w = math.log(m) - 0.5 * beta * omega_0 * c
         for r, (evals, vecs) in enumerate(eigs[c]):
-            if -c in env_mats:  # (P V) f (P V)^T = P m P: only signs flip
+            boltzmann = np.exp(-beta * (evals - evals[0]))
+            if c == 0:  # V_0 = 1: (1 f) 1 is diagonal, and symmetric as is
+                shifted = np.diag(boltzmann)
+            elif -c in env_mats:  # (P V) f (P V)^T = P m P: only signs flip
                 shifted = parity[:, None] * env_mats[-c][r] * parity
             else:
-                shifted = (vecs * np.exp(-beta * (evals - evals[0]))) @ vecs.conj().T
-                shifted = 0.5 * (shifted + shifted.conj().T)
+                shifted = (vecs * boltzmann) @ vecs.T
+                shifted = 0.5 * (shifted + shifted.T)
             mats.append(shifted)
             log_w += -beta * evals[0]
         env_mats[c] = mats
@@ -509,7 +527,12 @@ def evolve_correlated(db, omega_0, bath, t, n_qubits=2, preparation=None):
 
 def closed_form_coherence(db, omega_0, bath, t, n_qubits=2, correlated=False):
     """Reduced coherence predicted by the element formulas with mode sums."""
-    fac = discrete_factors(db, bath, t)
+    return _closed_coherence(discrete_factors(db, bath, t), omega_0, bath, t,
+                             n_qubits, correlated)
+
+
+def _closed_coherence(fac, omega_0, bath, t, n_qubits, correlated):
+    """``closed_form_coherence`` from the mode sums ``fac`` at t."""
     gamma = fac.gamma_d
     cos_part = math.cos(fac.delta_d) if n_qubits == 2 else 1.0
     x = 1.0 + 0.0j
@@ -535,22 +558,23 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id):
     coherence discrepancy and its tolerance, plus Z and truncation checks.
     """
     trunc = truncation_info(db, bath)
+    factors = [discrete_factors(db, bath, t) for t in t_grid]
     records = []
     overall = True
     z_ratios = {}  # the matrices of a preparation die with its qubit count
     for n_qubits, scheme in ((2, TWO_QUBIT_TRACED), (1, SINGLE_QUBIT_PROBE)):
         eigs = _block_eigs(db, n_qubits)
+        pairs = [(b, b + 2) for b in sorted(eigs) if b + 2 in eigs]  # those rho01 reads
         prep = _prepare_correlated(db, omega_0, bath, n_qubits, eigs)
         z_ratios[n_qubits] = prep.z_ratio
         for initial, correlated in ((FACTORIZED, False), (CORRELATED, True)):
             tol = _REPORT_TOL[(initial, bath.zero_temperature)]
             env = ((prep.env_mats, prep.log_weights) if correlated
                    else _factorized_preparation(db, bath))
-            states = _evolve(omega_0, t_grid, n_qubits, *env, eigs)
-            for t, state in zip(t_grid, states):
+            states = _evolve(omega_0, t_grid, n_qubits, *env, eigs, pairs)
+            for t, state, fac in zip(t_grid, states, factors):
                 exact = state.reduced.rho01
-                closed = closed_form_coherence(db, omega_0, bath, t, n_qubits,
-                                               correlated)
+                closed = _closed_coherence(fac, omega_0, bath, t, n_qubits, correlated)
                 diff = float(abs(exact - closed))
                 ok = bool(diff <= tol and trunc.ok)
                 overall = overall and ok

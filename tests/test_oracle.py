@@ -30,8 +30,18 @@ def test_discrete_bath_validation():
         DiscreteBath(modes=((1.0, 0.1),) * 5, n_max=10)
     with pytest.raises(ValueError):
         DiscreteBath(modes=((0.0, 0.1),), n_max=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_max"):
         DiscreteBath(modes=((1.0, 0.1),), n_max=0)
+    # each of these used to pass and then fail deep inside a report
+    for modes in (((math.nan, 0.1),), ((math.inf, 0.1),), ((1.0, math.inf),),
+                  ((1.0, -math.inf),), ((1.0, math.nan),),
+                  ((1.0, 0.1), (math.nan, 0.0))):
+        with pytest.raises(ValueError, match="modes"):
+            DiscreteBath(modes=modes, n_max=10)
+    for n_max in (3.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="n_max"):
+            DiscreteBath(modes=((1.0, 0.1),), n_max=n_max)
+    assert DiscreteBath(modes=((1.0, 0.1),), n_max=np.int64(3)).n_max == 3
 
 
 def test_discrete_factors_examples():
@@ -453,6 +463,96 @@ def test_compare_report_makes_one_eigh_per_mode_and_qubit_count(monkeypatch):
             assert calls == [db.n_max] * (2 * len(db.modes))
             total += len(calls)
     assert total == 24  # the six default reports; one eigh per block made 60
+
+
+class _CountedProducts(np.ndarray):
+    """A view that records the operand shapes of every matrix product it
+    enters; its results are counted views too."""
+
+    shapes = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedProducts.shapes.append(tuple(np.shape(x) for x in inputs))
+        inputs = [x.view(np.ndarray) if isinstance(x, _CountedProducts) else x
+                  for x in inputs]
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(_CountedProducts) if type(out) is np.ndarray else out
+
+
+def test_warm_compare_report_makes_at_most_13_cubic_products_per_mode(monkeypatch):
+    # every n x n product of a report has an eigenvector matrix or the
+    # lowering operator as an operand, so counting views of those see them
+    # all: 3 in mode_hamiltonian, 3 in the preparation and 22 in the trace
+    # tables were 28 per mode; the diagonal scalings and the skipped (-2, 2)
+    # pair leave 0 + 2 + 11 = 13
+    lowering, block_eigs = oracle.lowering_operator, oracle._block_eigs
+    monkeypatch.setattr(oracle, "lowering_operator",
+                        lambda n: lowering(n).view(_CountedProducts))
+    monkeypatch.setattr(oracle, "_block_eigs", lambda db, n_qubits: {
+        c: [(e, v.view(_CountedProducts)) for (e, v) in blocks]
+        for c, blocks in block_eigs(db, n_qubits).items()})
+    factors = []
+    discrete = oracle.discrete_factors
+    monkeypatch.setattr(oracle, "discrete_factors",
+                        lambda *args: factors.append(args) or discrete(*args))
+    times = [0.5, 1.0, 2.0, 4.0]
+    for fixture, db in oracle.FIXTURES.items():
+        _CountedProducts.shapes.clear()
+        factors.clear()
+        compare_report(db, WARM, 1.0, times, fixture)
+        n = db.n_max
+        cubic = [s for s in _CountedProducts.shapes if s == ((n, n), (n, n))]
+        assert len(cubic) <= 13 * len(db.modes), fixture
+        assert len(_CountedProducts.shapes) > len(cubic)  # the phase products
+        assert len(factors) == len(times)  # the mode sums once per report time
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 133])
+@pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
+def test_mode_hamiltonian_is_the_literal_operator_sum(n, charge):
+    b = oracle.lowering_operator(n)
+    for db in oracle.FIXTURES.values():
+        for (w, g) in db.modes:
+            literal = w * (b.conj().T @ b) + charge * g * (b + b.conj().T)
+            h = oracle.mode_hamiltonian(w, g, charge, n)
+            assert h.tobytes() == literal.tobytes()
+
+
+@pytest.mark.parametrize("fixture", sorted(oracle.FIXTURES))
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_compare_report_reads_the_all_pairs_evolution(monkeypatch, fixture,
+                                                      temperature):
+    # the report traces only the charge pairs its coherences read; its
+    # reduced states equal those of the evolution over every pair bit for
+    # bit, and the (-2, 2) entries it leaves out read NaN
+    db = oracle.FIXTURES[fixture]
+    bath = BathState(temperature)
+    times = [0.0, 0.5, 1.0, 2.0, 4.0]
+    evolve, runs = oracle._evolve, []
+    monkeypatch.setattr(oracle, "_evolve",
+                        lambda *args: runs.append((args, evolve(*args))) or runs[-1][1])
+    records = iter(compare_report(db, bath, 1.0, times, fixture)["records"])
+    assert [args[2] for (args, _) in runs] == [2, 2, 1, 1]
+    for correlated, (args, states) in zip([False, True] * 2, runs):
+        n_qubits, env_mats, log_weights, eigs = args[2:6]
+        ref_mats, ref_weights = _preparation(db, bath, n_qubits, correlated)
+        assert log_weights == ref_weights and env_mats.keys() == ref_mats.keys()
+        for c in ref_mats:
+            assert all(map(np.array_equal, env_mats[c], ref_mats[c]))
+        _, charges = oracle._sectors(n_qubits)
+        left_out = np.abs(np.subtract.outer(charges, charges)) > 2
+        for t, state, ref in zip(times, states,
+                                 evolve(1.0, times, n_qubits, env_mats, log_weights, eigs)):
+            assert state.reduced == ref.reduced
+            assert np.array_equal(np.isnan(state.full), left_out)
+            assert np.array_equal(state.full[~left_out], ref.full[~left_out])
+            assert np.isfinite(ref.full).all()
+            closed = closed_form_coherence(db, 1.0, bath, t, n_qubits, correlated)
+            record = next(records)
+            assert record["t"] == t
+            assert record["abs_discrepancy"] == float(abs(ref.reduced.rho01 - closed))
+    assert next(records, None) is None
 
 
 def _per_charge_eigs(db, n_qubits):
