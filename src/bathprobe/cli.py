@@ -443,8 +443,8 @@ def run_oracle_validation(fixture_id, out_path, n_max=None, temperature=0.0):
         raise ConfigError(f"temperature {temperature!r} needs more than "
                           f"{oracle.MAX_N_MAX} Fock levels per mode, the largest "
                           f"truncation the oracle runs")
-    if n_max is not None:
-        db = db.with_n_max(n_max)
+    if n_max is not None or not oracle.truncation_info(db, bath).ok:
+        db = db.with_n_max(n_max or need)
     t_grid = [0.5, 1.0, 2.0, 4.0]
     report = oracle.compare_report(db, bath, 1.0, t_grid, fixture_id)
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

@@ -106,13 +106,13 @@ class TwoQubitState:
     matrix: np.ndarray
 
 
-def _factors(p, t, two_qubit, phases):
-    """(gamma_vac, gamma_th, Delta, phi) over t at the Points p; Delta only
-    for the two-qubit scheme, phi only if ``phases``, a factor left out 0."""
-    zero = np.zeros(t.shape)
-    return (spectral.gamma_vac(p, t), spectral.gamma_th(p, p, t),
-            spectral.delta_factor(p, t) if two_qubit else zero,
-            spectral.phi_factor(p, t) if phases else zero)
+def _factors(p, grid, two_qubit, phases):
+    """(gamma_vac, gamma_th, Delta, phi) over the assembly's grid at the Points
+    p; Delta only for the two-qubit scheme, phi only if ``phases``, else 0."""
+    zero = np.zeros(grid.t.shape)
+    return (spectral.gamma_vac(p, grid), spectral.gamma_th(p, p, grid),
+            spectral.delta_factor(p, grid) if two_qubit else zero,
+            spectral.phi_factor(p, grid) if phases else zero)
 
 
 def _unions(grids, pair_of, n_pairs):
@@ -155,12 +155,13 @@ def _assemble(tasks, estimand=None):
     each spectral form is evaluated once over the unions laid end to end,
     with (G, w_c, T) per point (``spectral.Points``; tasks at another s, at
     G = 0 or in the cold limit are assembled apart).  The forms are
-    elementwise, so a task gets the values of an assembly of its own.
-    Then, once per config over the times of its members laid end to end,
-    the one place that decides which factors a probe has (Delta for the
-    two-qubit scheme only, the correlation factors for the correlated
-    preparation only, zero otherwise) and how each moves with the
-    estimand.  Without an estimand
+    elementwise, so a task gets the values of an assembly of its own, and
+    read one ``spectral._Grid`` in place of the times, so what several of
+    them read is computed once per assembly.  Then, once per config over
+    the times of its members laid end to end, the one place that decides
+    which factors a probe has (Delta for the two-qubit scheme only, the
+    correlation factors for the correlated preparation only, zero
+    otherwise) and how each moves with the estimand.  Without an estimand
     the fields are the state's (gamma_vac, gamma_th, gamma_corr, Delta, phi,
     chi); with one, the Fisher bundle's (Gamma, Delta, chi) and their
     slopes.  A lone task at a scalar time gets floats.
@@ -182,30 +183,31 @@ def _assemble(tasks, estimand=None):
     t, sizes, inverse = _unions([grids[i] for i in order],
                                 [pairs[tasks[i][1:3]] for i in order], len(pairs))
     p = spectral.Points.of(list(pairs), sizes)
+    grid = spectral._Grid(t, p.ohmicity, p.cutoff, p.beta)
     two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg, _ in by_cfg)
     correlated = any(cfg.initial_state == CORRELATED for cfg, _ in by_cfg)
     zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
     d_shift = d_beta = 0.0  # the slopes of C and beta
     out, done = [], 0
     with np.errstate(all="ignore"):
-        g_vac, g_th, delta, phi = _factors(p, t, two_qubit, correlated or estimand is None)
+        g_vac, g_th, delta, phi = _factors(p, grid, two_qubit, correlated or estimand is None)
         if estimand is Estimand.COUPLING_STRENGTH:
             # every factor is linear in G: its slope is its value at G = 1
             unit = p._replace(coupling=1.0)
-            dg_vac, dg_th, d_delta, d_phi = _factors(unit, t, two_qubit, correlated)
+            dg_vac, dg_th, d_delta, d_phi = _factors(unit, grid, two_qubit, correlated)
             d_gamma = dg_vac + dg_th
             if correlated:
                 d_shift = spectral.c_shift(unit)
         elif estimand is Estimand.CUTOFF_FREQUENCY:
-            d_gamma = spectral.d_gamma_d_omega_c(p, p, t)
+            d_gamma = spectral.d_gamma_d_omega_c(p, p, grid)
             d_shift = p.coupling * math.gamma(p.ohmicity)  # C = G w_c Gamma(s)
             if two_qubit:
-                d_delta = spectral.d_delta_d_omega_c(p, t)
+                d_delta = spectral.d_delta_d_omega_c(p, grid)
             if correlated:
-                d_phi = spectral.d_phi_d_omega_c(p, t)
+                d_phi = spectral.d_phi_d_omega_c(p, grid)
         elif estimand is not None:
             # only gamma_th and beta = 1/T move with T
-            d_gamma = spectral.d_gamma_th_d_temperature(p, p, t)
+            d_gamma = spectral.d_gamma_th_d_temperature(p, p, grid)
             d_beta = -(p.beta * p.beta)
         forms = (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)
         scalars = (spectral.c_shift(p), d_shift, p.beta, d_beta) if correlated else ()

@@ -22,6 +22,9 @@ written so that in-domain inputs raise no floating-point warning; the one
 assembly that feeds them (``dynamics._assemble``, behind
 ``dephasing_factors``, ``factor_bundle`` and ``optimize_variants``) runs
 under one ``np.errstate`` and checks the result for non-finite values.
+In place of the time it passes every form one ``_Grid``, which computes
+what several forms read (the angles at w_c t, the vacuum kernel, Delta's
+shape, the Bose sums) once and is dropped with the assembly.
 """
 
 from __future__ import annotations
@@ -218,27 +221,66 @@ def _shared(x, value):
     return not isinstance(x, np.ndarray) and x == value
 
 
-def _last_call(fn):
-    """Memo of fn's last result, keyed on its arguments, of which arrays (the
-    time grid, parameters per point) are keyed by their bytes: the forms
-    that one bundle evaluates on one grid share one evaluation of fn."""
-    memo = {}
+class _Grid:
+    """One assembly's times at its (s, w_c, beta) and what several forms read
+    there, each computed on its first read; G enters none of it.  ``_grid``
+    builds one for a form called with a time or an array."""
 
-    @functools.wraps(fn)
-    def cached(*args):
-        try:
-            key = args[:-1] + (args[-1].tobytes(),)
-            hit = memo.get(key)
-        except TypeError:  # a parameter per point
-            key = tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
-            hit = memo.get(key)
-        if hit is None:
-            hit = fn(*args)
-            memo.clear()
-            memo[key] = hit
-        return hit
+    def __init__(self, t, s, wc, beta):
+        self.t, self.s, self.wc, self.beta = t, s, wc, beta
 
-    return cached
+    @functools.cached_property
+    def angles(self):
+        """(x, x**2, log|1 - i x|, atan x) at x = w_c t, read by the vacuum forms."""
+        x = self.wc * self.t
+        y = x * x
+        return x, y, 0.5 * np.log1p(y), np.arctan(x)
+
+    @functools.cached_property
+    def kernel(self):
+        """(Re K, Im K) at x = w_c t, read by the vacuum exponent and the phase."""
+        return _kernel(self.s, *self.angles[2:])
+
+    @functools.cached_property
+    def delta_shape(self):
+        """Delta / (G Gamma(s)) in the parts delta_factor names, read by the
+        phase and its coupling slope."""
+        (x, y, a, b), s = self.angles, self.s
+        # below the switch-over points (x, |v| <= 0.1) the Taylor series are
+        # truncated under 2e-17 relative
+        val = b - x
+        small = x <= 0.1
+        if small.any():
+            xs, ys = x[small], y[small]
+            val[small] = -xs * ys * (1 / 3 - ys * (1 / 5 - ys * (1 / 7 - ys * (1 / 9 - ys * (
+                1 / 11 - ys * (1 / 13 - ys * (1 / 15 - ys / 17)))))))
+        if s != 1.0:  # at s = 1 the remainder vanishes
+            u = (1.0 - s) * a
+            v = (1.0 - s) * b
+            w = v * v
+            sinc_v = _ratio(np.sin(v), v)
+            sinc_v_m1 = sinc_v - 1.0
+            near = w <= 0.01
+            if near.any():
+                wn = w[near]
+                sinc_v_m1[near] = -wn / 6 * (1 - wn / 20 * (1 - wn / 42 * (1 - wn / 72 * (
+                    1 - wn / 110))))
+                sinc_v[near] = 1.0 + sinc_v_m1[near]
+            val += b * (np.expm1(u) * sinc_v + sinc_v_m1)
+        return val
+
+    @functools.cached_property
+    def bose(self):
+        """(Bose sums, bound) of ``_bose_series``, read by the thermal forms."""
+        return _bose_series(self.s, self.wc, self.beta, self.t)
+
+
+def _grid(sd, bath, t):
+    """(t if it is a _Grid, else its own at sd and bath; whether t is a scalar)."""
+    if isinstance(t, _Grid):
+        return t, False
+    t, scalar = _times(t)
+    return _Grid(t, sd.ohmicity, sd.cutoff, None if bath is None else bath.beta), scalar
 
 
 def _ratio(num, den):
@@ -253,14 +295,6 @@ def _ratio(num, den):
 def _log_atan(x):
     """(log|1 - i x|, atan x), the two angles every kernel term reads."""
     return 0.5 * np.log1p(x * x), np.arctan(x)
-
-
-@_last_call
-def _angles(wc, t):
-    """(x, x**2, log|1 - i x|, atan x) at x = w_c t, shared by the vacuum forms."""
-    x = wc * t
-    y = x * x
-    return x, y, 0.5 * np.log1p(y), np.arctan(x)
 
 
 def _kernel(s, a, b):
@@ -286,34 +320,28 @@ def _kernel(s, a, b):
     return re, im
 
 
-@_last_call
-def _vacuum_kernel(s, wc, t):
-    """(Re K, Im K) at x = w_c t, shared by the vacuum exponent and the phase."""
-    return _kernel(s, *_angles(wc, t)[2:])
-
-
 def gamma_vac(sd, t):
     """Vacuum dephasing exponent G Gamma(s) Re K; >= 0, zero at t = 0."""
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, None, t)
     G, s = sd.coupling, sd.ohmicity
     if _shared(G, 0.0):
-        return _unpack(np.zeros(t.shape), scalar)
-    val = G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[0]
+        return _unpack(np.zeros(g.t.shape), scalar)
+    val = G * math.gamma(s) * g.kernel[0]
     # the defining integral has a positive integrand
     if not (val >= 0.0).all():
         i = int(np.argmin(val >= 0.0))
         raise NumericalError(f"vacuum exponent came out {val[i]!r} at "
-                             f"{_point(sd, None, t, i)}")
+                             f"{_point(sd, None, g.t, i)}")
     return _unpack(val, scalar)
 
 
 def phi_factor(sd, t):
     """Phase kernel -G Gamma(s) Im K feeding the initial-correlation level shift."""
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, None, t)
     G, s = sd.coupling, sd.ohmicity
     if _shared(G, 0.0):
-        return _unpack(np.zeros(t.shape), scalar)
-    return _unpack(-G * math.gamma(s) * _vacuum_kernel(s, sd.cutoff, t)[1], scalar)
+        return _unpack(np.zeros(g.t.shape), scalar)
+    return _unpack(-G * math.gamma(s) * g.kernel[1], scalar)
 
 
 def delta_factor(sd, t):
@@ -324,39 +352,11 @@ def delta_factor(sd, t):
     themselves: -(x - atan x), which is Im K + x at z = 0, and the kernel's
     remainder -Im(K - log(1 - i x)) = b (expm1(u) sinc v + sinc v - 1).
     """
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, None, t)
     G, s = sd.coupling, sd.ohmicity
     if _shared(G, 0.0):
-        return _unpack(np.zeros(t.shape), scalar)
-    return _unpack(G * math.gamma(s) * _delta_shape(s, sd.cutoff, t), scalar)
-
-
-@_last_call
-def _delta_shape(s, wc, t):
-    """Delta / (G Gamma(s)), shared by the phase and its coupling slope."""
-    x, y, a, b = _angles(wc, t)
-    # below the switch-over points (x, |v| <= 0.1) the Taylor series are
-    # truncated under 2e-17 relative
-    val = b - x
-    small = x <= 0.1
-    if small.any():
-        xs, ys = x[small], y[small]
-        val[small] = -xs * ys * (1 / 3 - ys * (1 / 5 - ys * (1 / 7 - ys * (1 / 9 - ys * (
-            1 / 11 - ys * (1 / 13 - ys * (1 / 15 - ys / 17)))))))
-    if s != 1.0:  # at s = 1 the remainder vanishes
-        u = (1.0 - s) * a
-        v = (1.0 - s) * b
-        w = v * v
-        sinc_v = _ratio(np.sin(v), v)
-        sinc_v_m1 = sinc_v - 1.0
-        near = w <= 0.01
-        if near.any():
-            wn = w[near]
-            sinc_v_m1[near] = -wn / 6 * (1 - wn / 20 * (1 - wn / 42 * (1 - wn / 72 * (
-                1 - wn / 110))))
-            sinc_v[near] = 1.0 + sinc_v_m1[near]
-        val += b * (np.expm1(u) * sinc_v + sinc_v_m1)
-    return val
+        return _unpack(np.zeros(g.t.shape), scalar)
+    return _unpack(G * math.gamma(s) * g.delta_shape, scalar)
 
 
 def c_shift(sd):
@@ -538,7 +538,6 @@ def _em_tails(s, a, beta, t, n):
 _SERIES_BLOCK = 128
 
 
-@_last_call
 def _bose_series(s, wc, beta, t):
     """_bose_block, with w_c or beta per point in blocks of at most
     _SERIES_BLOCK times; every block has two or more, since numpy sums the
@@ -588,16 +587,15 @@ def _cold(bath):
     return _shared(bath.beta, math.inf)
 
 
-def _certified_sums(sd, bath, t):
-    """The Bose sums at (s, w_c, T) over t; QuadratureError past GAMMA_TH_RTOL."""
-    s, wc = sd.ohmicity, sd.cutoff
-    sums, bound = _bose_series(s, wc, bath.beta, t)
+def _certified_sums(sd, bath, g):
+    """The Bose sums of the _Grid g; QuadratureError past GAMMA_TH_RTOL."""
+    sums, bound = g.bose
     if bound.size and not bound.max() <= GAMMA_TH_RTOL:
         worst = int(np.argmax(bound))
         what = ("overflows" if math.isinf(bound[worst])
                 else f"bound exceeds {GAMMA_TH_RTOL!r}")
         raise QuadratureError(
-            f"thermal series {what} at {_point(sd, bath, t, worst)}",
+            f"thermal series {what} at {_point(sd, bath, g.t, worst)}",
             float((_prefactor(sd) * sums[0])[worst]),
             float(bound[worst]))
     return sums
@@ -616,41 +614,41 @@ def gamma_th(sd, bath, t):
     grid with a point where the bound is larger or infinite (the sums
     overflow) raises QuadratureError naming that point.
     """
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, bath, t)
     if _cold(bath) or _shared(sd.coupling, 0.0):
-        return _unpack(np.zeros(t.shape), scalar)
-    return _unpack(_prefactor(sd) * _certified_sums(sd, bath, t)[0], scalar)
+        return _unpack(np.zeros(g.t.shape), scalar)
+    return _unpack(_prefactor(sd) * _certified_sums(sd, bath, g)[0], scalar)
 
 
 # ---------------------------------------------------------------------------
 # parameter derivatives
 # ---------------------------------------------------------------------------
 
-def _omega_c_parts(sd, t):
+def _omega_c_parts(sd, g):
     """(G Gamma(s) t (1 + x**2)**(-s/2), s atan x): the vacuum cutoff slopes."""
     s = sd.ohmicity
-    _, y, _, b = _angles(sd.cutoff, t)
-    return sd.coupling * math.gamma(s) * t * (1.0 + y) ** (-0.5 * s), s * b
+    _, y, _, b = g.angles
+    return sd.coupling * math.gamma(s) * g.t * (1.0 + y) ** (-0.5 * s), s * b
 
 
 def d_gamma_vac_d_omega_c(sd, t):
-    t, scalar = _times(t)
-    amp, angle = _omega_c_parts(sd, t)
+    g, scalar = _grid(sd, None, t)
+    amp, angle = _omega_c_parts(sd, g)
     return _unpack(amp * np.sin(angle), scalar)
 
 
 def d_phi_d_omega_c(sd, t):
-    t, scalar = _times(t)
-    amp, angle = _omega_c_parts(sd, t)
+    g, scalar = _grid(sd, None, t)
+    amp, angle = _omega_c_parts(sd, g)
     return _unpack(amp * np.cos(angle), scalar)
 
 
 def d_delta_d_omega_c(sd, t):
     # the printed Ohmic form of this derivative carries the wrong sign; the
     # quadrature route fixes it (negative: |delta| grows with the cutoff)
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, None, t)
     G, s = sd.coupling, sd.ohmicity
-    val = G * math.gamma(s) * t * _re_pow_m1(-s, *_angles(sd.cutoff, t)[2:])
+    val = G * math.gamma(s) * g.t * _re_pow_m1(-s, *g.angles[2:])
     return _unpack(val, scalar)
 
 
@@ -660,11 +658,11 @@ def d_gamma_d_omega_c(sd, bath, t):
     The thermal part differentiates its Bose series through w_c**(1-s) and
     the shifted inverse cutoffs a_n.
     """
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, bath, t)
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
-    d = d_gamma_vac_d_omega_c(sd, t)
+    d = d_gamma_vac_d_omega_c(sd, g)
     if not (_cold(bath) or _shared(G, 0.0)):
-        s0, s1, _ = _certified_sums(sd, bath, t)
+        s0, s1, _ = _certified_sums(sd, bath, g)
         d = d + _prefactor(sd) / wc * ((1.0 - s) * s0 - s1 / wc)
     return _unpack(d, scalar)
 
@@ -674,9 +672,9 @@ def d_gamma_th_d_temperature(sd, bath, t):
 
     Exactly 0 at T = 0, where gamma_th vanishes like T**(s+1).
     """
-    t, scalar = _times(t)
+    g, scalar = _grid(sd, bath, t)
     if _cold(bath) or _shared(sd.coupling, 0.0):
-        return _unpack(np.zeros(t.shape), scalar)
+        return _unpack(np.zeros(g.t.shape), scalar)
     beta = bath.beta
-    sn = _certified_sums(sd, bath, t)[2]
+    sn = _certified_sums(sd, bath, g)[2]
     return _unpack(_prefactor(sd) * beta * (beta * -sn), scalar)

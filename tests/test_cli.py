@@ -177,6 +177,17 @@ def test_main_oracle_exit_codes(tmp_path):
                  "--temperature", "1.0", "--out", out]) == 1
 
 
+def test_oracle_validate_defaults_to_a_truncation_that_passes(tmp_path):
+    # three-mode's stored n_max = 40 fails the thermal-tail rule at T = 1, so
+    # without --n-max the report runs at the rule's required_n_max; at
+    # T = 0.5 the stored value passes and stays
+    for temperature, n_max in (("1", 75), ("0.5", 40)):
+        assert main(["oracle-validate", "three-mode", "--temperature", temperature,
+                     "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "oracle_three-mode.json").read_text())
+        assert report["n_max"] == n_max and report["truncation"]["ok"] and report["pass"]
+
+
 # below oracle.MIN_TEMPERATURE the Boltzmann exponents overflowed into a NaN
 # report (1e-308 and colder), or the rounding of log Z ~ beta E failed the
 # partition-function check

@@ -1,16 +1,20 @@
 """Probe density matrices: assembly, traces, spectra, physicality."""
 
+import collections
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from bathprobe import dynamics, spectral
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
                                 dephasing_factors,
                                 eigendecompose, partial_trace_second_qubit,
                                 reduced_qubit_state, reduced_state_from_factors,
                                 two_qubit_state)
+from bathprobe.fisher import Estimand, factor_bundle
 from bathprobe.spectral import BathState, SpectralDensity
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
@@ -184,3 +188,55 @@ def test_factors_bundle_time_zero():
             fac = dephasing_factors(cfg, OHMIC, BathState(0.7), 0.0)
             assert (fac.gamma_vac, fac.gamma_th, fac.gamma_corr) == (0.0, 0.0, 0.0)
             assert (fac.delta, fac.phi, fac.chi) == (0.0, 0.0, 0.0)
+
+
+def _count_shared_work(monkeypatch):
+    """Counter of the grids built, of each intermediate a grid computes and
+    of the blocks of the Bose series summed."""
+    counts = collections.Counter()
+    init = spectral._Grid.__init__
+
+    def counted_init(grid, *args):
+        counts["grids"] += 1
+        init(grid, *args)
+
+    monkeypatch.setattr(spectral._Grid, "__init__", counted_init)
+    for name in ("angles", "kernel", "delta_shape", "bose"):
+        def counted(grid, compute=vars(spectral._Grid)[name].func, name=name):
+            counts[name] += 1
+            return compute(grid)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(spectral._Grid, name)
+        monkeypatch.setattr(spectral._Grid, name, prop)
+    block = spectral._bose_block
+
+    def counted_block(*args):
+        counts["blocks"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(spectral, "_bose_block", counted_block)
+    return counts
+
+
+@pytest.mark.parametrize("estimand", [None, *Estimand])
+def test_an_assembly_computes_each_shared_intermediate_once(monkeypatch, estimand):
+    # the forms of one assembly share the vacuum kernel (the coupling
+    # estimand's unit-G pass included) and one Bose series, summed in one
+    # block per _SERIES_BLOCK times
+    cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED)
+    sd, bath = SpectralDensity(0.3, 0.73, 2.0), BathState(0.7)
+    t = np.linspace(0.05, 12.0, 100)
+    counts = _count_shared_work(monkeypatch)
+    if estimand is None:
+        dephasing_factors(cfg, sd, bath, t)
+    else:
+        factor_bundle(cfg, sd, bath, estimand, t)
+    assert counts == {"grids": 1, "angles": 1, "kernel": 1, "delta_shape": 1,
+                      "bose": 1, "blocks": 1}
+    # two cutoffs: w_c per point, 200 union times in two blocks
+    counts.clear()
+    other = SpectralDensity(0.3, 0.73, 3.0)
+    dynamics._assemble([(cfg, sd, bath, t), (cfg, other, bath, t)], estimand)
+    assert counts == {"grids": 1, "angles": 1, "kernel": 1, "delta_shape": 1,
+                      "bose": 1, "blocks": 2}

@@ -57,8 +57,8 @@ def test_bath_state_rejects_nan_and_inf(temperature):
 def test_vacuum_sign_guard_is_an_error_class(monkeypatch):
     # a real exception, so it survives python -O
     from bathprobe import spectral
-    monkeypatch.setattr(spectral, "_vacuum_kernel",
-                        lambda s, wc, t: (-np.ones(t.shape), np.zeros(t.shape)))
+    monkeypatch.setattr(spectral._Grid, "kernel",
+                        property(lambda g: (-np.ones(g.t.shape), np.zeros(g.t.shape))))
     with pytest.raises(NumericalError) as err:
         gamma_vac(SpectralDensity(1.0, 0.5, 2.0), 3.0)
     assert "s=0.5, w_c=2.0, t=3.0" in str(err.value)
@@ -69,8 +69,8 @@ def test_vacuum_sign_guard_names_no_temperature(monkeypatch):
     # rather than T = 0 on a hot bath
     from bathprobe import spectral
     from bathprobe.dynamics import CORRELATED, ProbeConfig, dephasing_factors
-    monkeypatch.setattr(spectral, "_vacuum_kernel",
-                        lambda s, wc, t: (-np.ones(t.shape), np.zeros(t.shape)))
+    monkeypatch.setattr(spectral._Grid, "kernel",
+                        property(lambda g: (-np.ones(g.t.shape), np.zeros(g.t.shape))))
     cfg = ProbeConfig(1.0, initial_state=CORRELATED)
     with pytest.raises(NumericalError) as err:
         dephasing_factors(cfg, SpectralDensity(1.0, 0.5, 2.0), BathState(0.5), 3.0)
