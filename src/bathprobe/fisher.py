@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import Estimand, reduced_qubit_state
-from .spectral import BathState, _ratio, _times, _unpack
+from .spectral import BathState, NumericalError, _ratio, _times, _unpack
 
 __all__ = [
     "Estimand",
@@ -264,7 +264,7 @@ def optimal_angle_from_bundle(b, omega_0, t):
 
 @dataclass(frozen=True)
 class FisherOptimum:
-    """Maximum of the QFI over the interaction time."""
+    """Maximum of the QFI over time; ``boundary_hit``: at t_max, which no interior one exceeds."""
 
     t_star: float
     f_star: float
@@ -272,135 +272,135 @@ class FisherOptimum:
     flat: bool = False
 
 
-#: 1/phi, the golden-section shrink factor
-_INV_GR = (math.sqrt(5.0) - 1.0) / 2.0
+#: relative slack of each comparison with the bound, which the QFI of a
+#: single-qubit probe meets with equality
+_SLACK = 1e-9
 
-#: golden-section steps evaluated per array call: every point that the next
-#: _TREE_DEPTH steps may need, over all their decision paths, goes into one
-#: factor bundle
-_TREE_DEPTH = 5
-
-#: a bracket [a, b] is refined while b - a > _TIME_TOL * b
+#: a bracket (a, m, b) is refined while b - a > _TIME_TOL * b
 _TIME_TOL = 1e-6
 
+_MAX_FILL = 2**16  # the most points that the fill of one task may take
 
-def _needed(a, b, c, d, known):
-    """The times that the next _TREE_DEPTH golden-section steps from (a, b,
-    c, d), a < c < d < b, may evaluate: c and d only while ``known`` (time
-    -> QFI) lacks them, deeper points even where an earlier round had them.
+#: a round evaluates a bracket (a, m, b) at a, m, b, at these fractions of
+#: the way from a to m and from m to b, so that it shrinks at least 16-fold,
+#: and at these multiples of the vertex of the parabola through its samples
+#: (m itself where m is a or b), so that it closes once its maximum is within
+#: _TIME_TOL / 4 of the vertex, as where the QFI rises into t_max = m = b
+_STEPS = np.arange(1, 16) / 16
+_PROBES = 1.0 + 0.25 * _TIME_TOL * np.array([-1.0, 0.0, 1.0])
 
-    A step keeps [a, d] where f(c) > f(d), else [c, b]; it follows that
-    outcome where both values are known, else both.  A bracket that meets
-    the tolerance adds its midpoint; paths that reach the same bracket are
-    followed once.
+
+def _samples(b):
+    """(QFI, bound, Delta) of a bundle over its times, as the rows of one array:
+    by Cauchy-Schwarz over the phase Delta, the QFI is at most the bound
+    w (Delta'^2 + chi'^2) + Gamma'^2 w / (1 - w), w = e^{-2 Gamma}, which does
+    not oscillate with Delta and is the QFI itself where Delta = 0."""
+    w = np.exp(-2.0 * b.gamma)
+    bound = (w * (b.d_delta * b.d_delta + b.d_chi * b.d_chi)
+             + _positive_ratio(b.d_gamma * b.d_gamma * w, -np.expm1(-2.0 * b.gamma)))
+    return np.array([qfi_from_bundle(b), bound, b.delta])
+
+
+def _optimize(cutoffs, t_max, grid_size, evaluate):
+    """Time optimizations in lockstep, one per cutoff of ``cutoffs`` (which
+    sets the start of its scan); ``evaluate(owner, t)`` returns the
+    ``_samples`` at the times ``t`` of the tasks ``owner``, each task's times
+    in one run.  One call scans every task, one fills each scan interval
+    across which Delta turns by more than pi/4 and the bound reaches the
+    task's best sample, and each later one refines every open bracket: one
+    per local maximum whose bound, at it or at a neighbour, reaches the best
+    sample, until its bound falls below the best or it meets _TIME_TOL.  A
+    task's optimum is its best sample.
     """
-    points, level = [t for t in (c, d) if t not in known], [(a, b, c, d)]
-    for _ in range(_TREE_DEPTH):
-        nxt = []
-        for a, b, c, d in level:
-            if not (b - a) > _TIME_TOL * b:
-                points.append(0.5 * (a + b))
-                continue
-            both = c not in known or d not in known
-            if both or known[c] > known[d]:
-                p = d - _INV_GR * (d - a)
-                points.append(p)
-                nxt.append((a, d, p, c))
-            if both or not known[c] > known[d]:
-                p = c + _INV_GR * (b - c)
-                points.append(p)
-                nxt.append((c, b, d, p))
-        level = dict.fromkeys(nxt)
-    points += [0.5 * (a + b) for a, b, _, _ in level if not (b - a) > _TIME_TOL * b]
-    return list(dict.fromkeys(points))
-
-
-def _walk(a, b, c, d, known):
-    """At most _TREE_DEPTH steps from (a, b, c, d), placed as _needed places
-    them and compared by ``known``, until the bracket meets the tolerance."""
-    for _ in range(_TREE_DEPTH):
-        if not (b - a) > _TIME_TOL * b:
-            break
-        if known[c] > known[d]:
-            a, b, c, d = a, d, d - _INV_GR * (d - a), c
-        else:
-            a, b, c, d = c, b, d, c + _INV_GR * (b - c)
-    return a, b, c, d
-
-
-def _optimize(cutoffs, t_max, grid_size, qfi):
-    """Time optimizations in lockstep, one per cutoff of ``cutoffs``, which
-    sets the start of its scan; ``qfi(tasks, times)`` returns the QFIs of
-    tasks (by index) over their time arrays.  One call scans every task,
-    then one per round sends every open task the times _needed lists and
-    moves its bracket by _walk, so its iterates are the point-by-point loop's."""
     if t_max <= 0.0:
         raise ValueError("t_max must be > 0")
     scans = {wc: np.geomspace(min(1e-3 / wc, 0.5 * t_max), t_max, max(int(grid_size), 64))
              for wc in set(cutoffs)}
-    grids = [scans[wc] for wc in cutoffs]
-    optima, brackets, known = [], {}, {}
-    for i, (ts, vals) in enumerate(zip(grids, qfi(range(len(grids)), grids))):
-        k = int(np.argmax(vals))
-        if not np.any(vals > 0.0):
-            optima.append(FisherOptimum(float(ts[0]), 0.0, False, flat=True))
-        elif k == ts.size - 1:
-            optima.append(FisherOptimum(float(ts[-1]), float(vals[-1]), True))
-        else:  # the scan's best (f, t) until the refinement returns
-            optima.append((vals[k], ts[k]))
-            a, b = float(ts[max(k - 1, 0)]), float(ts[k + 1])
-            brackets[i] = a, b, b - _INV_GR * (b - a), a + _INV_GR * (b - a)
-            known[i] = {}
-    while brackets:
-        live = list(brackets)
-        needed = [_needed(*brackets[i], known[i]) for i in live]
-        for i, times, vals in zip(live, needed, qfi(live, [np.array(t) for t in needed])):
-            seen = known[i]
-            seen.update(zip(times, vals.tolist()))
-            a, b, c, d = _walk(*brackets[i], seen)
-            if (b - a) > _TIME_TOL * b:
-                brackets[i] = a, b, c, d
-                continue
-            t = 0.5 * (a + b)
-            best = max((seen[t], t), (seen[c], c), (seen[d], d), optima[i])
-            optima[i] = FisherOptimum(float(best[1]), float(best[0]), False)
-            del brackets[i], known[i]
-    return optima
+    grids = np.array([scans[wc] for wc in cutoffs])
+    tasks, n = np.arange(len(grids)), grids.shape[1]
+    f, u, phase = evaluate(np.repeat(tasks, n), grids.ravel()).reshape(3, len(grids), n)
+    best = np.stack((grids[tasks, f.argmax(axis=1)], f.max(axis=1)), axis=1)
+    turns = np.abs(np.diff(phase)) * (4.0 / math.pi)
+    reach = np.maximum(u[:, :-1], u[:, 1:]) >= (1.0 - _SLACK) * best[:, 1:]
+    count = np.where(reach & (turns > 1.0) & (best[:, 1:] > 0.0), np.floor(turns) + 1.0, 0.0)
+    if count.sum(axis=1).max() > _MAX_FILL:
+        raise NumericalError(f"the QFI oscillates too fast for {_MAX_FILL} points to "
+                             f"resolve its maximum up to t={t_max!r}")
+    count = count.astype(int).ravel()
+    i = np.repeat(np.arange(count.size), count)  # the scan interval of each fill point
+    fill = grids[:, :-1].ravel()[i] + np.diff(grids).ravel()[i] * (
+        (np.arange(i.size) - np.repeat(np.cumsum(count) - count, count) + 1) / (count[i] + 1))
+    new = evaluate(i // (n - 1), fill) if i.size else np.empty((3, 0))
+    owner = np.concatenate((np.repeat(tasks, n), i // (n - 1)))
+    t = np.concatenate((grids.ravel(), fill))
+    order = np.lexsort((t, owner))
+    owner, t = owner[order], t[order]
+    f, u = np.concatenate((np.stack((f.ravel(), u.ravel())), new[:2]), axis=1)[:, order]
+    step, k = np.diff(owner) != 0, np.arange(t.size)  # where one task's samples end
+    first, last = np.insert(step, 0, True), np.append(step, True)
+    lo, hi = np.where(first, k, k - 1), np.where(last, k, k + 1)  # the neighbours
+    top = np.maximum.reduceat(f, np.flatnonzero(first))[owner]  # each task's best
+    peak = ((f > 0.0) & (f >= f[lo]) & (f >= f[hi])
+            & (np.maximum(np.maximum(u[lo], u), u[hi]) >= (1.0 - _SLACK) * top))
+    owner, ends = owner[peak], np.stack((t[lo], t, t[hi]), axis=1)[peak]
+    vals = np.stack((f[lo], f, f[hi]), axis=1)[peak]  # the QFI at the ends
+    while owner.size:
+        (a, m, b), (fa, fm, fb) = ends.T, vals.T
+        p, q = (m - a) * (fm - fb), (m - b) * (fm - fa)
+        v = m - 0.5 * _ratio((m - a) * p - (m - b) * q, p - q)
+        t = np.sort(np.concatenate((
+            ends, np.clip(v[:, None] * _PROBES, a[:, None], b[:, None]),
+            (ends[:, :2, None] + np.diff(ends)[..., None] * _STEPS).reshape(len(owner), -1)),
+            axis=1))
+        f, u, _ = evaluate(np.repeat(owner, t.shape[1]), t.ravel()).reshape(3, *t.shape)
+        rows, k = np.arange(len(owner)), f[:, 1:-1].argmax(axis=1) + 1
+        right = (t <= t[rows, k, None]).sum(axis=1)  # past a repeat of t[k], as at m = b
+        j = rows[:, None], np.stack((k - 1, k, np.minimum(right, t.shape[1] - 1)), axis=1)
+        ends, vals = t[j], f[j]
+        win = np.lexsort((vals[:, 1], owner))  # each task's best bracket, last
+        win = win[np.append(np.diff(owner[win]) != 0, True)]
+        win = win[vals[win, 1] > best[owner[win], 1]]
+        best[owner[win], 0], best[owner[win], 1] = ends[win, 1], vals[win, 1]
+        keep = ((ends[:, 2] - ends[:, 0] > _TIME_TOL * ends[:, 2])
+                & (u[j].max(axis=1) >= (1.0 - _SLACK) * best[owner, 1]))
+        owner, ends, vals = owner[keep], ends[keep], vals[keep]
+    return [FisherOptimum(t, f, t == t_max) if f > 0.0 else
+            FisherOptimum(t, 0.0, False, flat=True) for t, f in best.tolist()]
 
 
 def optimize_qfi_over_time(cfg, sd, bath, estimand, t_max, grid_size=128):
     """Maximize the QFI over t in [min(1e-3 / w_c, t_max / 2), t_max].
 
-    Coarse log-spaced scan of max(grid_size, 64) points followed by
-    golden-section refinement inside the best bracketing interval; both
-    evaluate whole time arrays per factor bundle.  ``boundary_hit`` marks a
-    maximizer at t_max (typical in regimes where the information keeps
-    accumulating); ``flat`` marks an information-free curve (such as G = 0).
+    A log-spaced scan of max(grid_size, 64) points, a fill where the phase
+    Delta turns faster than the scan resolves (NumericalError beyond
+    _MAX_FILL points) and a zoom on every local maximum that can beat the
+    best sample, each step one factor bundle over a time array.  An optimum
+    at t_max is typical where the information keeps accumulating.
     """
-    return _optimize([sd.cutoff], t_max, grid_size, lambda _, times: [
-        qfi_from_bundle(factor_bundle(cfg, sd, bath, estimand, times[0]))])[0]
+    return _optimize([sd.cutoff], t_max, grid_size, lambda _, t: _samples(
+        factor_bundle(cfg, sd, bath, estimand, t)))[0]
 
 
 def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128):
     """optimize_qfi_over_time for each probe of ``cfgs`` at each (sd, bath)
     of ``pairs``, all in lockstep: the scans are one factor assembly, and so
-    is each later round over every bracket still open.  Same optima, as one
-    list over ``cfgs`` per pair."""
+    are the fill and each later round over every bracket still open.  Same
+    optima, as one list over ``cfgs`` per pair."""
     estimand = Estimand(estimand)
     for sd, bath in pairs:
         _validate_estimand(estimand, sd, bath)
     tasks = [(cfg, sd, bath) for sd, bath in pairs for cfg in cfgs]
 
-    def qfi(live, times):
-        vals = [None] * len(times)
-        entries = dynamics._assemble([(*tasks[i], t) for i, t in zip(live, times)],
+    def evaluate(owner, t):
+        starts = np.flatnonzero(np.insert(np.diff(owner), 0, 1))
+        runs = np.split(np.arange(t.size), starts[1:])
+        out = np.empty((3, t.size))
+        entries = dynamics._assemble([(*tasks[i], t[run]) for i, run in zip(owner[starts], runs)],
                                      estimand)
-        while entries:  # each config's fields go once its QFI is taken
+        while entries:  # each config's fields go once its samples are taken
             members, fields = entries.pop()
-            split = np.cumsum([times[k].size for k in members])[:-1]
-            for k, v in zip(members, np.split(qfi_from_bundle(FactorBundle(*fields)), split)):
-                vals[k] = v
-        return vals
+            out[:, np.concatenate([runs[k] for k in members])] = _samples(FactorBundle(*fields))
+        return out
 
-    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size, qfi)
+    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size, evaluate)
     return [optima[k:k + len(cfgs)] for k in range(0, len(optima), len(cfgs))]
