@@ -11,7 +11,7 @@ from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 dephasing_factors, reduced_qubit_state)
 from bathprobe.cli import FIGURE_PRESETS, VARIANTS, run_figure
 from bathprobe.correlations import d_corr_from_parts
-from bathprobe.fisher import (Estimand, MeasurementUnderflowError,
+from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
                               cfi, cfi_born, cfi_from_bundle, factor_bundle,
                               optimal_angle, optimal_angle_from_bundle,
                               optimize_qfi_over_time, optimize_variants, qfi_closed,
@@ -389,6 +389,73 @@ def test_each_optimum_beats_fine_scans_of_its_range(figure_id):
                     scan = qfi_closed(cfg, sd, bath, sc.estimand, ts).max()
                     assert opt.f_star >= (1.0 - 1e-9) * scan, (cfg, sd, opt, scan)
                 assert opt.boundary_hit == (opt.t_star == sc.t_max)
+
+
+def reference_optimum(cfg, sd, bath, estimand, t_max, grid_size, rel_time_tol=1e-6):
+    """A one-point-at-a-time golden-section loop, one scalar QFI per step,
+    that climbs the peak in the best bracket of the log scan: a reference
+    optimum that the array search must reach or beat."""
+    ts = np.geomspace(min(1e-3 / sd.cutoff, 0.5 * t_max), t_max, max(grid_size, 64))
+
+    def f(t):
+        return qfi_closed(cfg, sd, bath, estimand, t)
+
+    vals = qfi_closed(cfg, sd, bath, estimand, ts)
+    i = int(np.argmax(vals))
+    if not np.any(vals > 0.0):
+        return FisherOptimum(float(ts[0]), 0.0, False, flat=True)
+    if i == ts.size - 1:
+        return FisherOptimum(float(ts[-1]), float(vals[-1]), True)
+    lo = ts[i - 1] if i > 0 else ts[0]
+    hi = ts[i + 1]
+    inv_gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_gr * (b - a)
+    d = a + inv_gr * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > rel_time_tol * b:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_gr * (b - a)
+            fd = f(d)
+    t_star = 0.5 * (a + b)
+    f_star = f(t_star)
+    best = max((f_star, t_star), (fc, c), (fd, d), (vals[i], ts[i]))
+    return FisherOptimum(float(best[1]), float(best[0]), False)
+
+
+def figure_tasks(figure_id):
+    """Every (cfg, sd, bath, scenario) optimization of a qfi-sweep figure."""
+    for _name, _command, sc in FIGURE_PRESETS[figure_id]:
+        for value in sc.sweep_values().tolist():
+            sd, bath = sc.at_sweep_value(value)
+            for scheme, initial in VARIANTS:
+                yield ProbeConfig(sc.probe.omega_0, scheme, initial), sd, bath, sc
+
+
+@pytest.mark.parametrize("figure_id", [f"fig{i}" for i in range(1, 9)])
+def test_tree_refinement_keeps_the_golden_section_iterates(figure_id):
+    # the array search keeps every optimum that golden-section refinement of
+    # the best scan bracket finds: it is never lower (on the thermal figure a
+    # flat maximum may turn a near-tie the other way), it reports a boundary
+    # hit only where the loop stopped at t_max too, and where both climb the
+    # same peak their t_star agree to the bracket width _TIME_TOL = 1e-6
+    t_tol, f_tol = (1e-5, 1e-9) if figure_id == "fig8" else (1e-6, 1e-13)
+    refined = 0
+    for cfg, sd, bath, sc in figure_tasks(figure_id):
+        args = (cfg, sd, bath, sc.estimand, sc.t_max, sc.opt_grid)
+        got = optimize_qfi_over_time(*args)
+        want = reference_optimum(*args)
+        assert got.flat == want.flat and (want.boundary_hit or not got.boundary_hit)
+        assert got.f_star >= (1.0 - f_tol) * want.f_star, (cfg, sd, bath)
+        if rel_diff(got.f_star, want.f_star, floor=0.0) <= f_tol and not got.flat:
+            assert abs(got.t_star - want.t_star) <= t_tol * want.t_star, (cfg, sd, bath)
+            refined += not got.boundary_hit
+    assert refined
 
 
 def test_an_unresolvable_oscillation_is_a_numerical_error():
