@@ -18,7 +18,7 @@ import numpy as np
 
 from . import correlations, spectral
 from .correlations import SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED
-from .spectral import DephasingFactors, NumericalError, _point, _times
+from .spectral import DephasingFactors, NumericalError, _point, _times, _unpack
 
 __all__ = [
     "TWO_QUBIT_TRACED",
@@ -115,25 +115,17 @@ def _factors(p, grid, two_qubit, phases):
             spectral.phi_factor(p, grid) if phases else zero)
 
 
-def _unions(grids, pair_of, n_pairs):
-    """(times, sizes, inverse): the sorted union of the grids of each pair,
+def _unions(t, pair, n_pairs):
+    """(times, sizes, inverse): the sorted union of the times of each pair,
     laid end to end in pair order, its size per pair, and the index in it
-    of every point of the grids laid end to end; one sort by (pair, time)."""
-    times = np.concatenate(grids)
-    pair = np.repeat(pair_of, [g.size for g in grids])
-    sort = np.lexsort((times, pair))
-    times, pair = times[sort], pair[sort]
-    new = np.ones(times.size, bool)
-    new[1:] = (times[1:] != times[:-1]) | (pair[1:] != pair[:-1])
+    of every point (t, pair); one sort by (pair, time)."""
+    sort = np.lexsort((t, pair))
+    t, pair = t[sort], pair[sort]
+    new = np.ones(t.size, bool)
+    new[1:] = (t[1:] != t[:-1]) | (pair[1:] != pair[:-1])
     inverse = np.empty_like(sort)
     inverse[sort] = np.cumsum(new) - 1
-    return times[new], np.bincount(pair[new], minlength=n_pairs), inverse
-
-
-def _runs(members, grids):
-    """(k, start, stop) of each member's times, laid end to end."""
-    stops = np.cumsum([grids[k].size for k in members]).tolist()
-    return zip(members, [0] + stops[:-1], stops)
+    return t[new], np.bincount(pair[new], minlength=n_pairs), inverse
 
 
 def _correlation_factors(cfg, phi, d_phi, scalars, estimand):
@@ -148,47 +140,49 @@ def _correlation_factors(cfg, phi, d_phi, scalars, estimand):
         shift, phi, d_shift, d_phi, beta, d_beta, cfg.omega_0, cfg.scheme))
 
 
-def _assemble(tasks, estimand=None):
-    """[(members, fields)]: the factors of tasks (cfg, sd, bath, t), by config.
+def _assemble(tasks, owner, t, estimand=None):
+    """(6, n) fields of the tasks (cfg, sd, bath) at the points (owner, t):
+    column i holds those of the task tasks[owner[i]] at the time t[i].
 
-    Tasks that share (sd, bath) share the sorted union of their grids, and
+    Tasks that share (sd, bath) share the sorted union of their times, and
     each spectral form is evaluated once over the unions laid end to end,
     with (G, w_c, T) per point (``spectral.Points``; tasks at another s, at
     G = 0 or in the cold limit are assembled apart).  The forms are
     elementwise, so a task gets the values of an assembly of its own, and
     read one ``spectral._Grid`` in place of the times, so what several of
     them read is computed once per assembly.  Then, once per config over
-    the times of its members laid end to end, the one place that decides
-    which factors a probe has (Delta for the two-qubit scheme only, the
-    correlation factors for the correlated preparation only, zero
-    otherwise) and how each moves with the estimand.  Without an estimand
-    the fields are the state's (gamma_vac, gamma_th, gamma_corr, Delta, phi,
-    chi); with one, the Fisher bundle's (Gamma, Delta, chi) and their
-    slopes.  A lone task at a scalar time gets floats.
+    the points of its tasks, the one place that decides which factors a
+    probe has (Delta for the two-qubit scheme only, the correlation factors
+    for the correlated preparation only, zero otherwise) and how each moves
+    with the estimand.  Without an estimand the fields are the state's
+    (gamma_vac, gamma_th, gamma_corr, Delta, phi, chi); with one, the Fisher
+    bundle's (Gamma, Delta, chi) and their slopes.  A non-finite field raises
+    NumericalError naming the (s, w_c, T, t) of its first point.
     """
-    grids = [_times(t)[0] for *_, t in tasks]
+    out = np.empty((6, t.size))
     classes = {}
-    for i, (_, sd, bath, _) in enumerate(tasks):
+    for i in np.flatnonzero(np.bincount(owner)).tolist():  # the tasks present
+        _, sd, bath = tasks[i]
         key = (sd.ohmicity, sd.coupling == 0.0, spectral._cold(bath))
         classes.setdefault(key, []).append(i)
     if len(classes) != 1:
-        return [([part[k] for k in members], fields) for part in classes.values()
-                for members, fields in _assemble([tasks[i] for i in part], estimand)]
-    by_cfg, pairs = {}, {}
-    for i, (cfg, sd, bath, _) in enumerate(tasks):
-        by_cfg.setdefault(cfg, []).append(i)
-        pairs.setdefault((sd, bath), len(pairs))
-    by_cfg = list(by_cfg.items())
-    order = [i for _, members in by_cfg for i in members]
-    t, sizes, inverse = _unions([grids[i] for i in order],
-                                [pairs[tasks[i][1:3]] for i in order], len(pairs))
+        for group in classes.values():
+            part = np.isin(owner, group)
+            out[:, part] = _assemble(tasks, owner[part], t[part], estimand)
+        return out
+    pairs, cfgs = {}, {}
+    pair_of, cfg_of = np.zeros((2, len(tasks)), int)
+    for i in next(iter(classes.values())):
+        cfg, sd, bath = tasks[i]
+        pair_of[i] = pairs.setdefault((sd, bath), len(pairs))
+        cfg_of[i] = cfgs.setdefault(cfg, len(cfgs))
+    union, sizes, inverse = _unions(t, pair_of[owner], len(pairs))
     p = spectral.Points.of(list(pairs), sizes)
-    grid = spectral._Grid(t, p.ohmicity, p.cutoff, p.beta)
-    two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg, _ in by_cfg)
-    correlated = any(cfg.initial_state == CORRELATED for cfg, _ in by_cfg)
-    zero = d_gamma = d_delta = d_phi = np.zeros(t.shape)
+    grid = spectral._Grid(union, p.ohmicity, p.cutoff, p.beta)
+    two_qubit = any(cfg.scheme == TWO_QUBIT_TRACED for cfg in cfgs)
+    correlated = any(cfg.initial_state == CORRELATED for cfg in cfgs)
+    zero = d_gamma = d_delta = d_phi = np.zeros(union.shape)
     d_shift = d_beta = 0.0  # the slopes of C and beta
-    out, done = [], 0
     with np.errstate(all="ignore"):
         g_vac, g_th, delta, phi = _factors(p, grid, two_qubit, correlated or estimand is None)
         if estimand is Estimand.COUPLING_STRENGTH:
@@ -211,13 +205,14 @@ def _assemble(tasks, estimand=None):
             d_beta = -(p.beta * p.beta)
         forms = (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi)
         scalars = (spectral.c_shift(p), d_shift, p.beta, d_beta) if correlated else ()
-        for cfg, members in by_cfg:
+        point_cfg = cfg_of[owner]
+        for k, cfg in enumerate(cfgs):
             (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = forms, scalars
-            pick = inverse[done:done + sum(grids[k].size for k in members)]
-            done += pick.size
+            points = point_cfg == k
+            pick = inverse[points]
             # a config whose times are the whole union in order reads the
             # forms as they are (the scans of a sweep, a sorted lone grid)
-            if not (pick.size == t.size and (pick[1:] > pick[:-1]).all()):
+            if not (pick.size == union.size and (pick[1:] > pick[:-1]).all()):
                 (zero, g_vac, g_th, delta, phi, d_gamma, d_delta, d_phi), sc = (
                     [x[pick] if isinstance(x, np.ndarray) else x for x in y]
                     for y in (forms, scalars))
@@ -230,22 +225,22 @@ def _assemble(tasks, estimand=None):
                 d_gamma = d_gamma + dg_corr
             fields = ((g_vac, g_th, g_corr, delta, phi, chi) if estimand is None else
                       (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi))
-            _check_finite(fields, tasks, grids, members)
-            if len(tasks) == 1 and np.ndim(tasks[0][3]) == 0:
-                fields = tuple(float(v[0]) for v in fields)
-            out.append((members, fields))
+            for row, v in zip(out, fields):
+                row[points] = v
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        _, sd, bath = tasks[owner[i]]
+        raise NumericalError(f"non-finite dephasing factor at {_point(sd, bath, t, i)}")
     return out
 
 
-def _check_finite(fields, tasks, grids, members):
-    """NumericalError naming its task's (s, w_c, T, t) at the first point of
-    the members' times, laid end to end, where a field is not finite."""
-    if not np.isfinite(fields).all():
-        i = int(np.argmin(np.isfinite(fields).all(axis=0)))
-        k, lo, _ = next(run for run in _runs(members, grids) if i < run[2])
-        _, sd, bath, _ = tasks[k]
-        raise NumericalError(f"non-finite dephasing factor at "
-                             f"{_point(sd, bath, grids[k], i - lo)}")
+def _lone(cfg, sd, bath, t, estimand=None):
+    """The six fields of ``_assemble`` for one task at the time or 1-D time
+    grid t: floats for a scalar time, arrays for a grid."""
+    t, scalar = _times(t)
+    fields = _assemble([(cfg, sd, bath)], np.zeros(t.size, int), t, estimand)
+    return [_unpack(v, scalar) for v in fields]
 
 
 def dephasing_factors(cfg, sd, bath, t):
@@ -254,8 +249,7 @@ def dephasing_factors(cfg, sd, bath, t):
     ``t`` is a time or a 1-D time grid; a grid costs one call per factor.
     A non-finite factor raises NumericalError naming its (s, w_c, T, t).
     """
-    ((_, fields),) = _assemble([(cfg, sd, bath, t)])
-    return DephasingFactors(*fields, c_shift=spectral.c_shift(sd))
+    return DephasingFactors(*_lone(cfg, sd, bath, t), c_shift=spectral.c_shift(sd))
 
 
 def assemble_two_qubit_matrix(omega_0, t, gamma_un, delta, x_factors=None):

@@ -74,8 +74,7 @@ def factor_bundle(cfg, sd, bath, estimand, t):
     """
     estimand = Estimand(estimand)
     _validate_estimand(estimand, sd, bath)
-    ((_, fields),) = dynamics._assemble([(cfg, sd, bath, t)], estimand)
-    return FactorBundle(*fields)
+    return FactorBundle(*dynamics._lone(cfg, sd, bath, t, estimand))
 
 
 def _information_terms(b):
@@ -304,13 +303,13 @@ def _samples(b):
 def _optimize(cutoffs, t_max, grid_size, evaluate):
     """Time optimizations in lockstep, one per cutoff of ``cutoffs`` (which
     sets the start of its scan); ``evaluate(owner, t)`` returns the
-    ``_samples`` at the times ``t`` of the tasks ``owner``, each task's times
-    in one run.  One call scans every task, one fills each scan interval
-    across which Delta turns by more than pi/4 and the bound reaches the
-    task's best sample, and each later one refines every open bracket: one
-    per local maximum whose bound, at it or at a neighbour, reaches the best
-    sample, until its bound falls below the best or it meets _TIME_TOL.  A
-    task's optimum is its best sample.
+    ``_samples`` at the times ``t`` of the tasks ``owner``.  One call scans
+    every task, one fills each scan interval across which Delta turns by
+    more than pi/4 and the bound reaches the task's best sample, and each
+    later one refines every open bracket: one per local maximum whose
+    bound, at it or at a neighbour, reaches the best sample, until its
+    bound falls below the best or it meets _TIME_TOL.  A task's optimum is
+    its best sample.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be > 0")
@@ -390,17 +389,6 @@ def optimize_variants(cfgs, pairs, estimand, t_max, grid_size=128):
     for sd, bath in pairs:
         _validate_estimand(estimand, sd, bath)
     tasks = [(cfg, sd, bath) for sd, bath in pairs for cfg in cfgs]
-
-    def evaluate(owner, t):
-        starts = np.flatnonzero(np.insert(np.diff(owner), 0, 1))
-        runs = np.split(np.arange(t.size), starts[1:])
-        out = np.empty((3, t.size))
-        entries = dynamics._assemble([(*tasks[i], t[run]) for i, run in zip(owner[starts], runs)],
-                                     estimand)
-        while entries:  # each config's fields go once its samples are taken
-            members, fields = entries.pop()
-            out[:, np.concatenate([runs[k] for k in members])] = _samples(FactorBundle(*fields))
-        return out
-
-    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size, evaluate)
+    optima = _optimize([sd.cutoff for _, sd, _ in tasks], t_max, grid_size, lambda owner, t: (
+        _samples(FactorBundle(*dynamics._assemble(tasks, owner, t, estimand)))))
     return [optima[k:k + len(cfgs)] for k in range(0, len(optima), len(cfgs))]

@@ -532,18 +532,18 @@ def _em_tails(s, a, beta, t, n):
     return (t0, t1 - c1.sum(axis=0), tn), (c0[-1], c1[-1], cn[-1])
 
 
-#: most times of several tasks that one block of the Bose series takes: its
-#: (23, n) temporaries grow with n, which a lockstep would otherwise raise
-#: past what one task's grid needs
+#: most times that one block of the Bose series takes: its (23, n)
+#: temporaries grow with n, so a long grid or a lockstep would otherwise
+#: hold them for every time at once
 _SERIES_BLOCK = 128
 
 
 def _bose_series(s, wc, beta, t):
-    """_bose_block, with w_c or beta per point in blocks of at most
-    _SERIES_BLOCK times; every block has two or more, since numpy sums the
-    series of a single time in another order."""
+    """_bose_block in blocks of at most _SERIES_BLOCK times, w_c and beta
+    a value or one per time; every block has two or more, since numpy sums
+    the series of a single time in another order."""
     n = -(-t.size // _SERIES_BLOCK)
-    if n < 2 or not any(isinstance(x, np.ndarray) for x in (wc, beta)):
+    if n < 2:
         return _bose_block(s, wc, beta, t)
 
     def split(x):

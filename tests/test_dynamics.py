@@ -190,6 +190,17 @@ def test_factors_bundle_time_zero():
             assert (fac.delta, fac.phi, fac.chi) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("temperature", [0.0, 0.7])
+def test_an_empty_grid_gives_empty_fields(temperature):
+    cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED)
+    sd, bath = SpectralDensity(0.3, 0.73, 2.0), BathState(temperature)
+    fac = dephasing_factors(cfg, sd, bath, np.array([]))
+    b = factor_bundle(cfg, sd, bath, Estimand.CUTOFF_FREQUENCY, np.array([]))
+    for v in (fac.gamma_vac, fac.gamma_th, fac.gamma_corr, fac.delta, fac.phi, fac.chi,
+              b.gamma, b.delta, b.chi, b.d_gamma, b.d_delta, b.d_chi):
+        assert isinstance(v, np.ndarray) and v.dtype == float and v.shape == (0,)
+
+
 def _count_shared_work(monkeypatch):
     """Counter of the grids built, of each intermediate a grid computes and
     of the blocks of the Bose series summed."""
@@ -223,20 +234,30 @@ def _count_shared_work(monkeypatch):
 def test_an_assembly_computes_each_shared_intermediate_once(monkeypatch, estimand):
     # the forms of one assembly share the vacuum kernel (the coupling
     # estimand's unit-G pass included) and one Bose series, summed in one
-    # block per _SERIES_BLOCK times
+    # block per _SERIES_BLOCK times, whether w_c varies per point or not
     cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, CORRELATED)
     sd, bath = SpectralDensity(0.3, 0.73, 2.0), BathState(0.7)
     t = np.linspace(0.05, 12.0, 100)
     counts = _count_shared_work(monkeypatch)
-    if estimand is None:
-        dephasing_factors(cfg, sd, bath, t)
-    else:
-        factor_bundle(cfg, sd, bath, estimand, t)
+
+    def lone(t):
+        if estimand is None:
+            dephasing_factors(cfg, sd, bath, t)
+        else:
+            factor_bundle(cfg, sd, bath, estimand, t)
+
+    lone(t)
     assert counts == {"grids": 1, "angles": 1, "kernel": 1, "delta_shape": 1,
                       "bose": 1, "blocks": 1}
     # two cutoffs: w_c per point, 200 union times in two blocks
     counts.clear()
     other = SpectralDensity(0.3, 0.73, 3.0)
-    dynamics._assemble([(cfg, sd, bath, t), (cfg, other, bath, t)], estimand)
+    dynamics._assemble([(cfg, sd, bath), (cfg, other, bath)], np.repeat([0, 1], t.size),
+                       np.concatenate((t, t)), estimand)
     assert counts == {"grids": 1, "angles": 1, "kernel": 1, "delta_shape": 1,
                       "bose": 1, "blocks": 2}
+    # one (sd, bath) over 300 times: three blocks
+    counts.clear()
+    lone(np.linspace(0.05, 12.0, 300))
+    assert counts == {"grids": 1, "angles": 1, "kernel": 1, "delta_shape": 1,
+                      "bose": 1, "blocks": 3}

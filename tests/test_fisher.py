@@ -478,15 +478,16 @@ def field_bytes(fields):
     return tuple(np.asarray(v).tobytes() for v in fields)
 
 
-def fields_by_task(entries, tasks):
-    # split each entry's fields over the times of its members
-    out = {}
-    for members, fields in entries:
-        sizes = np.cumsum([np.size(tasks[k][3]) for k in members])[:-1]
-        parts = [np.split(np.asarray(v), sizes) for v in fields]
-        for k, *values in zip(members, *parts):
-            out[k] = field_bytes(values)
-    return [out[k] for k in range(len(tasks))]
+def assembled(tasks, est):
+    # the fields of tasks (cfg, sd, bath, t), their times laid end to end
+    owner = np.repeat(np.arange(len(tasks)), [t.size for *_, t in tasks])
+    times = np.concatenate([t for *_, t in tasks])
+    return owner, dynamics._assemble([task[:3] for task in tasks], owner, times, est)
+
+
+def fields_by_task(owner, fields, n_tasks):
+    # the bytes of each task's fields over its own points
+    return [field_bytes(fields[:, owner == k]) for k in range(n_tasks)]
 
 
 def valid_for(est, sd, bath):
@@ -545,8 +546,8 @@ def test_shared_assembly_equals_the_per_config_assemblies():
 def assert_assembled_alike(tasks, draw):
     for est in (None, *Estimand):
         picked = [task for task in tasks if valid_for(est, *task[1:3])]
-        together = fields_by_task(dynamics._assemble(picked, est), picked)
-        alone = [field_bytes(dynamics._assemble([task], est)[0][1]) for task in picked]
+        together = fields_by_task(*assembled(picked, est), len(picked))
+        alone = [field_bytes(assembled([task], est)[1]) for task in picked]
         assert together == alone, (draw, est)
 
 
@@ -592,6 +593,11 @@ def sweep_cases():
         yield pytest.param(sweeps, figure_id == "fig7", id=figure_id)
     for case_id, pairs, est, t_max in seeded_sweeps():
         yield pytest.param([(pairs, est, t_max, 64)], False, id=case_id)
+    # three assembly classes in every round: warm, cold (1/T overflows) and G = 0
+    pairs = [(SpectralDensity(0.4, 0.73, 2.0), BathState(T)) for T in (1e-320, 0.5, 1.5)]
+    pairs.append((SpectralDensity(0.0, 0.73, 2.0), BathState(0.5)))
+    yield pytest.param([(pairs, Estimand.CUTOFF_FREQUENCY, 15.0, 64)], False,
+                       id="mixed-classes")
 
 
 @pytest.mark.parametrize("sweeps,mixed", sweep_cases())
@@ -651,7 +657,7 @@ def test_an_error_in_a_later_round_leaves_the_lockstep(monkeypatch):
     assemble, calls = dynamics._assemble, []
 
     def failing(*args, **kwargs):
-        calls.append(len(args[0]))
+        calls.append(np.unique(args[1]).size)  # the tasks present
         if len(calls) == 2:
             raise QuadratureError("thermal series bound exceeds 1e-10", 1.0, 1.0)
         return assemble(*args, **kwargs)
