@@ -4,8 +4,10 @@ Preparing the probe by a projective measurement on the jointly thermalized
 probe-bath state leaves the bath correlated with the probe.  The reduced
 coherence then picks up an extra damping exponent and a level-shift phase.
 Both are assembled from the static reorganization constant and the phase
-kernel of the spectral module; the same assembly is reused by the
-discrete-mode oracle with mode sums in place of the continuum integrals.
+kernel of the spectral module, through one preparation phasor; one call
+returns them together with their slopes along an estimand.  The same
+routine is reused by the discrete-mode oracle with mode sums in place of
+the continuum integrals.
 
 Everything is evaluated in a rescaled form that divides out the dominant
 exp(beta*C)*cosh(beta*w0) weight, so arbitrarily low temperatures never
@@ -28,7 +30,6 @@ __all__ = [
     "SINGLE_QUBIT_PROBE",
     "CorrelationFactors",
     "corr_factors_from_parts",
-    "d_corr_from_parts",
     "element_phase_factor",
 ]
 
@@ -39,13 +40,16 @@ SINGLE_QUBIT_PROBE = "single-qubit"
 
 @dataclass(frozen=True)
 class CorrelationFactors:
-    """Correlation damping exponent and unwrapped level-shift phase.
+    """Correlation damping exponent, unwrapped level-shift phase and their
+    slopes along an estimand.
 
     Floats for a scalar phase kernel, arrays for an array over time.
     """
 
     gamma_corr: float
     chi: float
+    d_gamma_corr: float
+    d_chi: float
 
 
 def _scaled_parts(c_shift, phi, beta, omega_0, scheme):
@@ -84,27 +88,42 @@ def _as_array(phi):
     return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
-def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
-    """Correlation factors from raw (C, phi, beta) values.
+def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme,
+                            d_c_shift=0.0, d_phi=0.0, d_beta=0.0):
+    """Correlation factors from raw (C, phi, beta) values, and their slopes
+    along an estimand x by the chain rule through (C, phi, beta).
 
-    Shared by the continuum route and the discrete-mode oracle; ``phi`` is
-    a float or an array over time, and the factors follow it; C and beta
-    are values or arrays over its points, each with the bits of its own
-    call (numpy ufuncs round alike alone and in an array).  chi is
-    unwrapped against the winding phase u: the preparation phasor
-    (cos u + e, tau sin u) encircles the origin in step with u whenever
-    e < 1, so chi = u + wrap(atan2 - u) is the exact continuous branch.
+    Shared by the continuum route and the discrete-mode oracle; ``phi`` and
+    ``d_phi`` are floats or arrays over time, and the factors follow them;
+    C, beta and their slopes are values or arrays over its points, each
+    with the bits of its own call (numpy ufuncs round alike alone and in an
+    array).  chi is unwrapped against the winding phase u: the preparation
+    phasor (A, B) = (cos u + e, tau sin u) encircles the origin in step
+    with u whenever e < 1, so chi = u + wrap(atan2 - u) is the exact
+    continuous branch.  One rule serves every estimand: ``d_beta`` =
+    d beta/dx is -beta**2 for the temperature and 0 for the cutoff and the
+    coupling, which leaves the arithmetic of the fixed-beta rule as it is;
+    zero slopes of (C, phi, beta) give zero slopes.  The values never read
+    the slopes.  At beta = inf the rescaled weight vanishes, the phasor
+    lies on the unit circle and the factors are (0, u) and their slopes
+    (0, du/dx) exactly.
     """
     phi, scalar = _as_array(phi)
-    e, tau, _, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
+    e, tau, q, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
+    two_qubit = scheme == TWO_QUBIT_TRACED
+    du = (2.0 if two_qubit else 1.0) * np.asarray(d_phi, dtype=float)
     if _shared(beta, math.inf):
-        # exact zero-temperature member: the phasor lies on the unit circle
-        gamma_corr, chi = np.zeros(u.shape), u
+        # exact zero-temperature member: the phasor turns on the unit circle,
+        # where the general form would leave a rounding residue in d gamma_corr
+        zero = np.zeros(u.shape)
+        fields = (zero, u, zero, du + zero)
     else:
         cos_u = np.cos(u)
+        sin_u = np.sin(u)
         A = cos_u + e
-        B = tau * np.sin(u)
-        gamma_corr = np.log1p(e) - 0.5 * np.log(A * A + B * B)
+        B = tau * sin_u
+        norm = A * A + B * B
+        gamma_corr = np.log1p(e) - 0.5 * np.log(norm)
         wrapped = np.arctan2(B, A)
         chi = u + _wrap_pm_pi(wrapped - u)
         # e = 1 is the beta = 0 edge: the phasor never leaves the right half plane
@@ -114,49 +133,21 @@ def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme):
         if leading.any():
             gamma_corr[leading] = 0.0
             chi[leading] = u[leading]
-    return CorrelationFactors(gamma_corr=_unpack(gamma_corr, scalar),
-                              chi=_unpack(chi, scalar))
-
-
-def d_corr_from_parts(c_shift, phi, d_c_shift, d_phi, beta, d_beta, omega_0, scheme):
-    """(d gamma_corr/dx, d chi/dx) by the chain rule through (C, phi, beta).
-
-    One rule for every estimand x: ``d_beta`` = d beta/dx is -beta**2 for
-    the temperature and 0 for the cutoff and the coupling, which leaves
-    the arithmetic of the fixed-beta rule as it is.  ``phi`` and ``d_phi``
-    are floats or arrays over time, C, beta and their slopes values or
-    arrays over its points.  At beta = inf the rescaled weight vanishes
-    and the pair reduces to (0, du/dx) exactly.
-    """
-    phi, scalar = _as_array(phi)
-    e, tau, q, u = _scaled_parts(c_shift, phi, beta, omega_0, scheme)
-    two_qubit = scheme == TWO_QUBIT_TRACED
-    du = (2.0 if two_qubit else 1.0) * np.asarray(d_phi, dtype=float)
-    if _shared(beta, math.inf):
-        # the phasor turns on the unit circle; the general form below
-        # leaves a rounding residue in d gamma_corr
-        zero = np.zeros(u.shape)
-        return _unpack(zero, scalar), _unpack(du + zero, scalar)
-    cos_u = np.cos(u)
-    sin_u = np.sin(u)
-    A = cos_u + e
-    B = tau * sin_u
-    de = -beta * d_c_shift * e if two_qubit else 0.0
-    dB = tau * cos_u * du
-    if not _shared(d_beta, 0.0):  # x moves beta: the temperature
-        # e = exp(-beta C) / cosh(beta w0) and tau = tanh(beta w) move with
-        # beta too; sech(beta w)**2 = 4 q / (1 + q)**2 keeps what 1 - tau**2
-        # would cancel.  Where -beta**2 overflows, the clamp and the weights
-        # taken first leave a weight that has underflowed to 0 adding nothing.
-        w = omega_0 if two_qubit else 0.5 * omega_0
-        d_beta = np.maximum(d_beta, -sys.float_info.max)
-        de = de - d_beta * ((c_shift + omega_0 * tau) * e)
-        dB = dB + d_beta * (w * 4.0 * q / (1.0 + q) ** 2) * sin_u
-    dA = -sin_u * du + de
-    norm = A * A + B * B
-    d_chi = (A * dB - B * dA) / norm
-    d_gamma = de / (1.0 + e) - (A * dA + B * dB) / norm
-    return _unpack(d_gamma, scalar), _unpack(d_chi, scalar)
+        de = -beta * d_c_shift * e if two_qubit else 0.0
+        dB = tau * cos_u * du
+        if not _shared(d_beta, 0.0):  # x moves beta: the temperature
+            # e = exp(-beta C) / cosh(beta w0) and tau = tanh(beta w) move with
+            # beta too; sech(beta w)**2 = 4 q / (1 + q)**2 keeps what 1 - tau**2
+            # would cancel.  Where -beta**2 overflows, the clamp and the weights
+            # taken first leave a weight that has underflowed to 0 adding nothing.
+            w = omega_0 if two_qubit else 0.5 * omega_0
+            d_beta = np.maximum(d_beta, -sys.float_info.max)
+            de = de - d_beta * ((c_shift + omega_0 * tau) * e)
+            dB = dB + d_beta * (w * 4.0 * q / (1.0 + q) ** 2) * sin_u
+        dA = -sin_u * du + de
+        fields = (gamma_corr, chi, de / (1.0 + e) - (A * dA + B * dB) / norm,
+                  (A * dB - B * dA) / norm)
+    return CorrelationFactors(*(_unpack(x, scalar) for x in fields))
 
 
 def element_phase_factor(m, c_shift, phi, beta, omega_0):

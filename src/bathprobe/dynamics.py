@@ -128,18 +128,6 @@ def _unions(t, pair, n_pairs):
     return t[new], np.bincount(pair[new], minlength=n_pairs), inverse
 
 
-def _correlation_factors(cfg, phi, d_phi, scalars, estimand):
-    """(gamma_corr, chi) of a correlated probe and their estimand slopes."""
-    shift, d_shift, beta, d_beta = scalars
-    corr = correlations.corr_factors_from_parts(
-        shift, phi, beta, cfg.omega_0, cfg.scheme)
-    if estimand is None:
-        zero = np.zeros(np.shape(phi))
-        return corr.gamma_corr, corr.chi, zero, zero
-    return (corr.gamma_corr, corr.chi, *correlations.d_corr_from_parts(
-        shift, phi, d_shift, d_phi, beta, d_beta, cfg.omega_0, cfg.scheme))
-
-
 def _assemble(tasks, owner, t, estimand=None):
     """(6, n) fields of the tasks (cfg, sd, bath) at the points (owner, t):
     column i holds those of the task tasks[owner[i]] at the time t[i].
@@ -220,9 +208,11 @@ def _assemble(tasks, owner, t, estimand=None):
                 delta = d_delta = zero
             g_corr = chi = d_chi = zero
             if cfg.initial_state == CORRELATED:
-                g_corr, chi, dg_corr, d_chi = _correlation_factors(cfg, phi, d_phi,
-                                                                   sc, estimand)
-                d_gamma = d_gamma + dg_corr
+                shift, d_shift, beta, d_beta = sc
+                corr = correlations.corr_factors_from_parts(
+                    shift, phi, beta, cfg.omega_0, cfg.scheme, d_shift, d_phi, d_beta)
+                g_corr, chi, d_chi = corr.gamma_corr, corr.chi, corr.d_chi
+                d_gamma = d_gamma + corr.d_gamma_corr
             fields = ((g_vac, g_th, g_corr, delta, phi, chi) if estimand is None else
                       (g_vac + g_th + g_corr, delta, chi, d_gamma, d_delta, d_chi))
             for row, v in zip(out, fields):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -599,14 +599,7 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id):
         "modes": [list(m) for m in db.modes],
         "temperature": bath.temperature,
         "omega_0": omega_0,
-        "truncation": {
-            "ok": trunc.ok,
-            "displacement_ok": trunc.displacement_ok,
-            "thermal_ok": trunc.thermal_ok,
-            "max_displacement_sq": trunc.max_displacement_sq,
-            "max_thermal_tail": trunc.max_thermal_tail,
-            "suggested_n_max": trunc.suggested_n_max,
-        },
+        "truncation": asdict(trunc),
         "partition_function": z_check,
         "records": records,
         "max_discrepancy": max(r["abs_discrepancy"] for r in records),

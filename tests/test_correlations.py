@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from bathprobe.correlations import (SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
-                                    corr_factors_from_parts, d_corr_from_parts,
-                                    element_phase_factor)
+                                    corr_factors_from_parts, element_phase_factor)
 from bathprobe.dynamics import CORRELATED, ProbeConfig, dephasing_factors
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
                                 d_phi_d_omega_c, phi_factor)
@@ -46,8 +47,13 @@ def d_corr(sd, bath, t, x, scheme=TWO_QUBIT_TRACED, omega_0=1.0):
     d_beta = -beta * beta if x == "T" else 0.0
     # C = G w_c Gamma(s)
     d_c = {"omega_c": sd.coupling, "G": sd.cutoff, "T": 0.0}[x] * math.gamma(sd.ohmicity)
-    return d_corr_from_parts(c_shift(sd), phi_factor(sd, t), d_c, d_phi(sd, t, x),
-                             beta, d_beta, omega_0, scheme)
+    return slopes(corr_factors_from_parts(c_shift(sd), phi_factor(sd, t), beta, omega_0,
+                                          scheme, d_c, d_phi(sd, t, x), d_beta))
+
+
+def slopes(f):
+    """(d gamma_corr/dx, d chi/dx) of a CorrelationFactors."""
+    return f.d_gamma_corr, f.d_chi
 
 
 def preparation_sum(c, phi, beta, omega_0, scheme, exp=cmath.exp):
@@ -267,8 +273,8 @@ def test_temperature_chain_rule_matches_mpmath(scheme):
         for T in np.geomspace(0.05, 20.0, 30).tolist():
             c, phis, omega_0 = random_point(rng)
             beta = 1.0 / T
-            dg, dc = d_corr_from_parts(c, phis, 0.0, 0.0, beta, -beta * beta,
-                                       omega_0, scheme)
+            dg, dc = slopes(corr_factors_from_parts(c, phis, beta, omega_0, scheme,
+                                                    d_beta=-beta * beta))
             for k, phi in enumerate(phis.tolist()):
                 def x(temp):
                     return preparation_sum(mp.mpf(c), mp.mpf(phi), 1 / temp,
@@ -287,8 +293,8 @@ def test_temperature_chain_rule_matches_richardson(scheme):
     for T in np.geomspace(0.05, 20.0, 40).tolist():
         c, phis, omega_0 = random_point(rng)
         beta = 1.0 / T
-        got = np.array(d_corr_from_parts(c, phis, 0.0, 0.0, beta, -beta * beta,
-                                         omega_0, scheme))
+        got = np.array(slopes(corr_factors_from_parts(c, phis, beta, omega_0, scheme,
+                                                      d_beta=-beta * beta)))
         ref = richardson_d_temperature(c, phis, T, omega_0, scheme)
         assert np.all(np.abs(got - ref) <= 1e-7 * np.maximum(1.0, np.abs(got)))
 
@@ -325,12 +331,58 @@ def test_per_point_parameters_match_the_per_temperature_calls(scheme, x):
         parts.append((c_shift(sd), phi_factor(sd, ts), d_c, d_phi(sd, ts, x), beta, d_beta))
     c, phi, d_c, d_ph, beta, d_beta = (
         np.concatenate([np.broadcast_to(v, ts.shape) for v in column]) for column in zip(*parts))
-    together = corr_factors_from_parts(c, phi, beta, 1.3, scheme)
-    d_together = d_corr_from_parts(c, phi, d_c, d_ph, beta, d_beta, 1.3, scheme)
+    together = corr_factors_from_parts(c, phi, beta, 1.3, scheme, d_c, d_ph, d_beta)
     for k, (ck, phik, d_ck, d_phk, bk, d_bk) in enumerate(parts):
-        alone = corr_factors_from_parts(ck, phik, bk, 1.3, scheme)
-        d_alone = d_corr_from_parts(ck, phik, d_ck, d_phk, bk, d_bk, 1.3, scheme)
+        alone = corr_factors_from_parts(ck, phik, bk, 1.3, scheme, d_ck, d_phk, d_bk)
         part = slice(k * ts.size, (k + 1) * ts.size)
-        for got, ref in ((together.gamma_corr, alone.gamma_corr), (together.chi, alone.chi),
-                         *zip(d_together, d_alone)):
-            assert got[part].tobytes() == ref.tobytes(), (k, x)
+        for name in ("gamma_corr", "chi", "d_gamma_corr", "d_chi"):
+            got, ref = getattr(together, name), getattr(alone, name)
+            assert got[part].tobytes() == ref.tobytes(), (k, x, name)
+
+
+@st.composite
+def phasor_inputs(draw):
+    """(C, phi over 1-3 times, beta, w0, scheme) and a direction (dC, dphi,
+    dbeta) of them; T = 0 in one draw of four, else log-uniform on
+    [1e-2, 1e2]; C >= 0.01 keeps e < 1 along the direction."""
+    floats = st.floats
+    c = draw(floats(0.01, 5.0))
+    phi = np.array(draw(st.lists(floats(0.0, 10.0), min_size=1, max_size=3)))
+    cold = draw(st.integers(0, 3)) == 3
+    beta = math.inf if cold else 10.0 ** -draw(floats(-2.0, 2.0))
+    omega_0 = draw(floats(0.2, 3.0))
+    scheme = draw(st.sampled_from(SCHEMES))
+    d_c, d_beta_rel = draw(floats(-1.0, 1.0)), draw(floats(-1.0, 1.0))
+    d_phi = np.array([draw(floats(-3.0, 3.0)) for _ in phi])
+    d_beta = 0.0 if beta == math.inf else beta * d_beta_rel
+    return (c, phi, beta, omega_0, scheme), (d_c, d_phi, d_beta)
+
+
+@given(phasor_inputs())
+def test_slopes_ride_along_with_the_values(inputs):
+    # one call gives the factors and their slopes: the values do not read
+    # the slopes, zero slopes in give zero slopes out, and the slopes are
+    # the Richardson derivative of the values along (dC, dphi, dbeta)
+    (c, phi, beta, omega_0, scheme), (d_c, d_phi, d_beta) = inputs
+    still = corr_factors_from_parts(c, phi, beta, omega_0, scheme)
+    moving = corr_factors_from_parts(c, phi, beta, omega_0, scheme, d_c, d_phi, d_beta)
+    assert still.gamma_corr.tobytes() == moving.gamma_corr.tobytes()
+    assert still.chi.tobytes() == moving.chi.tobytes()
+    assert np.all(still.d_gamma_corr == 0.0) and np.all(still.d_chi == 0.0)
+    if beta == math.inf:
+        return
+    # keep |A + iB| = (1 + e) exp(-gamma_corr) away from 0, where the
+    # difference quotient is ill-conditioned
+    assume(np.all(still.gamma_corr < 2.0))
+
+    def values(h):
+        f = corr_factors_from_parts(c + h * d_c, phi + h * d_phi, beta + h * d_beta,
+                                    omega_0, scheme)
+        return np.array([f.gamma_corr, f.chi])
+
+    h = 1e-4
+    d1 = (values(h) - values(-h)) / (2.0 * h)
+    d2 = (values(0.5 * h) - values(-0.5 * h)) / h
+    ref = (4.0 * d2 - d1) / 3.0
+    got = np.array([moving.d_gamma_corr, moving.d_chi])
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.maximum(1.0, np.abs(got)))

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from bathprobe import dynamics
+from bathprobe import dynamics, spectral
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
                                 dephasing_factors, reduced_qubit_state)
 from bathprobe.cli import FIGURE_PRESETS, VARIANTS, run_figure
-from bathprobe.correlations import d_corr_from_parts
+from bathprobe.correlations import corr_factors_from_parts
 from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
                               cfi, cfi_born, cfi_from_bundle, factor_bundle,
                               optimal_angle, optimal_angle_from_bundle,
@@ -312,10 +312,10 @@ def test_coupling_slopes_are_unit_coupling_factors(temperature):
             assert np.array_equal(b.d_delta, d_delta), (scheme, initial)
             d_gamma, d_chi = d_uncorrelated, 0.0 * ts
             if initial == CORRELATED:
-                dg_corr, d_chi = d_corr_from_parts(
-                    c_shift(sd), phi_factor(sd, ts), c_shift(unit), phi_factor(unit, ts),
-                    bath.beta, 0.0, cfg.omega_0, cfg.scheme)
-                d_gamma = d_gamma + dg_corr
+                corr = corr_factors_from_parts(
+                    c_shift(sd), phi_factor(sd, ts), bath.beta, cfg.omega_0, cfg.scheme,
+                    c_shift(unit), phi_factor(unit, ts))
+                d_gamma, d_chi = d_gamma + corr.d_gamma_corr, corr.d_chi
             assert np.array_equal(b.d_gamma, d_gamma), (scheme, initial)
             assert np.array_equal(b.d_chi, d_chi), (scheme, initial)
 
@@ -360,6 +360,36 @@ def test_non_finite_bundle_names_the_point():
     assert "s=1.0, w_c=1.0, T=0.0, t=" in message and "\n" not in message
     t = float(message.rsplit("t=", 1)[1])
     assert t in np.geomspace(1e-3, 1e4, 64)
+
+
+def test_a_non_finite_factor_names_its_own_task_and_time(monkeypatch):
+    # a NaN at one time of the second (sd, bath) of a two-pair assembly:
+    # the error names that pair's own w_c and T and that time, whichever
+    # column of the output holds it and however the pairs are ordered
+    cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, FACTORIZED)
+    pairs = [(SpectralDensity(0.5, 1.0, 2.0), BathState(0.7)),
+             (SpectralDensity(0.5, 1.0, 3.0), BathState(0.4))]
+    delta, poisoned = spectral.delta_factor, []
+
+    def poisoned_delta(p, grid):
+        out = delta(p, grid)
+        second = np.flatnonzero(p.cutoff == 3.0)
+        k = second[second.size // 2]
+        out[k] = np.nan
+        poisoned.append(float(grid.t[k]))
+        return out
+
+    monkeypatch.setattr(spectral, "delta_factor", poisoned_delta)
+    tasks = [(cfg, sd, bath) for sd, bath in pairs]
+    # the second pair's times come first and unsorted
+    owner, t = np.array([1, 1, 1, 0, 0, 0]), np.array([0.9, 0.3, 2.5, 0.4, 1.1, 3.0])
+    with pytest.raises(NumericalError) as err:
+        dynamics._assemble(tasks, owner, t)
+    assert poisoned == [0.9]
+    assert str(err.value).endswith("s=1.0, w_c=3.0, T=0.4, t=0.9")
+    with pytest.raises(NumericalError) as err:
+        optimize_variants([cfg], pairs, Estimand.CUTOFF_FREQUENCY, 10.0, 64)
+    assert str(err.value).endswith(f"s=1.0, w_c=3.0, T=0.4, t={poisoned[-1]!r}")
 
 
 # ---------------------------------------------------------------------------
