@@ -18,11 +18,10 @@ from .fisher import (FisherOptimum, cfi, cfi_born, optimal_angle,
 from .oracle import (DiscreteBath, DiscreteFactors, compare_report,
                      discrete_factors, evolve_correlated, evolve_factorized,
                      magnus_unitary, prepare_correlated)
-from .quadrature import QuadratureError, QuadratureResult
+from .quadrature import QuadratureError, QuadratureResult, quadrature_factor
 from .spectral import (BathState, DephasingFactors, NumericalError,
                        SpectralDensity, c_shift, delta_factor, gamma_th,
-                       gamma_vac, phi_factor, quadrature_factor,
-                       spectral_density)
+                       gamma_vac, phi_factor, spectral_density)
 
 __version__ = "0.1.0"
 

@@ -1,6 +1,10 @@
-"""Adaptive quadrature for semi-infinite bath integrals.
+"""The quadrature route: each dephasing factor as its defining bath integral.
 
-All bath kernels handled here have the shape
+``quadrature_factor`` evaluates Gamma_vac, Gamma_th, Delta, phi or C by
+direct adaptive quadrature of its integral over J(w), an independent check
+of the closed forms in ``spectral`` that no production path calls.  It reads
+the SpectralDensity and BathState by attribute and imports nothing from
+``spectral``.  All bath kernels handled here have the shape
 
     integral_0^inf  w**p * g(w) dw
 
@@ -18,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadratureResult", "adaptive_quadrature", "bath_integral"]
+__all__ = ["QuadratureError", "QuadratureResult", "adaptive_quadrature", "bath_integral",
+           "quadrature_factor", "QUAD_KINDS"]
 
 
 class QuadratureError(RuntimeError):
@@ -194,3 +199,85 @@ def bath_integral(power, smooth, t, omega_max, rel_tol=1e-8, max_cells=16384):
         raise QuadratureError("bath integral did not reach requested tolerance",
                               value, err)
     return QuadratureResult(value, err)
+
+
+# ---------------------------------------------------------------------------
+# the factor integrals
+# ---------------------------------------------------------------------------
+
+def _one_minus_cos_over_w2(w, t):
+    """(1 - cos(w t)) / w**2, stable at w = 0."""
+    w = np.asarray(w, dtype=float)
+    return 0.5 * t * t * np.square(np.sinc(w * t / (2.0 * np.pi)))
+
+
+def _sin_over(w, t):
+    """sin(w t) / w, stable at w = 0."""
+    return t * np.sinc(w * t / np.pi)
+
+
+def _sin_minus_lin_over_cube(w, t):
+    """(sin(w t) - w t) / w**3, stable at w = 0."""
+    x = np.asarray(w * t, dtype=float)
+    small = np.abs(x) < 1e-2
+    xs = np.where(small, x, 1.0)
+    series = -1.0 / 6.0 + xs * xs * (1.0 / 120.0 - xs * xs / 5040.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (np.sin(x) - x) / np.where(small, 1.0, x) ** 3
+    return t ** 3 * np.where(small, series, direct)
+
+
+def _thermal_kernel(w, beta):
+    """w * (coth(beta w / 2) - 1) = 2 w / (exp(beta w) - 1), overflow-safe."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    arg = beta * w
+    out = np.full_like(w, 2.0 / beta)
+    pos = (arg > 0.0) & (arg <= 700.0)
+    out[pos] = 2.0 * w[pos] / np.expm1(arg[pos])
+    out[arg > 700.0] = 0.0
+    return out
+
+
+def _envelope(sd, w):
+    """J(w) / w**s = G w_c**(1-s) exp(-w/w_c)."""
+    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
+    return G * wc ** (1.0 - s) * np.exp(-np.asarray(w, dtype=float) / wc)
+
+
+#: kind -> (p, smooth part from the envelope e at (w, t, beta), whether it
+#: oscillates at t): the factor is the integral of w**(s + p) times that part
+_KINDS = {
+    "gamma_vac": (0.0, lambda e, w, t, beta: e * _one_minus_cos_over_w2(w, t), True),
+    "gamma_th": (-1.0, lambda e, w, t, beta: e * _one_minus_cos_over_w2(w, t)
+                 * _thermal_kernel(w, beta), True),
+    "delta": (1.0, lambda e, w, t, beta: e * _sin_minus_lin_over_cube(w, t), True),
+    "phi": (-1.0, lambda e, w, t, beta: e * _sin_over(w, t), True),
+    "c_shift": (-1.0, lambda e, w, t, beta: e, False),
+}
+
+#: integral kinds exposed by the quadrature route
+QUAD_KINDS = tuple(_KINDS)
+
+
+def quadrature_factor(kind, sd, bath=None, t=0.0, rel_tol=1e-8):
+    """Evaluate one dephasing factor by direct adaptive quadrature.
+
+    Independent verification route for the closed forms.  Returns a
+    QuadratureResult carrying the value and the achieved error estimate;
+    raises QuadratureError when the tolerance is not met.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"unknown quadrature kind {kind!r}; expected one of {QUAD_KINDS}")
+    p, part, oscillates = _KINDS[kind]
+    if sd.coupling == 0.0 or (oscillates and t == 0.0):
+        return QuadratureResult(0.0, 0.0)
+    beta = None
+    if kind == "gamma_th":
+        if bath is None:
+            raise ValueError("the thermal kind requires a bath state")
+        if bath.zero_temperature:
+            return QuadratureResult(0.0, 0.0)
+        beta = bath.beta
+    omega_max = sd.cutoff * (40.0 + 10.0 * sd.ohmicity)
+    return bath_integral(sd.ohmicity + p, lambda w: part(_envelope(sd, w), w, t, beta),
+                         t if oscillates else 0.0, omega_max, rel_tol=rel_tol)

@@ -8,9 +8,9 @@ with coupling strength G, Ohmicity s (s < 1 sub-Ohmic, s = 1 Ohmic,
 s > 1 super-Ohmic) and cutoff frequency w_c, all in units of the probe
 splitting.  Every factor below is a closed form, the thermal exponent a
 Bose series of vacuum-type terms that certifies its own truncation error to
-the fixed GAMMA_TH_RTOL; each has an independent quadrature route
-(``quadrature_factor``) evaluating the defining integral directly, and the
-tests pin the two against each other.  Every factor is linear in G, so its
+the fixed GAMMA_TH_RTOL; each has an independent route in ``quadrature``
+(``quadrature_factor``) that evaluates the defining integral directly, and
+the tests pin the two against each other.  Every factor is linear in G, so its
 coupling slope is the factor itself at G = 1 and needs no form of its own;
 the temperature moves only the thermal exponent.
 
@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureError, QuadratureResult, bath_integral
+# no form here calls quadrature_factor; bench/checks.py imports it from this module
+from .quadrature import QuadratureError, quadrature_factor  # noqa: F401
 
 __all__ = [
     "SpectralDensity",
@@ -52,12 +53,7 @@ __all__ = [
     "delta_factor",
     "phi_factor",
     "c_shift",
-    "quadrature_factor",
-    "QUAD_KINDS",
 ]
-
-#: integral kinds exposed by the quadrature verification route
-QUAD_KINDS = ("gamma_vac", "gamma_th", "delta", "phi", "c_shift")
 
 #: relative error that the thermal exponent's series certifies at every
 #: point; the finite bound stays near 1e-13 or below except on baths near
@@ -143,6 +139,9 @@ class Points(NamedTuple):
         return cls(*(c[0] if len(set(c)) == 1 else np.repeat(np.asarray(c, float), sizes)
                      for c in columns))
 
+    # no form reads it (they test _cold); bench/spans.py reads it, as it
+    # does BathState's, to count a gamma_th call at T = 0 apart from the
+    # thermal route
     @property
     def zero_temperature(self):
         return not isinstance(self.temperature, np.ndarray) and self.temperature == 0.0
@@ -363,91 +362,6 @@ def c_shift(sd):
     """Static bath reorganization constant, integral of J(w)/w."""
     G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
     return G * wc * math.gamma(s)
-
-
-# ---------------------------------------------------------------------------
-# quadrature kernels
-# ---------------------------------------------------------------------------
-
-def _one_minus_cos_over_w2(w, t):
-    """(1 - cos(w t)) / w**2, stable at w = 0."""
-    w = np.asarray(w, dtype=float)
-    return 0.5 * t * t * np.square(np.sinc(w * t / (2.0 * np.pi)))
-
-
-def _sin_over(w, t):
-    """sin(w t) / w, stable at w = 0."""
-    return t * np.sinc(w * t / np.pi)
-
-
-def _sin_minus_lin_over_cube(w, t):
-    """(sin(w t) - w t) / w**3, stable at w = 0."""
-    x = np.asarray(w * t, dtype=float)
-    small = np.abs(x) < 1e-2
-    xs = np.where(small, x, 1.0)
-    series = -1.0 / 6.0 + xs * xs * (1.0 / 120.0 - xs * xs / 5040.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.sin(x) - x) / np.where(small, 1.0, x) ** 3
-    return t ** 3 * np.where(small, series, direct)
-
-
-def _thermal_kernel(w, beta):
-    """w * (coth(beta w / 2) - 1) = 2 w / (exp(beta w) - 1), overflow-safe."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    arg = beta * w
-    out = np.full_like(w, 2.0 / beta)
-    pos = (arg > 0.0) & (arg <= 700.0)
-    out[pos] = 2.0 * w[pos] / np.expm1(arg[pos])
-    out[arg > 700.0] = 0.0
-    return out
-
-
-def _envelope(sd, w):
-    G, s, wc = sd.coupling, sd.ohmicity, sd.cutoff
-    return G * wc ** (1.0 - s) * np.exp(-np.asarray(w, dtype=float) / wc)
-
-
-def _kernel_spec(kind, sd, bath, t):
-    """(endpoint power, smooth part, oscillation time) of a factor integral."""
-    s = sd.ohmicity
-    if kind == "gamma_vac":
-        return s, lambda w: _envelope(sd, w) * _one_minus_cos_over_w2(w, t), t
-    if kind == "gamma_th":
-        beta = bath.beta
-        return (s - 1.0,
-                lambda w: _envelope(sd, w) * _one_minus_cos_over_w2(w, t)
-                * _thermal_kernel(w, beta),
-                t)
-    if kind == "phi":
-        return s - 1.0, lambda w: _envelope(sd, w) * _sin_over(w, t), t
-    if kind == "delta":
-        return s + 1.0, lambda w: _envelope(sd, w) * _sin_minus_lin_over_cube(w, t), t
-    if kind == "c_shift":
-        return s - 1.0, lambda w: _envelope(sd, w), 0.0
-    raise ValueError(f"unknown quadrature kind {kind!r}")
-
-
-def quadrature_factor(kind, sd, bath=None, t=0.0, rel_tol=1e-8):
-    """Evaluate one dephasing factor by direct adaptive quadrature.
-
-    Independent verification route for the closed forms.  Returns a
-    QuadratureResult carrying the value and the achieved error estimate;
-    raises QuadratureError when the tolerance is not met.
-    """
-    if kind not in QUAD_KINDS:
-        raise ValueError(f"unknown quadrature kind {kind!r}; expected one of {QUAD_KINDS}")
-    if sd.coupling == 0.0:
-        return QuadratureResult(0.0, 0.0)
-    if kind != "c_shift" and t == 0.0:
-        return QuadratureResult(0.0, 0.0)
-    if kind == "gamma_th":
-        if bath is None:
-            raise ValueError("the thermal kind requires a bath state")
-        if bath.zero_temperature:
-            return QuadratureResult(0.0, 0.0)
-    power, smooth, osc_t = _kernel_spec(kind, sd, bath, t)
-    omega_max = sd.cutoff * (40.0 + 10.0 * sd.ohmicity)
-    return bath_integral(power, smooth, osc_t, omega_max, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,9 @@ from bathprobe.fisher import (Estimand, cfi_from_bundle, factor_bundle,
 from bathprobe.oracle import (closed_form_coherence, compare_unitaries,
                               evolve_correlated, evolve_factorized,
                               prepare_correlated, required_n_max)
+from bathprobe.quadrature import quadrature_factor
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
-                                delta_factor, gamma_th, gamma_vac, phi_factor,
-                                quadrature_factor)
+                                delta_factor, gamma_th, gamma_vac, phi_factor)
 
 SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)
 INITIALS = (FACTORIZED, CORRELATED)

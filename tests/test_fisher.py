@@ -392,6 +392,27 @@ def test_a_non_finite_factor_names_its_own_task_and_time(monkeypatch):
     assert str(err.value).endswith(f"s=1.0, w_c=3.0, T=0.4, t={poisoned[-1]!r}")
 
 
+def test_every_gamma_th_call_at_zero_temperature_says_so(monkeypatch):
+    # bench/spans.py counts a gamma_th call whose bath has zero_temperature
+    # apart from the thermal route; at T = 0 every call must carry it
+    cfgs = [ProbeConfig(1.0, scheme, initial) for scheme in SCHEMES for initial in INITIALS]
+    pairs = [(SpectralDensity(0.5, 1.0, 2.0), BathState(0.0)),
+             (SpectralDensity(0.8, 1.0, 3.0), BathState(0.0))]
+    thermal, baths = spectral.gamma_th, []
+
+    def recorded(sd, bath, t):
+        baths.append(bath)
+        return thermal(sd, bath, t)
+
+    monkeypatch.setattr(spectral, "gamma_th", recorded)
+    for cfg in cfgs:
+        factor_bundle(cfg, *pairs[0], Estimand.CUTOFF_FREQUENCY, np.array([0.5, 2.0]))
+    lone = len(baths)
+    optimize_variants(cfgs, pairs, Estimand.COUPLING_STRENGTH, 10.0, 16)
+    assert 0 < lone < len(baths)
+    assert all(bath.zero_temperature is True for bath in baths)
+
+
 # ---------------------------------------------------------------------------
 # the optimizer returns the maximum over time, not a lower peak
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ from bathprobe import spectral
 from bathprobe.dynamics import (SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED, Estimand,
                                 ProbeConfig)
 from bathprobe.fisher import factor_bundle
-from bathprobe.quadrature import QuadratureError, adaptive_quadrature, bath_integral
+from bathprobe.quadrature import (QUAD_KINDS, QuadratureError, adaptive_quadrature,
+                                  bath_integral, quadrature_factor)
 from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_shift,
                                 d_delta_d_omega_c, d_gamma_d_omega_c,
                                 d_gamma_th_d_temperature, d_gamma_vac_d_omega_c,
                                 d_phi_d_omega_c, delta_factor, gamma_th, gamma_vac,
-                                phi_factor, quadrature_factor, spectral_density)
+                                phi_factor, spectral_density)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 
@@ -182,6 +183,14 @@ def test_quadrature_factor_examples():
     res = quadrature_factor("c_shift", OHMIC, None, 0.0, rel_tol=1e-8)
     assert rel_diff(res.value, 1.0) < 1e-8
     assert quadrature_factor("delta", OHMIC, None, 0.0).value == 0.0
+
+
+def test_quadrature_factor_rejects_an_unknown_kind_and_a_missing_bath():
+    with pytest.raises(ValueError, match="unknown quadrature kind 'gamma'") as err:
+        quadrature_factor("gamma", OHMIC, BathState(0.5), 1.0)
+    assert all(repr(kind) in str(err.value) for kind in QUAD_KINDS)
+    with pytest.raises(ValueError, match="requires a bath"):
+        quadrature_factor("gamma_th", OHMIC, None, 1.0)
 
 
 # near-Ohmic values and t = 1e-6 are where a split at s = 1 or a
