@@ -7,7 +7,8 @@ Both are assembled from the static reorganization constant and the phase
 kernel of the spectral module, through one preparation phasor; one call
 returns them together with their slopes along an estimand.  The same
 routine is reused by the discrete-mode oracle with mode sums in place of
-the continuum integrals.
+the continuum integrals, and the element factors of the two-qubit state in
+``verify`` read the same rescaled parts.
 
 Everything is evaluated in a rescaled form that divides out the dominant
 exp(beta*C)*cosh(beta*w0) weight, so arbitrarily low temperatures never
@@ -30,7 +31,6 @@ __all__ = [
     "SINGLE_QUBIT_PROBE",
     "CorrelationFactors",
     "corr_factors_from_parts",
-    "element_phase_factor",
 ]
 
 #: probe schemes: two qubits read out on the first, or a single qubit
@@ -148,21 +148,3 @@ def corr_factors_from_parts(c_shift, phi, beta, omega_0, scheme,
         fields = (gamma_corr, chi, de / (1.0 + e) - (A * dA + B * dB) / norm,
                   (A * dB - B * dA) / norm)
     return CorrelationFactors(*(_unpack(x, scalar) for x in fields))
-
-
-def element_phase_factor(m, c_shift, phi, beta, omega_0):
-    """Preparation phase factor X for a two-qubit matrix element.
-
-    ``m`` is half the element's total spin flip (k + l - k' - l') / 2;
-    the element's correlation factor is X(m) with X(0) = 1 and
-    X(-m) = conj(X(m)).  Rescaled exactly like the correlation factors.
-    """
-    if m == 0:
-        return complex(1.0, 0.0)
-    e, tau, _, _ = _scaled_parts(c_shift, phi, beta, omega_0, TWO_QUBIT_TRACED)
-    # the dominant preparation weight sits on the spin-down sector, which
-    # carries e^{+2 i m phi}
-    u = 2.0 * m * phi
-    A = math.cos(u) + e
-    B = tau * math.sin(u)
-    return complex(A, B) / (1.0 + e)

@@ -3,9 +3,11 @@
 Populations are untouched (the probe starts aligned with x), so everything
 lives in the off-diagonal element: a free phase, the dephasing envelope, the
 bath-induced two-qubit phase and, for correlated preparation, the extra
-damping and level shift.  The two-qubit density matrix is assembled element
-by element in the joint sigma_z eigenbasis; the traced single-qubit state
-has the closed form used throughout the Fisher-information layer.
+damping and level shift.  One assembly evaluates these factors for many
+probes and times at once, and the reduced single-qubit state has the closed
+form used throughout the Fisher-information layer.  The two-qubit element
+formula, whose trace over the second qubit checks that closed form, lives
+in ``verify``.
 """
 
 from __future__ import annotations
@@ -28,23 +30,13 @@ __all__ = [
     "Estimand",
     "ProbeConfig",
     "QubitState",
-    "TwoQubitState",
-    "BASIS_LABELS",
     "dephasing_factors",
-    "two_qubit_state",
-    "assemble_two_qubit_matrix",
     "reduced_qubit_state",
     "reduced_state_from_factors",
-    "partial_trace_second_qubit",
-    "EigenDecomposition",
-    "eigendecompose",
 ]
 
 FACTORIZED = "factorized"
 CORRELATED = "correlated"
-
-#: row/column ordering of the two-qubit matrix: sigma_z eigenvalues (k, l)
-BASIS_LABELS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class Estimand(str, Enum):
@@ -60,6 +52,16 @@ class Estimand(str, Enum):
         if self is Estimand.COUPLING_STRENGTH:
             return sd.coupling
         return bath.temperature
+
+
+def _validate_estimand(estimand, sd, bath):
+    # every estimand needs a strictly positive true value; at the G = 0
+    # boundary the coupling-estimation problem is non-regular (the small
+    # eigenvalue vanishes linearly, so the classical information diverges)
+    if estimand is Estimand.TEMPERATURE and bath.zero_temperature:
+        raise ValueError("temperature estimation requires T > 0")
+    if estimand is Estimand.COUPLING_STRENGTH and sd.coupling == 0.0:
+        raise ValueError("coupling estimation requires G > 0")
 
 
 @dataclass(frozen=True)
@@ -97,13 +99,6 @@ class QubitState:
     def from_matrix(cls, m):
         m = np.asarray(m, dtype=complex)
         return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 joint state in the |k, l> basis ordered as BASIS_LABELS."""
-
-    matrix: np.ndarray
 
 
 def _factors(p, grid, two_qubit, phases):
@@ -242,49 +237,6 @@ def dephasing_factors(cfg, sd, bath, t):
     return DephasingFactors(*_lone(cfg, sd, bath, t), c_shift=spectral.c_shift(sd))
 
 
-def assemble_two_qubit_matrix(omega_0, t, gamma_un, delta, x_factors=None):
-    """Element formula for the |+,+> two-qubit state.
-
-    ``x_factors`` maps half the total spin flip m = (k+l-k'-l')/2 to the
-    preparation phase factor X(m); None means factorized (X = 1).
-    """
-    dim = len(BASIS_LABELS)
-    rho = np.empty((dim, dim), dtype=complex)
-    for i, (kp, lp) in enumerate(BASIS_LABELS):
-        for j, (k, l) in enumerate(BASIS_LABELS):
-            flip = k + l - kp - lp
-            phase = (-0.5j * omega_0 * (kp + lp - k - l) * t
-                     - 0.5j * delta * (kp * lp - k * l)
-                     - 0.25 * flip * flip * gamma_un)
-            x = 1.0 if x_factors is None else x_factors[flip // 2]
-            rho[i, j] = 0.25 * x * np.exp(phase)
-    return rho
-
-
-def two_qubit_state(cfg, sd, bath, t):
-    """Joint state of both probe qubits from the continuum factors."""
-    if cfg.scheme != TWO_QUBIT_TRACED:
-        raise ValueError("two_qubit_state requires the two-qubit scheme")
-    fac = dephasing_factors(cfg, sd, bath, t)
-    x_factors = None
-    if cfg.initial_state == CORRELATED:
-        x_factors = {m: correlations.element_phase_factor(
-            m, fac.c_shift, fac.phi, bath.beta, cfg.omega_0) for m in range(-2, 3)}
-    rho = assemble_two_qubit_matrix(cfg.omega_0, t, fac.gamma_un, fac.delta, x_factors)
-    return TwoQubitState(matrix=rho)
-
-
-def partial_trace_second_qubit(state):
-    """Reduce a TwoQubitState over its second qubit."""
-    return QubitState.from_matrix(_trace_second_qubit(state.matrix))
-
-
-def _trace_second_qubit(m):
-    # basis order (k,l): rows 0,1 have k=+1; rows 2,3 have k=-1
-    return np.array([[m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-                     [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]]], dtype=complex)
-
-
 def reduced_state_from_factors(omega_0, t, gamma, delta, chi):
     """Single-qubit state given total exponent, induced phase, level shift."""
     coh = 0.5 * math.cos(delta) * math.exp(-gamma) * np.exp(-1j * (omega_0 * t + chi))
@@ -296,27 +248,3 @@ def reduced_qubit_state(cfg, sd, bath, t):
     fac = dephasing_factors(cfg, sd, bath, t)
     return reduced_state_from_factors(cfg.omega_0, t, fac.gamma_total,
                                       fac.delta, fac.chi)
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Closed-form eigensystem of a dephasing-probe qubit state.
-
-    populations are ordered ((1-F)/2, (1+F)/2) with F = 2|rho01|; the
-    eigenstates are the equatorial pair at azimuths (xi + pi, xi).
-    """
-
-    populations: tuple
-    azimuths: tuple
-    degenerate: bool
-
-
-def eigendecompose(state):
-    """Eigenvalues and equatorial eigenvectors of a diagonal-1/2 state;
-    degenerate where the populations coincide (F = 0)."""
-    if abs(state.rho00 - 0.5) > 1e-12 or abs(state.rho11 - 0.5) > 1e-12:
-        raise ValueError("eigendecompose expects a pure-dephasing state with diagonal 1/2")
-    f = 2.0 * abs(state.rho01)
-    xi = -np.angle(state.rho01) if f > 0.0 else 0.0
-    return EigenDecomposition(populations=(0.5 * (1.0 - f), 0.5 * (1.0 + f)),
-                              azimuths=(xi + math.pi, xi), degenerate=f == 0.0)

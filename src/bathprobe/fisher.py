@@ -1,24 +1,25 @@
 """Quantum and classical Fisher information of the dephasing probe.
 
 The closed form lives entirely on the factor bundle (Gamma, Delta, chi) and
-its estimand derivatives.  The spectral definition (eigen-decomposition plus
-numerically differentiated state) is kept as an independent route and the
-two are pinned against each other in the tests.  Classical Fisher
-information covers equatorial projective measurements, with the optimal
-azimuth in closed form.
+its estimand derivatives.  Its independent routes, the spectral definition
+(eigen-decomposition plus numerically differentiated state) and the
+Born-rule CFI, live in ``verify``, and the tests pin the two against each
+other.  Classical Fisher information covers equatorial projective
+measurements, with the optimal azimuth in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
-from .dynamics import Estimand, reduced_qubit_state
-from .spectral import BathState, NumericalError, _ratio, _times, _unpack
+from .dynamics import Estimand, _validate_estimand
+from .spectral import NumericalError, _ratio, _times, _unpack
+# no function here calls these; bench/checks.py imports them from this module
+from .verify import qfi_spectral, state_derivative  # noqa: F401
 
 __all__ = [
     "Estimand",
@@ -26,13 +27,8 @@ __all__ = [
     "factor_bundle",
     "qfi_closed",
     "qfi_from_bundle",
-    "SpectralQFI",
-    "qfi_spectral",
-    "state_derivative",
     "cfi",
     "cfi_from_bundle",
-    "cfi_born",
-    "MeasurementUnderflowError",
     "optimal_angle",
     "optimal_angle_from_bundle",
     "FisherOptimum",
@@ -54,16 +50,6 @@ class FactorBundle:
     d_gamma: float
     d_delta: float
     d_chi: float
-
-
-def _validate_estimand(estimand, sd, bath):
-    # every estimand needs a strictly positive true value; at the G = 0
-    # boundary the coupling-estimation problem is non-regular (the small
-    # eigenvalue vanishes linearly, so the classical information diverges)
-    if estimand is Estimand.TEMPERATURE and bath.zero_temperature:
-        raise ValueError("temperature estimation requires T > 0")
-    if estimand is Estimand.COUPLING_STRENGTH and sd.coupling == 0.0:
-        raise ValueError("coupling estimation requires G > 0")
 
 
 def factor_bundle(cfg, sd, bath, estimand, t):
@@ -120,81 +106,6 @@ def qfi_closed(cfg, sd, bath, estimand, t):
     return _unpack(val, scalar)
 
 
-class SpectralQFI(NamedTuple):
-    value: float
-    degenerate: bool
-
-
-_EIGVAL_FLOOR = 1e-14
-
-
-def qfi_spectral(state, d_state):
-    """QFI from the eigen-decomposition and an entrywise state derivative.
-
-    ``d_state`` is the 2x2 elementwise derivative of the reduced state with
-    respect to the estimand (see ``state_derivative``).  The population and
-    coherence sums are folded into the equivalent eigenbasis form
-    sum_{nm} 2 |<e_n| d_rho |e_m>|^2 / (p_n + p_m); the eigenstate
-    derivative overlaps come from first-order perturbation theory, whose
-    eigenvalue gap cancels against the population-difference weight.  Terms
-    with p_n + p_m below 1e-14 are dropped, the usual rank-deficiency
-    convention.
-    """
-    eig = dynamics.eigendecompose(state)
-    p = eig.populations
-    vecs = [np.array([1.0, np.exp(1j * az)]) / math.sqrt(2.0)
-            for az in eig.azimuths]
-    d_rho = np.asarray(d_state, dtype=complex)
-    value = 0.0
-    for n in range(2):
-        for m in range(2):
-            weight = p[n] + p[m]
-            if weight <= _EIGVAL_FLOOR:
-                continue
-            elem = vecs[n].conj() @ d_rho @ vecs[m]
-            value += 2.0 * float(abs(elem) ** 2) / weight
-    return SpectralQFI(value=value, degenerate=eig.degenerate)
-
-
-def _estimand_slope(f, sd, bath, estimand, step):
-    """df/dx at offset 0 by a Richardson-extrapolated central difference.
-
-    ``f`` takes the offset from the estimand's value x; the default step is
-    max(1e-6, 1e-4 T) for the temperature and 1e-4 max(|x|, 1) otherwise.
-    """
-    estimand = Estimand(estimand)
-    value = estimand.current_value(sd, bath)
-    h = step
-    if h is None:
-        hot = estimand is Estimand.TEMPERATURE
-        h = max(1e-6, 1e-4 * value) if hot else 1e-4 * max(abs(value), 1.0)
-    if value - h <= 0.0:
-        h = 0.5 * value  # keep both sample points in the physical domain
-    d1 = (f(h) - f(-h)) / (2.0 * h)
-    d2 = (f(0.5 * h) - f(-0.5 * h)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
-def _shifted(cfg, sd, bath, estimand, h):
-    estimand = Estimand(estimand)
-    if estimand is Estimand.CUTOFF_FREQUENCY:
-        return cfg, replace(sd, cutoff=sd.cutoff + h), bath
-    if estimand is Estimand.COUPLING_STRENGTH:
-        return cfg, replace(sd, coupling=sd.coupling + h), bath
-    return cfg, sd, BathState(bath.temperature + h)
-
-
-def state_derivative(cfg, sd, bath, estimand, t, step=None):
-    """Entrywise d rho / dx by Richardson-extrapolated central differences."""
-    _validate_estimand(Estimand(estimand), sd, bath)
-
-    def rho(offset):
-        c, s, b = _shifted(cfg, sd, bath, estimand, offset)
-        return reduced_qubit_state(c, s, b, t).matrix
-
-    return _estimand_slope(rho, sd, bath, estimand, step)
-
-
 def cfi(cfg, sd, bath, estimand, t, varphi):
     """Classical Fisher information of the equatorial projective pair."""
     t, scalar = _times(t)
@@ -213,35 +124,6 @@ def cfi_from_bundle(b, omega_0, t, varphi):
     num = (n1 * np.cos(theta) + n2 * np.sin(theta)) ** 2
     denom = d + w * (np.cos(b.delta) * np.sin(theta)) ** 2
     return _value(_positive_ratio(w * num, denom))
-
-
-_PROB_FLOOR = 1e-14
-
-
-class MeasurementUnderflowError(RuntimeError):
-    """An outcome probability fell below the resolvable floor."""
-
-
-def cfi_born(cfg, sd, bath, estimand, t, varphi, step=None):
-    """CFI recomputed from the Born probabilities of the two projectors.
-
-    Fully independent of the closed form: probabilities come from the
-    reduced state, their derivatives from finite differences of it.
-    """
-    _validate_estimand(Estimand(estimand), sd, bath)
-
-    def probs(offset):
-        c, s, b = _shifted(cfg, sd, bath, estimand, offset)
-        rho = reduced_qubit_state(c, s, b, t)
-        overlap = float(np.real(np.exp(1j * varphi) * rho.rho01))
-        return np.array([0.5 + overlap, 0.5 - overlap])
-
-    p = probs(0.0)
-    if np.any(p < _PROB_FLOOR):
-        raise MeasurementUnderflowError(
-            f"outcome probability below {_PROB_FLOOR} at varphi={varphi}")
-    dp = _estimand_slope(probs, sd, bath, estimand, step)
-    return float(np.sum(dp * dp / p))
 
 
 def optimal_angle(cfg, sd, bath, estimand, t):

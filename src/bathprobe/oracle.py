@@ -15,9 +15,9 @@ with c the total spin projection.  Every route (the report, the evolutions,
 the unitary comparison and its truncation certificate) diagonalizes one
 block per mode and qubit count, as the c = 0 block is diagonal and the -c
 block is P H_c P (P = diag((-1)^n)).  Kronecker assembly of the full
-matrices is exact (the blocks commute by construction); tests/test_oracle.py
-checks it against a literal matrix exponential of the full Hamiltonian on
-small fixtures.
+matrices from these blocks is exact (the blocks commute by construction);
+tests/test_oracle.py assembles them and checks them against a literal
+matrix exponential of the full Hamiltonian on small fixtures.
 
 Truncation is certified at runtime: coherent displacement and thermal
 occupation bounds, plus an empirical per-column leakage measure used to
@@ -33,8 +33,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import correlations
-from .dynamics import (BASIS_LABELS, CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
-                       TWO_QUBIT_TRACED, QubitState, _trace_second_qubit)
+from .dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
+                       QubitState)
+from .verify import BASIS_LABELS, _trace_second_qubit
 
 __all__ = [
     "DiscreteBath",
@@ -47,8 +48,6 @@ __all__ = [
     "MAX_N_MAX",
     "MIN_TEMPERATURE",
     "truncation_info",
-    "magnus_unitary",
-    "dense_unitary",
     "compare_unitaries",
     "evolve_factorized",
     "prepare_correlated",
@@ -220,64 +219,6 @@ def _mode_unitary_magnus(omega, g, sector, n, t):
     free = np.exp(-1j * omega * t * np.arange(n))
     disp = _hermitian_exp(0.5j * sector * (alpha * b.T - np.conj(alpha) * b), 1.0)
     return np.exp(-0.25j * sector * sector * delta_r) * (free[:, None] * disp)
-
-
-def _kron_all(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-_FULL_DIM_LIMIT = 4096
-
-
-def _check_full_dim(db, n_qubits):
-    dim = 2 ** n_qubits * db.n_max ** len(db.modes)
-    if dim > _FULL_DIM_LIMIT:
-        raise ValueError(
-            f"full-matrix dimension {dim} exceeds {_FULL_DIM_LIMIT}; use the "
-            "per-sector comparison (compare_unitaries) for large fixtures")
-    return dim
-
-
-def magnus_unitary(db, omega_0, t, n_qubits=2):
-    """Full truncated-space unitary built from the two exponential factors.
-
-    The first factor is the free probe+bath rotation, the second the
-    displacement exponential with the commutator phase; both are taken in
-    the truncated space and collected over the spin sectors.
-    """
-    _check_full_dim(db, n_qubits)
-    _, charges = _sectors(n_qubits)
-    env_dim = db.n_max ** len(db.modes)
-    dim = len(charges) * env_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for idx, c in enumerate(charges):
-        mats = [_mode_unitary_magnus(w, g, c, db.n_max, t) for (w, g) in db.modes]
-        block = _kron_all(mats) * np.exp(-0.5j * omega_0 * c * t)
-        sl = slice(idx * env_dim, (idx + 1) * env_dim)
-        out[sl, sl] = block
-    return out
-
-
-def dense_unitary(db, omega_0, t, n_qubits=2):
-    """Literal exp(-i H t) of the assembled Hamiltonian (small fixtures)."""
-    dim = _check_full_dim(db, n_qubits)
-    _, charges = _sectors(n_qubits)
-    env_dim = db.n_max ** len(db.modes)
-    h = np.zeros((dim, dim))
-    n = db.n_max
-    eye = [np.eye(n) for _ in db.modes]
-    for idx, c in enumerate(charges):
-        block = np.zeros((env_dim, env_dim))
-        for r, (w, g) in enumerate(db.modes):
-            mats = list(eye)
-            mats[r] = mode_hamiltonian(w, g, c, n)
-            block = block + _kron_all(mats)
-        sl = slice(idx * env_dim, (idx + 1) * env_dim)
-        h[sl, sl] = block + 0.5 * omega_0 * c * np.eye(env_dim)
-    return _hermitian_exp(h, t)
 
 
 def compare_unitaries(db, t, n_qubits=2):

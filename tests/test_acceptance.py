@@ -13,18 +13,18 @@ from bathprobe import oracle
 from bathprobe.cli import Scenario, run_factors, run_qfi_sweep
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, dephasing_factors,
-                                partial_trace_second_qubit, reduced_qubit_state,
-                                two_qubit_state)
+                                reduced_qubit_state)
 from bathprobe.fisher import (Estimand, cfi_from_bundle, factor_bundle,
                               optimal_angle_from_bundle, optimize_qfi_over_time,
-                              qfi_closed, qfi_from_bundle, qfi_spectral,
-                              state_derivative)
+                              qfi_closed, qfi_from_bundle)
 from bathprobe.oracle import (closed_form_coherence, compare_unitaries,
                               evolve_correlated, evolve_factorized,
                               prepare_correlated, required_n_max)
 from bathprobe.quadrature import quadrature_factor
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
                                 delta_factor, gamma_th, gamma_vac, phi_factor)
+from bathprobe.verify import (_trace_second_qubit, qfi_spectral, state_derivative,
+                              two_qubit_state)
 
 SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)
 INITIALS = (FACTORIZED, CORRELATED)
@@ -300,9 +300,9 @@ def test_criterion_9_invariant_suite(tmp_path):
         for initial in INITIALS:
             cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, initial)
             joint = two_qubit_state(cfg, sd, b, t)
-            evals = np.linalg.eigvalsh(joint.matrix)
+            evals = np.linalg.eigvalsh(joint)
             pos_ok = pos_ok and evals.min() > -1e-12
-            diff = np.max(np.abs(partial_trace_second_qubit(joint).matrix
+            diff = np.max(np.abs(_trace_second_qubit(joint)
                                  - reduced_qubit_state(cfg, sd, b, t).matrix))
             trace_ok = trace_ok and diff < 1e-12
     checks.append(("positivity", pos_ok))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import bathprobe
-from bathprobe import oracle, spectral
+from bathprobe import oracle, spectral, verify
 from bathprobe.cli import (_CONFIG_KEYS, FIGURE_PRESETS, ConfigError, Scenario,
                            _header_block, build_parser, main, run_cfi, run_factors,
                            run_optimize, run_oracle_validation, run_qfi_sweep,
@@ -685,3 +685,47 @@ def test_runtime_needs_numpy_only(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _outputs(tmp_path, tag, commands):
+    """{(command index, file name): bytes} that main writes for each argument
+    list of ``commands``, each into its own directory; every call exits 0."""
+    files = {}
+    for i, argv in enumerate(commands):
+        out = tmp_path / tag / str(i)
+        assert main([*argv, "--out", str(out)]) == 0, argv
+        files.update({(i, p.name): p.read_bytes() for p in out.iterdir()})
+    return files
+
+
+def test_no_production_path_touches_verify(tmp_path, monkeypatch):
+    # the state-matrix routes only check the closed forms: with every public
+    # callable of bathprobe.verify raising, under every name that a bathprobe
+    # module binds it by (fisher's re-exports for the benchmark's checks
+    # included), each command still exits 0 and writes the same bytes
+    config = tmp_path / "warm.cfg"
+    config.write_text(replace(QUICK, bath=BathState(0.7)).to_config_text())
+    commands = [["figure", f"fig{k}"] for k in range(1, 10)]
+    commands += [[c, "--config", str(config)] for c in ("factors", "cfi", "optimize", "qfi-sweep")]
+    commands += [["oracle-validate", "three-mode", "--temperature", "0.5"]]
+    plain = _outputs(tmp_path, "plain", commands)
+    assert len(plain) >= len(commands)
+
+    def raising(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a production path called verify.{name}")
+        return call
+
+    routes = {name: getattr(verify, name) for name in verify.__all__
+              if callable(getattr(verify, name))}
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "bathprobe" or module_name.startswith("bathprobe."):
+            for key, value in list(vars(module).items()):
+                for name, route in routes.items():
+                    if value is route:
+                        monkeypatch.setattr(module, key, raising(name))
+                        patched.add(f"{module_name}.{key}")
+    assert {"bathprobe.fisher.qfi_spectral", "bathprobe.fisher.state_derivative",
+            "bathprobe.verify.eigendecompose", "bathprobe.verify.two_qubit_state"} <= patched
+    assert _outputs(tmp_path, "patched", commands) == plain

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from bathprobe.correlations import (SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
-                                    corr_factors_from_parts, element_phase_factor)
+                                    corr_factors_from_parts)
 from bathprobe.dynamics import CORRELATED, ProbeConfig, dephasing_factors
 from bathprobe.spectral import (BathState, SpectralDensity, c_shift,
                                 d_phi_d_omega_c, phi_factor)
+from bathprobe.verify import element_phase_factor
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)

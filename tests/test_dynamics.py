@@ -10,12 +10,12 @@ import pytest
 from bathprobe import dynamics, spectral
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 TWO_QUBIT_TRACED, ProbeConfig, QubitState,
-                                dephasing_factors,
-                                eigendecompose, partial_trace_second_qubit,
-                                reduced_qubit_state, reduced_state_from_factors,
-                                two_qubit_state)
+                                dephasing_factors, reduced_qubit_state,
+                                reduced_state_from_factors)
 from bathprobe.fisher import Estimand, factor_bundle
 from bathprobe.spectral import BathState, SpectralDensity
+from bathprobe.verify import (BASIS_LABELS, _trace_second_qubit, eigendecompose,
+                              two_qubit_state)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 
@@ -41,7 +41,7 @@ def test_probe_config_validation():
 
 def test_two_qubit_state_at_time_zero():
     cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, FACTORIZED)
-    rho = two_qubit_state(cfg, OHMIC, BathState(0.0), 0.0).matrix
+    rho = two_qubit_state(cfg, OHMIC, BathState(0.0), 0.0)
     assert np.allclose(rho, 0.25 * np.ones((4, 4)), atol=1e-15)
 
 
@@ -49,8 +49,7 @@ def test_two_qubit_state_free_evolution():
     cfg = ProbeConfig(1.3, TWO_QUBIT_TRACED, FACTORIZED)
     sd = SpectralDensity(0.0, 1.0, 1.0)
     t = 0.9
-    rho = two_qubit_state(cfg, sd, BathState(1.0), t).matrix
-    from bathprobe.dynamics import BASIS_LABELS
+    rho = two_qubit_state(cfg, sd, BathState(1.0), t)
     for i, (kp, lp) in enumerate(BASIS_LABELS):
         for j, (k, l) in enumerate(BASIS_LABELS):
             expected = 0.25 * np.exp(-0.5j * 1.3 * (kp + lp - k - l) * t)
@@ -64,7 +63,7 @@ def test_partial_trace_matches_reduced_state(initial):
     for _ in range(20):
         sd, bath, t = random_setup(rng)
         joint = two_qubit_state(cfg, sd, bath, t)
-        traced = partial_trace_second_qubit(joint).matrix
+        traced = _trace_second_qubit(joint)
         direct = reduced_qubit_state(cfg, sd, bath, t).matrix
         assert np.max(np.abs(traced - direct)) < 1e-12
 
@@ -75,7 +74,7 @@ def test_two_qubit_state_physicality():
         cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, initial)
         for _ in range(10):
             sd, bath, t = random_setup(rng)
-            rho = two_qubit_state(cfg, sd, bath, t).matrix
+            rho = two_qubit_state(cfg, sd, bath, t)
             assert abs(np.trace(rho) - 1.0) < 1e-12
             assert np.max(np.abs(rho - rho.conj().T)) < 1e-13
             evals = np.linalg.eigvalsh(rho)

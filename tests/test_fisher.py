@@ -11,14 +11,15 @@ from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
                                 dephasing_factors, reduced_qubit_state)
 from bathprobe.cli import FIGURE_PRESETS, VARIANTS, run_figure
 from bathprobe.correlations import corr_factors_from_parts
-from bathprobe.fisher import (Estimand, FisherOptimum, MeasurementUnderflowError,
-                              cfi, cfi_born, cfi_from_bundle, factor_bundle,
-                              optimal_angle, optimal_angle_from_bundle,
+from bathprobe.fisher import (Estimand, FisherOptimum, cfi, cfi_from_bundle,
+                              factor_bundle, optimal_angle, optimal_angle_from_bundle,
                               optimize_qfi_over_time, optimize_variants, qfi_closed,
-                              qfi_from_bundle, qfi_spectral, state_derivative)
+                              qfi_from_bundle)
 from bathprobe.quadrature import QuadratureError
 from bathprobe.spectral import (BathState, NumericalError, SpectralDensity, c_shift,
                                 delta_factor, gamma_th, gamma_vac, phi_factor)
+from bathprobe.verify import (MeasurementUnderflowError, cfi_born, qfi_spectral,
+                              state_derivative)
 
 OHMIC = SpectralDensity(1.0, 1.0, 1.0)
 SCHEMES = (TWO_QUBIT_TRACED, SINGLE_QUBIT_PROBE)

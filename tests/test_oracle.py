@@ -8,19 +8,79 @@ import pytest
 from scipy.linalg import expm
 
 from bathprobe import oracle
-from bathprobe.dynamics import assemble_two_qubit_matrix
 from bathprobe.oracle import (DiscreteBath, closed_form_coherence,
-                              compare_report, compare_unitaries, dense_unitary,
+                              compare_report, compare_unitaries,
                               discrete_factors, evolve_correlated,
-                              evolve_factorized, magnus_unitary,
-                              prepare_correlated, required_n_max,
-                              truncation_info)
+                              evolve_factorized, prepare_correlated,
+                              required_n_max, truncation_info)
 from bathprobe.spectral import BathState
+from bathprobe.verify import assemble_two_qubit_matrix, element_phase_factor
 
 ONE_MODE = oracle.FIXTURES["one-mode"]
 THREE_MODE = oracle.FIXTURES["three-mode"]
 ZERO = BathState(0.0)
 WARM = BathState(1.0)
+
+# full truncated-space unitaries, small fixtures only: Kronecker products of
+# the oracle's per-mode blocks, which the package itself never assembles
+
+
+def _kron_all(mats):
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+_FULL_DIM_LIMIT = 4096
+
+
+def _check_full_dim(db, n_qubits):
+    dim = 2 ** n_qubits * db.n_max ** len(db.modes)
+    if dim > _FULL_DIM_LIMIT:
+        raise ValueError(
+            f"full-matrix dimension {dim} exceeds {_FULL_DIM_LIMIT}; use the "
+            "per-sector comparison (compare_unitaries) for large fixtures")
+    return dim
+
+
+def magnus_unitary(db, omega_0, t, n_qubits=2):
+    """Full truncated-space unitary built from the two exponential factors.
+
+    The first factor is the free probe+bath rotation, the second the
+    displacement exponential with the commutator phase; both are taken in
+    the truncated space and collected over the spin sectors.
+    """
+    _check_full_dim(db, n_qubits)
+    _, charges = oracle._sectors(n_qubits)
+    env_dim = db.n_max ** len(db.modes)
+    dim = len(charges) * env_dim
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, c in enumerate(charges):
+        mats = [oracle._mode_unitary_magnus(w, g, c, db.n_max, t) for (w, g) in db.modes]
+        block = _kron_all(mats) * np.exp(-0.5j * omega_0 * c * t)
+        sl = slice(idx * env_dim, (idx + 1) * env_dim)
+        out[sl, sl] = block
+    return out
+
+
+def dense_unitary(db, omega_0, t, n_qubits=2):
+    """Literal exp(-i H t) of the assembled Hamiltonian (small fixtures)."""
+    dim = _check_full_dim(db, n_qubits)
+    _, charges = oracle._sectors(n_qubits)
+    env_dim = db.n_max ** len(db.modes)
+    h = np.zeros((dim, dim))
+    n = db.n_max
+    eye = [np.eye(n) for _ in db.modes]
+    for idx, c in enumerate(charges):
+        block = np.zeros((env_dim, env_dim))
+        for r, (w, g) in enumerate(db.modes):
+            mats = list(eye)
+            mats[r] = oracle.mode_hamiltonian(w, g, c, n)
+            block = block + _kron_all(mats)
+        sl = slice(idx * env_dim, (idx + 1) * env_dim)
+        h[sl, sl] = block + 0.5 * omega_0 * c * np.eye(env_dim)
+    return oracle._hermitian_exp(h, t)
 
 
 def test_discrete_bath_validation():
@@ -209,7 +269,6 @@ def test_factorized_two_qubit_matrix_matches_element_formula():
 
 
 def test_correlated_two_qubit_matrix_matches_element_formula():
-    from bathprobe.correlations import element_phase_factor
     bath = BathState(0.5)
     db = DiscreteBath(((1.0, 0.2),), 80)
     t = 1.1
