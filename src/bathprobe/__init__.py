@@ -8,8 +8,8 @@ that validates the closed forms by brute force.
 
 from .correlations import CorrelationFactors
 from .dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
-                       TWO_QUBIT_TRACED, Estimand, ProbeConfig, QubitState,
-                       dephasing_factors, reduced_qubit_state)
+                       TWO_QUBIT_TRACED, Estimand, ProbeConfig, dephasing_factors,
+                       reduced_qubit_state)
 from .fisher import (FisherOptimum, cfi, optimal_angle, optimize_qfi_over_time,
                      optimize_variants, qfi_closed)
 from .oracle import (DiscreteBath, DiscreteFactors, compare_report,
@@ -31,7 +31,7 @@ __all__ = [
     "QuadratureError", "QuadratureResult",
     "NumericalError",
     "CorrelationFactors",
-    "ProbeConfig", "QubitState", "TWO_QUBIT_TRACED",
+    "ProbeConfig", "TWO_QUBIT_TRACED",
     "SINGLE_QUBIT_PROBE", "FACTORIZED", "CORRELATED", "dephasing_factors",
     "two_qubit_state", "reduced_qubit_state", "eigendecompose",
     "Estimand", "FisherOptimum", "qfi_closed", "qfi_spectral",

@@ -4,10 +4,10 @@ Populations are untouched (the probe starts aligned with x), so everything
 lives in the off-diagonal element: a free phase, the dephasing envelope, the
 bath-induced two-qubit phase and, for correlated preparation, the extra
 damping and level shift.  One assembly evaluates these factors for many
-probes and times at once, and the reduced single-qubit state has the closed
-form used throughout the Fisher-information layer.  The two-qubit element
-formula, whose trace over the second qubit checks that closed form, lives
-in ``verify``.
+probes and times at once, and the reduced single-qubit state has a closed
+form, returned as a 2x2 complex array.  The two-qubit element formula,
+whose trace over the second qubit checks that closed form, lives in
+``verify``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "CORRELATED",
     "Estimand",
     "ProbeConfig",
-    "QubitState",
     "dephasing_factors",
     "reduced_qubit_state",
     "reduced_state_from_factors",
@@ -79,26 +78,6 @@ class ProbeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.initial_state not in (FACTORIZED, CORRELATED):
             raise ValueError(f"unknown initial state {self.initial_state!r}")
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """2x2 reduced probe state stored entrywise."""
-
-    rho00: complex
-    rho01: complex
-    rho10: complex
-    rho11: complex
-
-    @property
-    def matrix(self):
-        return np.array([[self.rho00, self.rho01],
-                         [self.rho10, self.rho11]], dtype=complex)
-
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m, dtype=complex)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def _factors(p, grid, two_qubit, phases):
@@ -238,13 +217,15 @@ def dephasing_factors(cfg, sd, bath, t):
 
 
 def reduced_state_from_factors(omega_0, t, gamma, delta, chi):
-    """Single-qubit state given total exponent, induced phase, level shift."""
+    """2x2 complex single-qubit state given total exponent, induced phase,
+    level shift."""
     coh = 0.5 * math.cos(delta) * math.exp(-gamma) * np.exp(-1j * (omega_0 * t + chi))
-    return QubitState(rho00=0.5 + 0.0j, rho01=coh, rho10=np.conj(coh), rho11=0.5 + 0.0j)
+    return np.array([[0.5, coh], [np.conj(coh), 0.5]], dtype=complex)
 
 
 def reduced_qubit_state(cfg, sd, bath, t):
-    """Reduced probe qubit for either scheme and either preparation."""
+    """Reduced probe qubit, a 2x2 complex array, for either scheme and
+    either preparation."""
     fac = dephasing_factors(cfg, sd, bath, t)
     return reduced_state_from_factors(cfg.omega_0, t, fac.gamma_total,
                                       fac.delta, fac.chi)

@@ -193,8 +193,8 @@ def _optimize(cutoffs, t_max, grid_size, evaluate):
     bound falls below the best or it meets _TIME_TOL.  A task's optimum is
     its best sample.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be > 0")
+    if not 0.0 < t_max < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"t_max must be finite and > 0, got {float(t_max)}")
     scans = {wc: np.geomspace(min(1e-3 / wc, 0.5 * t_max), t_max, max(int(grid_size), 64))
              for wc in set(cutoffs)}
     grids = np.array([scans[wc] for wc in cutoffs])

@@ -19,6 +19,10 @@ matrices from these blocks is exact (the blocks commute by construction);
 tests/test_oracle.py assembles them and checks them against a literal
 matrix exponential of the full Hamiltonian on small fixtures.
 
+Each evolution gives an ``EvolvedState``: the probe qubit's 2x2 array
+(``reduced``), as ``dynamics.reduced_qubit_state`` gives it in closed form,
+and the joint state of every qubit (``full``).
+
 Truncation is certified at runtime: coherent displacement and thermal
 occupation bounds, plus an empirical per-column leakage measure used to
 pick the columns on which unitary comparisons are meaningful.
@@ -33,8 +37,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import correlations
-from .dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED,
-                       QubitState)
+from .dynamics import CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE, TWO_QUBIT_TRACED
 from .verify import BASIS_LABELS, _trace_second_qubit
 
 __all__ = [
@@ -69,10 +72,12 @@ class DiscreteBath:
         if not 1 <= len(self.modes) <= 4:
             raise ValueError("oracle baths carry between 1 and 4 modes")
         if not (isinstance(self.n_max, (int, np.integer)) and self.n_max >= 1):
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+            n_max = self.n_max.item() if isinstance(self.n_max, np.generic) else self.n_max
+            raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
         for (w, g) in self.modes:
             if not (math.isfinite(w) and w > 0.0 and math.isfinite(g)):
-                raise ValueError(f"modes need finite w > 0 and finite g, got {(w, g)}")
+                raise ValueError("modes need finite w > 0 and finite g, "
+                                 f"got {(float(w), float(g))}")
 
     def with_n_max(self, n_max):
         return DiscreteBath(self.modes, n_max)
@@ -355,13 +360,13 @@ def _evolve(omega_0, times, n_qubits, env_mats, log_weights, eigs, pairs=None):
                 phase = np.exp(-0.5j * omega_0 * (c_bra - c_ket) * t)
                 rho[i, j] = weight * phase * table.get((c_bra, c_ket), skipped)[k]
         reduced = rho if n_qubits == 1 else _trace_second_qubit(rho)
-        states.append(EvolvedState(reduced=QubitState.from_matrix(reduced), full=rho))
+        states.append(EvolvedState(reduced=reduced, full=rho))
     return states
 
 
 @dataclass(frozen=True)
 class EvolvedState:
-    reduced: QubitState
+    reduced: np.ndarray
     full: np.ndarray
 
 
@@ -514,7 +519,7 @@ def compare_report(db, bath, omega_0, t_grid, fixture_id):
                    else _factorized_preparation(db, bath))
             states = _evolve(omega_0, t_grid, n_qubits, *env, eigs, pairs)
             for t, state, fac in zip(t_grid, states, factors):
-                exact = state.reduced.rho01
+                exact = state.reduced[0, 1]
                 closed = _closed_coherence(fac, omega_0, bath, t, n_qubits, correlated)
                 diff = float(abs(exact - closed))
                 ok = bool(diff <= tol and trunc.ok)

@@ -329,7 +329,7 @@ def gamma_vac(sd, t):
     # the defining integral has a positive integrand
     if not (val >= 0.0).all():
         i = int(np.argmin(val >= 0.0))
-        raise NumericalError(f"vacuum exponent came out {val[i]!r} at "
+        raise NumericalError(f"vacuum exponent came out {float(val[i])!r} at "
                              f"{_point(sd, None, g.t, i)}")
     return _unpack(val, scalar)
 

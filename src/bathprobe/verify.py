@@ -5,8 +5,8 @@ correlations -> spectral``) calls into this module; the tests and the
 benchmark's output checks do.  It holds
 
 * the spectral-definition QFI: the eigen-decomposition of the reduced state
-  with a numerically differentiated state (``qfi_spectral``,
-  ``state_derivative``);
+  (the 2x2 array of ``dynamics.reduced_qubit_state``) with a numerically
+  differentiated state (``qfi_spectral``, ``state_derivative``);
 * the Born-rule CFI of the equatorial projective pair (``cfi_born``);
 * the two-qubit element formula (``two_qubit_state``), whose partial trace
   over the second qubit must give the closed-form reduced state.  The
@@ -59,12 +59,14 @@ class EigenDecomposition:
 
 
 def eigendecompose(state):
-    """Eigenvalues and equatorial eigenvectors of a diagonal-1/2 state;
+    """Eigenvalues and equatorial eigenvectors of a 2x2 diagonal-1/2 state;
     degenerate where the populations coincide (F = 0)."""
-    if abs(state.rho00 - 0.5) > 1e-12 or abs(state.rho11 - 0.5) > 1e-12:
+    if np.shape(state) != (2, 2):
+        raise ValueError(f"eigendecompose expects a 2x2 state, got shape {np.shape(state)}")
+    if abs(state[0, 0] - 0.5) > 1e-12 or abs(state[1, 1] - 0.5) > 1e-12:
         raise ValueError("eigendecompose expects a pure-dephasing state with diagonal 1/2")
-    f = 2.0 * abs(state.rho01)
-    xi = -np.angle(state.rho01) if f > 0.0 else 0.0
+    f = 2.0 * abs(state[0, 1])
+    xi = -np.angle(state[0, 1]) if f > 0.0 else 0.0
     return EigenDecomposition(populations=(0.5 * (1.0 - f), 0.5 * (1.0 + f)),
                               azimuths=(xi + math.pi, xi), degenerate=f == 0.0)
 
@@ -139,7 +141,7 @@ def state_derivative(cfg, sd, bath, estimand, t, step=None):
 
     def rho(offset):
         c, s, b = _shifted(cfg, sd, bath, estimand, offset)
-        return reduced_qubit_state(c, s, b, t).matrix
+        return reduced_qubit_state(c, s, b, t)
 
     return _estimand_slope(rho, sd, bath, estimand, step)
 
@@ -162,7 +164,7 @@ def cfi_born(cfg, sd, bath, estimand, t, varphi, step=None):
     def probs(offset):
         c, s, b = _shifted(cfg, sd, bath, estimand, offset)
         rho = reduced_qubit_state(c, s, b, t)
-        overlap = float(np.real(np.exp(1j * varphi) * rho.rho01))
+        overlap = float(np.real(np.exp(1j * varphi) * rho[0, 1]))
         return np.array([0.5 + overlap, 0.5 - overlap])
 
     p = probs(0.0)

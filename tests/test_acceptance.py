@@ -150,14 +150,14 @@ def test_criterion_4_oracle_equivalence():
             prep = prepare_correlated(db, 1.0, bath)
             for t in (0.5, 1.0, 2.0, 4.0):
                 fact = evolve_factorized(db, 1.0, bath, t)
-                diff = abs(fact.reduced.rho01
+                diff = abs(fact.reduced[0, 1]
                            - closed_form_coherence(db, 1.0, bath, t))
                 if bath.zero_temperature:
                     worst_fact_zero = max(worst_fact_zero, diff)
                 else:
                     worst_fact_warm = max(worst_fact_warm, diff)
                 corr = evolve_correlated(db, 1.0, bath, t, preparation=prep)
-                diff = abs(corr.reduced.rho01
+                diff = abs(corr.reduced[0, 1]
                            - closed_form_coherence(db, 1.0, bath, t,
                                                    correlated=True))
                 worst_corr = max(worst_corr, diff)
@@ -303,7 +303,7 @@ def test_criterion_9_invariant_suite(tmp_path):
             evals = np.linalg.eigvalsh(joint)
             pos_ok = pos_ok and evals.min() > -1e-12
             diff = np.max(np.abs(_trace_second_qubit(joint)
-                                 - reduced_qubit_state(cfg, sd, b, t).matrix))
+                                 - reduced_qubit_state(cfg, sd, b, t)))
             trace_ok = trace_ok and diff < 1e-12
     checks.append(("positivity", pos_ok))
     checks.append(("partial trace", trace_ok))

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bathprobe import dynamics, spectral
+from bathprobe.cli import VARIANTS
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
-                                TWO_QUBIT_TRACED, ProbeConfig, QubitState,
-                                dephasing_factors, reduced_qubit_state,
-                                reduced_state_from_factors)
+                                TWO_QUBIT_TRACED, ProbeConfig, dephasing_factors,
+                                reduced_qubit_state, reduced_state_from_factors)
 from bathprobe.fisher import Estimand, factor_bundle
 from bathprobe.spectral import BathState, SpectralDensity
 from bathprobe.verify import (BASIS_LABELS, _trace_second_qubit, eigendecompose,
@@ -64,7 +66,7 @@ def test_partial_trace_matches_reduced_state(initial):
         sd, bath, t = random_setup(rng)
         joint = two_qubit_state(cfg, sd, bath, t)
         traced = _trace_second_qubit(joint)
-        direct = reduced_qubit_state(cfg, sd, bath, t).matrix
+        direct = reduced_qubit_state(cfg, sd, bath, t)
         assert np.max(np.abs(traced - direct)) < 1e-12
 
 
@@ -85,10 +87,10 @@ def test_two_qubit_state_physicality():
 def test_reduced_state_examples():
     cfg = ProbeConfig(1.0, TWO_QUBIT_TRACED, FACTORIZED)
     st = reduced_qubit_state(cfg, OHMIC, BathState(0.0), 0.0)
-    assert st.rho01 == pytest.approx(0.5)
+    assert st[0, 1] == pytest.approx(0.5)
     # a vanishing induced-interaction cosine kills the coherence
     st = reduced_state_from_factors(1.0, 1.0, 0.3, math.pi / 2.0, 0.0)
-    assert abs(st.rho01) < 1e-16
+    assert abs(st[0, 1]) < 1e-16
 
 
 def test_reduced_state_positivity_and_shape():
@@ -99,10 +101,10 @@ def test_reduced_state_positivity_and_shape():
             for _ in range(10):
                 sd, bath, t = random_setup(rng)
                 st = reduced_qubit_state(cfg, sd, bath, t)
-                assert st.rho00 == 0.5 and st.rho11 == 0.5
-                assert abs(st.rho01) <= 0.5 + 1e-15
-                assert st.rho10 == np.conj(st.rho01)
-                evals = np.linalg.eigvalsh(st.matrix)
+                assert st[0, 0] == 0.5 and st[1, 1] == 0.5
+                assert abs(st[0, 1]) <= 0.5 + 1e-15
+                assert st[1, 0] == np.conj(st[0, 1])
+                evals = np.linalg.eigvalsh(st)
                 assert np.all(evals > -1e-12) and np.all(evals < 1.0 + 1e-12)
 
 
@@ -135,7 +137,7 @@ def test_coherence_bounded_by_vacuum_envelope():
             st = reduced_qubit_state(cfg, sd, bath, t)
             fac = dephasing_factors(cfg, sd, bath, t)
             bound = 0.5 * math.exp(-gamma_vac(sd, t)) * abs(math.cos(fac.delta))
-            assert abs(st.rho01) <= bound * (1.0 + 1e-12)
+            assert abs(st[0, 1]) <= bound * (1.0 + 1e-12)
 
 
 def test_chi_vanishes_at_infinite_temperature():
@@ -151,7 +153,7 @@ def test_eigendecompose_pure_and_degenerate():
     eig = eigendecompose(pure)
     assert eig.populations == pytest.approx((0.0, 1.0))
     assert not eig.degenerate
-    mixed = QubitState(0.5, 0.0, 0.0, 0.5)
+    mixed = 0.5 * np.eye(2, dtype=complex)
     eig = eigendecompose(mixed)
     assert eig.populations == pytest.approx((0.5, 0.5))
     assert eig.degenerate
@@ -166,18 +168,53 @@ def test_eigendecompose_matches_generic_solver():
         st = reduced_state_from_factors(1.0, float(rng.uniform(0, 5)), gamma,
                                         delta, chi)
         eig = eigendecompose(st)
-        ref = np.linalg.eigvalsh(st.matrix)
+        ref = np.linalg.eigvalsh(st)
         assert np.allclose(sorted(eig.populations), ref, atol=1e-12)
         for az, pop in zip(eig.azimuths, eig.populations):
             vec = np.array([1.0, np.exp(1j * az)]) / math.sqrt(2.0)
-            resid = st.matrix @ vec - pop * vec
+            resid = st @ vec - pop * vec
             assert np.max(np.abs(resid)) < 1e-12
         assert eig.azimuths[0] - eig.azimuths[1] == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_eigendecompose_rejects_general_states():
-    with pytest.raises(ValueError):
-        eigendecompose(QubitState(0.7, 0.1, 0.1, 0.3))
+    with pytest.raises(ValueError, match="diagonal 1/2"):
+        eigendecompose(np.array([[0.7, 0.1], [0.1, 0.3]], dtype=complex))
+    # the 4x4 joint state passed by mistake is refused for its shape, not
+    # for a diagonal it does not have
+    joint = two_qubit_state(ProbeConfig(), OHMIC, BathState(0.5), 1.3)
+    with pytest.raises(ValueError, match=r"shape \(4, 4\)"):
+        eigendecompose(joint)
+
+
+def log_uniform(lo, hi):
+    """Floats from 10**lo to 10**hi, uniform in their logarithm."""
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def physical_points(draw):
+    """(cfg, sd, bath, t) over the physical domain: s in (0, 5], T = 0 or
+    log-uniform on [1e-3, 10], G in [1e-3, 3], w_c in [0.1, 10], t
+    log-uniform on [1e-6, 1e4], and each of the four probes."""
+    sd = SpectralDensity(draw(st.floats(1e-3, 3.0)),
+                         draw(st.floats(spectral.MIN_OHMICITY, 5.0)),
+                         draw(st.floats(0.1, 10.0)))
+    bath = BathState(draw(st.one_of(st.just(0.0), log_uniform(-3.0, 1.0))))
+    cfg = ProbeConfig(1.0, *draw(st.sampled_from(VARIANTS)))
+    return cfg, sd, bath, draw(log_uniform(-6.0, 4.0))
+
+
+@given(physical_points())
+def test_reduced_state_is_physical_over_the_domain(point):
+    rho = reduced_qubit_state(*point)
+    assert isinstance(rho, np.ndarray) and rho.shape == (2, 2) and rho.dtype == complex
+    assert np.array_equal(rho, rho.conj().T)
+    assert rho[0, 0] == 0.5 and rho[1, 1] == 0.5
+    assert abs(rho[0, 1]) <= 0.5
+    populations = eigendecompose(rho).populations
+    assert all(0.0 <= p <= 1.0 for p in populations)
+    assert sum(populations) == pytest.approx(1.0, rel=0.0, abs=1e-15)
 
 
 def test_factors_bundle_time_zero():

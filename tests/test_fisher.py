@@ -1,14 +1,15 @@
 """Fisher information: closed form vs spectral definition, optimal measurement."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bathprobe import dynamics, spectral
 from bathprobe.dynamics import (CORRELATED, FACTORIZED, SINGLE_QUBIT_PROBE,
-                                TWO_QUBIT_TRACED, ProbeConfig, QubitState,
-                                dephasing_factors, reduced_qubit_state)
+                                TWO_QUBIT_TRACED, ProbeConfig, dephasing_factors,
+                                reduced_qubit_state)
 from bathprobe.cli import FIGURE_PRESETS, VARIANTS, run_figure
 from bathprobe.correlations import corr_factors_from_parts
 from bathprobe.fisher import (Estimand, FisherOptimum, cfi, cfi_from_bundle,
@@ -98,7 +99,7 @@ def test_qfi_spectral_trivial_inputs():
     state = reduced_qubit_state(ProbeConfig(), OHMIC, BathState(0.0), 1.0)
     res = qfi_spectral(state, np.zeros((2, 2)))
     assert res.value == 0.0
-    mixed = QubitState(0.5, 0.0, 0.0, 0.5)
+    mixed = 0.5 * np.eye(2, dtype=complex)
     res = qfi_spectral(mixed, np.zeros((2, 2)))
     assert res.value == 0.0
     assert res.degenerate
@@ -228,6 +229,19 @@ def test_optimize_flat_when_uninformative():
                                  Estimand.CUTOFF_FREQUENCY, 10.0)
     assert opt.f_star == 0.0
     assert opt.flat
+
+
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
+def test_optimizers_reject_a_t_max_that_is_not_finite_and_positive(t_max):
+    # NaN and inf must be refused here, not fail later with a misleading
+    # message or a numpy warning from the scan
+    cfg, sd, bath = ProbeConfig(), SpectralDensity(0.3, 1.0, 1.0), BathState(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_max"):
+            optimize_qfi_over_time(cfg, sd, bath, Estimand.CUTOFF_FREQUENCY, t_max)
+        with pytest.raises(ValueError, match="t_max"):
+            optimize_variants([cfg], [(sd, bath)], Estimand.CUTOFF_FREQUENCY, t_max)
 
 
 def test_optimize_two_qubit_unbounded_growth():

@@ -65,6 +65,15 @@ def test_vacuum_sign_guard_is_an_error_class(monkeypatch):
     assert "s=0.5, w_c=2.0, t=3.0" in str(err.value)
 
 
+def test_vacuum_guard_prints_a_plain_number(monkeypatch):
+    from bathprobe import spectral
+    monkeypatch.setattr(spectral._Grid, "kernel",
+                        property(lambda g: (np.full(g.t.shape, np.nan), np.zeros(g.t.shape))))
+    with pytest.raises(NumericalError) as err:
+        gamma_vac(SpectralDensity(1.0, 0.5, 2.0), 3.0)
+    assert "came out nan at" in str(err.value) and "np." not in str(err.value)
+
+
 def test_vacuum_sign_guard_names_no_temperature(monkeypatch):
     # the vacuum exponent does not depend on T, so its guard names none,
     # rather than T = 0 on a hot bath
